@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <functional>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "nn/zoo.h"
 #include "obs/metrics.h"
 #include "protect/protected_network.h"
+#include "quant/int_inference.h"
 #include "quant/qnetwork.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
@@ -55,7 +57,7 @@ BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
 // Same GEMM pinned to each dispatch level — the vector-path speedup at
 // a glance (BM_Gemm above runs whatever QNN_SIMD/CPUID resolves to).
 void BM_GemmAvx2(benchmark::State& state) {
-  if (simd_support() != SimdLevel::kAvx2) {
+  if (!simd_supports(SimdLevel::kAvx2)) {
     state.SkipWithError("no AVX2 on this machine");
     return;
   }
@@ -88,9 +90,17 @@ void BM_GemmScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmScalar)->Arg(256);
 
-// Native integer GEMM (dot-product layout), int8 and int16 words.
+// Native integer GEMM (dot-product layout), int8 and int16 words, at the
+// active level or a forced one.
 template <typename WordT>
-void int_gemm_bench(benchmark::State& state) {
+void int_gemm_bench(benchmark::State& state,
+                    std::optional<SimdLevel> level = std::nullopt) {
+  if (level.has_value() && !simd_supports(*level)) {
+    state.SkipWithError("SIMD level not supported on this machine");
+    return;
+  }
+  std::optional<ScopedSimdLevel> force;
+  if (level.has_value()) force.emplace(*level);
   const std::int64_t n = state.range(0);
   std::vector<WordT> a(static_cast<std::size_t>(n * n), WordT{3});
   std::vector<WordT> b(static_cast<std::size_t>(n * n), WordT{-5});
@@ -107,6 +117,16 @@ void BM_IntGemm16(benchmark::State& state) {
 }
 BENCHMARK(BM_IntGemm8)->Arg(256);
 BENCHMARK(BM_IntGemm16)->Arg(256);
+
+// Report-only: the same GEMMs pinned to the AVX-512 VNNI tier.
+void BM_IntGemm8Avx512(benchmark::State& state) {
+  int_gemm_bench<std::int8_t>(state, SimdLevel::kAvx512);
+}
+void BM_IntGemm16Avx512(benchmark::State& state) {
+  int_gemm_bench<std::int16_t>(state, SimdLevel::kAvx512);
+}
+BENCHMARK(BM_IntGemm8Avx512)->Arg(256);
+BENCHMARK(BM_IntGemm16Avx512)->Arg(256);
 
 void BM_GemmTallK(benchmark::State& state) {
   // Inner-product forward shape: batch rows M too small to fill the
@@ -306,7 +326,7 @@ std::vector<SimdRow> time_simd_rows(obs::Registry& reg) {
   std::vector<std::int16_t> b16(static_cast<std::size_t>(n * n), -5);
   std::vector<std::int64_t> ci(static_cast<std::size_t>(n * n));
 
-  const bool avx2 = simd_support() == SimdLevel::kAvx2;
+  const bool avx2 = simd_supports(SimdLevel::kAvx2);
   const auto hist = [&](const std::string& name) {
     return reg.histogram("phase.simd." + name + "_us", phase_bounds());
   };
@@ -344,7 +364,45 @@ std::vector<SimdRow> time_simd_rows(obs::Registry& reg) {
     });
     rows.push_back(row);
   }
+  if (simd_supports(SimdLevel::kAvx512)) {
+    // Report-only: the AVX-512 VNNI integer tier.
+    SimdRow r8{"int8_gemm_avx512_vs_scalar_f32", false, scalar_f32, 0};
+    r8.candidate_ms = time_at(SimdLevel::kAvx512, "int8_gemm_avx512", [&] {
+      int_gemm_bt(n, n, n, a8.data(), b8.data(), ci.data());
+    });
+    rows.push_back(r8);
+    SimdRow r16{"int16_gemm_avx512_vs_scalar_f32", false, scalar_f32, 0};
+    r16.candidate_ms = time_at(SimdLevel::kAvx512, "int16_gemm_avx512", [&] {
+      int_gemm_bt(n, n, n, a16.data(), b16.data(), ci.data());
+    });
+    rows.push_back(r16);
+  }
   return rows;
+}
+
+// The native int path's per-stage plan for the 15 native zoo configs
+// (5 full-size nets x fixed16/8/4): word width, kernel tier, proven
+// accumulator bits and any fallback reason, keyed "<net>.fixed<bits>",
+// for the RunReport's "int_path" section.
+json::Value int_path_section() {
+  json::Value section = json::Value::object();
+  for (const char* name : {"lenet", "convnet", "alex", "alex+", "alex++"}) {
+    const Shape sample = nn::input_shape_for(name);
+    Tensor calib(Shape{8, sample[1], sample[2], sample[3]});
+    Rng rng(3);
+    calib.fill_uniform(rng, 0, 1);
+    for (int bits : {16, 8, 4}) {
+      auto net = nn::make_network(name, {});
+      net->set_training_mode(false);
+      quant::QuantizedNetwork q(*net, quant::fixed_config(bits, bits));
+      q.calibrate(calib);
+      q.freeze_inference();
+      if (q.native_int_active())
+        section.set(std::string(name) + ".fixed" + std::to_string(bits),
+                    obs::to_json(q.int_engine()->plan()));
+    }
+  }
+  return section;
 }
 
 // Times each workload with a 1-thread pool and with the environment's
@@ -479,6 +537,8 @@ int write_scaling_report(bench::Session& session, double min_speedup) {
   write_file_atomic("BENCH_micro.json", doc.dump() + "\n");
 
   session.report().add_guards("guards", qnet.total_guards());
+  if (!session.report_path().empty())
+    session.report().set("int_path", int_path_section());
   session.report().add_protection("protection", pnet.counters());
 
   std::cout << "\nThread scaling (1 vs " << threads << " threads):\n";

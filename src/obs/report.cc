@@ -36,6 +36,22 @@ json::Value to_json(const protect::ProtectionCounters& p) {
   return v;
 }
 
+json::Value to_json(const quant::IntPathPlan& plan) {
+  json::Value stages = json::Value::array();
+  for (const quant::IntStagePlan& s : plan.stages) {
+    json::Value v = json::Value::object();
+    v.set("layer", static_cast<std::int64_t>(s.layer));
+    v.set("kind", s.kind);
+    v.set("word_bits", s.word_bits);
+    v.set("tier", quant::int_tier_name(s.tier));
+    v.set("acc_bits", s.acc_bits);
+    v.set("fused_relu", s.fused_relu);
+    v.set("fallback", s.fallback);
+    stages.push_back(std::move(v));
+  }
+  return stages;
+}
+
 RunReport::RunReport(std::string tool) : root_(json::Value::object()) {
   root_.set("schema", "qnn.run_report/1");
   root_.set("tool", std::move(tool));

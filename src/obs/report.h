@@ -2,7 +2,8 @@
 // (DESIGN.md §11). Benches and sweeps fold quantization-health signals
 // into it — guard counters (saturation/NaN/Inf before clipping),
 // envelope violations and layer retries, ABFT detect/re-execute counts,
-// and the metrics-registry snapshot (thread-pool shard timings, GEMM
+// the native int path's kernel-tier plan, and the metrics-registry
+// snapshot (thread-pool shard timings, GEMM
 // call volume) — so a run's numerical hygiene is inspectable without
 // scraping logs.
 //
@@ -17,6 +18,7 @@
 
 #include "obs/metrics.h"
 #include "protect/protected_network.h"
+#include "quant/acc_bound.h"
 #include "quant/guards.h"
 #include "util/json.h"
 
@@ -25,6 +27,10 @@ namespace qnn::obs {
 json::Value to_json(const quant::GuardCounters& g);
 json::Value to_json(const protect::AbftCounters& a);
 json::Value to_json(const protect::ProtectionCounters& p);
+// The native int path's per-stage plan: one object per conv / inner
+// product with layer, kind, word_bits, tier, acc_bits, fused_relu and
+// fallback (the "int_path" RunReport section).
+json::Value to_json(const quant::IntPathPlan& plan);
 
 class RunReport {
  public:

@@ -12,6 +12,7 @@
 #include "nn/conv.h"
 #include "nn/inner_product.h"
 #include "nn/pool.h"
+#include "obs/trace.h"
 #include "quant/qnetwork.h"
 #include "tensor/int_gemm.h"
 #include "util/check.h"
@@ -51,16 +52,6 @@ std::int64_t saturate(std::int64_t raw, const FixedPointFormat& f) {
   return std::clamp(raw, f.raw_min(), f.raw_max());
 }
 
-// The NFU's requantization step for the multiplier weight block
-// (hw/nfu_sim requantize with scale == 1.0, the fixed-point case):
-// round-shift the accumulator from acc_frac onto the output grid, then
-// saturate to the format's raw range.
-std::int64_t requantize(std::int64_t acc, int from_frac,
-                        const FixedPointFormat& format) {
-  return saturate(shift_raw_rounded(acc, from_frac, format.frac_bits()),
-                  format);
-}
-
 const FixedPointFormat& site_fmt(const QuantizedNetwork& qnet,
                                  std::size_t site) {
   const auto* fq =
@@ -70,143 +61,263 @@ const FixedPointFormat& site_fmt(const QuantizedNetwork& qnet,
   return *fq->format();
 }
 
-// Activation image: raw words + the format they are gridded on. The
-// word type is int8 when every format in the network fits 8 bits
+// The shift-round-saturate step from `from_frac` onto `f`'s grid.
+IntRequant requant_to(int from_frac, const FixedPointFormat& f) {
+  const int shift = from_frac - f.frac_bits();
+  QNN_CHECK_MSG(shift > -62 && shift < 62, "fixed-point shift out of range");
+  return IntRequant{shift, f.raw_min(), f.raw_max()};
+}
+
+// A stage's input: raw words, their shape, and the grid they sit on.
+// The word type is int8 when every format in the network fits 8 bits
 // (the int8 kernel then runs end-to-end), int16 otherwise.
 template <typename WordT>
-struct Words {
+struct View {
+  const WordT* w = nullptr;
   Shape shape;
-  std::vector<WordT> w;
   FixedPointFormat format{16, 8};
 };
 
 template <typename WordT>
 struct Stage {
   virtual ~Stage() = default;
+  std::size_t layer = 0;  // network layer index: the span's argument
+  // Span name and category; literals, since spans keep the pointers.
+  const char* span_name = "int.stage";
+  const char* span_cat = "int";
   FixedPointFormat out_format{16, 8};
-  virtual void run(const Words<WordT>& in, Words<WordT>* out) const = 0;
+  virtual Shape out_shape(const Shape& in) const { return in; }
+  // Scratch words run() needs for an input of shape `in`.
+  virtual std::int64_t scratch_words(const Shape&) const { return 0; }
+  virtual void run(const View<WordT>& in, WordT* out,
+                   WordT* scratch) const = 0;
 };
 
-// Shared epilogue: acc (+ bias aligned to acc_frac) -> output word.
-// Identical arithmetic to the NFU's ConvStage/IpStage inner loop; the
-// bias lands by commutativity of integer addition (the NFU seeds the
-// accumulator with it, we add it after the exact GEMM).
+// Conv and inner product: packed weights, one addend per output (the
+// aligned bias, minus the 128 * sum(w) the int8 activation offset adds)
+// and the fused epilogue's constants, all fixed by plan_gemm().
 template <typename WordT>
-WordT requantize_word(std::int64_t acc, std::int64_t bias_term, int acc_frac,
-                      const FixedPointFormat& out_format) {
-  return static_cast<WordT>(
-      requantize(acc + bias_term, acc_frac, out_format));
-}
+struct GemmStage : Stage<WordT> {
+  static constexpr bool kOffset = sizeof(WordT) == 1;
+  std::int64_t k = 0;        // reduction length
+  std::int64_t outputs = 0;  // output channels / features
+  std::vector<WordT> weights;
+  std::vector<std::int64_t> addend;
+  IntTier tier = IntTier::kExact64;
+  IntEpilogue epi;
 
-template <typename WordT>
-struct ConvStage final : Stage<WordT> {
-  std::int64_t in_c = 0, kernel = 0, stride = 1, pad = 0, out_c = 0;
-  std::vector<WordT> weights;  // [out_c, in_c*kernel*kernel], raw words
-  int weight_frac = 0;
-  std::vector<std::int64_t> bias;  // raw at bias_frac; empty = no bias
-  int bias_frac = 0;
-
-  void run(const Words<WordT>& in, Words<WordT>* out) const override {
-    const Shape& s = in.shape;
-    QNN_CHECK(s.rank() == 4 && s.c() == in_c);
-    const std::int64_t oh = (s.h() + 2 * pad - kernel) / stride + 1;
-    const std::int64_t ow = (s.w() + 2 * pad - kernel) / stride + 1;
-    out->shape = Shape{s.n(), out_c, oh, ow};
-    out->format = this->out_format;
-    out->w.assign(static_cast<std::size_t>(out->shape.count()), WordT{0});
-
-    const int acc_frac = in.format.frac_bits() + weight_frac;
-    const std::int64_t rows = in_c * kernel * kernel;
-    const std::int64_t ohw = oh * ow;
-    std::vector<std::int64_t> bias_terms(static_cast<std::size_t>(out_c), 0);
-    for (std::int64_t oc = 0; oc < out_c; ++oc)
-      if (!bias.empty())
-        bias_terms[static_cast<std::size_t>(oc)] = shift_raw_rounded(
-            bias[static_cast<std::size_t>(oc)], bias_frac, acc_frac);
-
-    parallel_for_shards(
-        s.n(), kReductionShards, shard_grain(2 * out_c * ohw * rows),
-        [&](std::size_t, std::int64_t begin, std::int64_t end) {
-          // Per-shard im2row patches ([OHW, rows], zero padding = raw 0,
-          // exact) and int64 accumulator image.
-          std::vector<WordT> patch(static_cast<std::size_t>(ohw * rows));
-          std::vector<std::int64_t> acc(
-              static_cast<std::size_t>(out_c * ohw));
-          for (std::int64_t n = 0; n < end - begin; ++n) {
-            const std::int64_t sample = begin + n;
-            const WordT* img =
-                in.w.data() + sample * in_c * s.h() * s.w();
-            std::fill(patch.begin(), patch.end(), WordT{0});
-            for (std::int64_t y = 0; y < oh; ++y) {
-              for (std::int64_t x = 0; x < ow; ++x) {
-                WordT* prow = patch.data() + (y * ow + x) * rows;
-                for (std::int64_t c = 0; c < in_c; ++c) {
-                  for (std::int64_t ky = 0; ky < kernel; ++ky) {
-                    const std::int64_t iy = y * stride - pad + ky;
-                    if (iy < 0 || iy >= s.h()) continue;
-                    for (std::int64_t kx = 0; kx < kernel; ++kx) {
-                      const std::int64_t ix = x * stride - pad + kx;
-                      if (ix < 0 || ix >= s.w()) continue;
-                      prow[(c * kernel + ky) * kernel + kx] =
-                          img[(c * s.h() + iy) * s.w() + ix];
-                    }
-                  }
-                }
-              }
-            }
-            // C[oc, p] = dot(W_oc, patch_p): output-channel-major, the
-            // NCHW output layout directly.
-            int_gemm_bt(out_c, ohw, rows, weights.data(), patch.data(),
-                        acc.data());
-            WordT* dst = out->w.data() + sample * out_c * ohw;
-            for (std::int64_t oc = 0; oc < out_c; ++oc) {
-              const std::int64_t bt =
-                  bias_terms[static_cast<std::size_t>(oc)];
-              for (std::int64_t p = 0; p < ohw; ++p)
-                dst[oc * ohw + p] = requantize_word<WordT>(
-                    acc[static_cast<std::size_t>(oc * ohw + p)], bt,
-                    acc_frac, this->out_format);
-            }
-          }
-        });
+  // A stage whose bound failed runs the exact scalar tier.
+  SimdLevel level() const {
+    return tier == IntTier::kExact64 ? SimdLevel::kScalar
+                                     : active_simd_level();
+  }
+  IntTileJob job() const {
+    IntTileJob j;
+    j.body = int_body<WordT>;
+    j.groups = int_groups<WordT>(k);
+    j.epi = epi;
+    j.epi.out_bytes = sizeof(WordT);
+    return j;
   }
 };
 
+// The accumulator-bound pass for one stage: bound |acc| from the
+// encoded weights, the input site's raw range and the aligned bias,
+// take the tier the bound proves exact, fold bias and offset correction
+// into the addend, and pack the weights (as B panels when they are the
+// column operand, as A rows otherwise).
 template <typename WordT>
-struct IpStage final : Stage<WordT> {
-  std::int64_t in_features = 0, out_features = 0;
-  std::vector<WordT> weights;  // [out_features, in_features], raw words
-  int weight_frac = 0;
-  std::vector<std::int64_t> bias;
-  int bias_frac = 0;
+IntStagePlan plan_gemm(GemmStage<WordT>& st, const std::vector<WordT>& w,
+                       int weight_frac, const std::vector<std::int64_t>& bias,
+                       int bias_frac, const FixedPointFormat& in,
+                       const FixedPointFormat& out,
+                       const FixedPointFormat* relu_out,
+                       bool weights_as_panels) {
+  const int acc_frac = in.frac_bits() + weight_frac;
+  st.addend.assign(static_cast<std::size_t>(st.outputs), 0);
+  for (std::size_t o = 0; o < bias.size(); ++o)
+    st.addend[o] = shift_raw_rounded(bias[o], bias_frac, acc_frac);
+  const AccBound bound =
+      bound_accumulator(st.outputs, st.k, w.data(), in, st.addend.data());
 
-  void run(const Words<WordT>& in, Words<WordT>* out) const override {
-    const std::int64_t n = in.shape[0];
-    QNN_CHECK(in.shape.count_from(1) == in_features);
-    out->shape = Shape{n, out_features};
-    out->format = this->out_format;
-    out->w.assign(static_cast<std::size_t>(n * out_features), WordT{0});
-    const int acc_frac = in.format.frac_bits() + weight_frac;
-    std::vector<std::int64_t> acc(static_cast<std::size_t>(n * out_features));
-    int_gemm_bt(n, out_features, in_features, in.w.data(), weights.data(),
-                acc.data());
-    std::vector<std::int64_t> bias_terms(
-        static_cast<std::size_t>(out_features), 0);
-    for (std::int64_t o = 0; o < out_features; ++o)
-      if (!bias.empty())
-        bias_terms[static_cast<std::size_t>(o)] = shift_raw_rounded(
-            bias[static_cast<std::size_t>(o)], bias_frac, acc_frac);
+  IntStagePlan plan;
+  plan.word_bits = 8 * static_cast<int>(sizeof(WordT));
+  plan.tier = choose_int_tier(plan.word_bits, bound, &plan.fallback);
+  plan.acc_bits = bound.bits();
+  plan.fused_relu = relu_out != nullptr;
+  st.tier = plan.tier;
+
+  if constexpr (GemmStage<WordT>::kOffset) {
+    for (std::int64_t o = 0; o < st.outputs; ++o) {
+      std::int64_t sum = 0;
+      for (std::int64_t p = 0; p < st.k; ++p) sum += w[o * st.k + p];
+      st.addend[static_cast<std::size_t>(o)] -= 128 * sum;
+    }
+  }
+  if (weights_as_panels) {
+    st.weights.resize(static_cast<std::size_t>(
+        int_panels(st.outputs) * int_panel_words<WordT>(st.k)));
+    pack_int_panels(st.outputs, st.k, w.data(), st.k, false,
+                    st.weights.data());
+  } else {
+    st.weights.resize(
+        static_cast<std::size_t>(st.outputs * int_row_words<WordT>(st.k)));
+    pack_int_rows(st.outputs, st.k, w.data(), st.k, false, st.weights.data());
+  }
+  st.epi.requant = requant_to(acc_frac, out);
+  st.epi.relu = relu_out != nullptr;
+  if (relu_out != nullptr)
+    st.epi.relu_requant = requant_to(out.frac_bits(), *relu_out);
+  st.out_format = relu_out != nullptr ? *relu_out : out;
+  st.span_cat = int_tier_name(plan.tier);
+  return plan;
+}
+
+template <typename WordT>
+struct ConvStage final : GemmStage<WordT> {
+  std::int64_t in_c = 0, kernel = 0, stride = 1, pad = 0;
+
+  std::int64_t out_dim(std::int64_t d) const {
+    return (d + 2 * pad - kernel) / stride + 1;
+  }
+  Shape out_shape(const Shape& s) const override {
+    return Shape{s.n(), this->outputs, out_dim(s.h()), out_dim(s.w())};
+  }
+  // Work items are (sample, panel) pairs; each shard packs one panel at a
+  // time into its own scratch slot, gathering from the input image
+  // zero-padded (and, for int8, offset) once per forward.
+  std::int64_t items(const Shape& s) const {
+    return s.n() * int_panels(out_dim(s.h()) * out_dim(s.w()));
+  }
+  std::int64_t grain() const {
+    return shard_grain(2 * this->outputs * kIntPanel * this->k);
+  }
+  std::int64_t padded_words(const Shape& s) const {
+    return s.n() * in_c * (s.h() + 2 * pad) * (s.w() + 2 * pad);
+  }
+  std::int64_t scratch_words(const Shape& s) const override {
+    return padded_words(s) +
+           static_cast<std::int64_t>(
+               make_shards(items(s), kReductionShards, grain()).size()) *
+               int_panel_words<WordT>(this->k);
+  }
+
+  void run(const View<WordT>& in, WordT* out, WordT* scratch) const override {
+    const Shape& s = in.shape;
+    QNN_CHECK(s.rank() == 4 && s.c() == in_c);
+    const std::int64_t ow = out_dim(s.w());
+    const std::int64_t ohw = out_dim(s.h()) * ow;
+    const std::int64_t panels = int_panels(ohw);
+    const std::int64_t panel_words = int_panel_words<WordT>(this->k);
+    const std::int64_t hp = s.h() + 2 * pad, wp = s.w() + 2 * pad;
+    const std::int64_t plane = in_c * hp * wp;
+    WordT* padded = scratch;
+    scratch += padded_words(s);
+    pad_planes(in, hp, wp, padded);
+    const SimdLevel level = this->level();
+    IntTileJob job = this->job();
+    job.m = this->outputs;
+    job.a = this->weights.data();
+    job.epi.row_add = this->addend.data();
+    job.epi.ldo = ohw;
     parallel_for_shards(
-        n, kReductionShards, shard_grain(2 * out_features),
-        [&](std::size_t, std::int64_t begin, std::int64_t end) {
-          for (std::int64_t s = begin; s < end; ++s)
-            for (std::int64_t o = 0; o < out_features; ++o)
-              out->w[static_cast<std::size_t>(s * out_features + o)] =
-                  requantize_word<WordT>(
-                      acc[static_cast<std::size_t>(s * out_features + o)],
-                      bias_terms[static_cast<std::size_t>(o)], acc_frac,
-                      this->out_format);
+        items(s), kReductionShards, grain(),
+        [&](std::size_t si, std::int64_t begin, std::int64_t end) {
+          WordT* panel = scratch + static_cast<std::int64_t>(si) * panel_words;
+          IntTileJob part = job;
+          part.b = panel;
+          for (std::int64_t item = begin; item < end; ++item) {
+            const std::int64_t sample = item / panels;
+            const std::int64_t j0 = (item % panels) * kIntPanel;
+            part.n = std::min(kIntPanel, ohw - j0);
+            pack_patch(padded + sample * plane, hp, wp, ow, j0, part.n,
+                       panel);
+            part.epi.out = out + sample * this->outputs * ohw + j0;
+            int_tiles(level, part);
+          }
         });
+  }
+
+  // The input planes in their packed form (int8 offset to u8) with a
+  // border of packed zeros `pad` wide.
+  void pad_planes(const View<WordT>& in, std::int64_t hp, std::int64_t wp,
+                  WordT* padded) const {
+    const Shape& s = in.shape;
+    const WordT zero = int_pack_word<WordT>(0, GemmStage<WordT>::kOffset);
+    parallel_for_shards(
+        s.n() * in_c, kReductionShards, shard_grain(2 * hp * wp),
+        [&](std::size_t, std::int64_t begin, std::int64_t end) {
+          for (std::int64_t pl = begin; pl < end; ++pl) {
+            const WordT* src = in.w + pl * s.h() * s.w();
+            WordT* dst = padded + pl * hp * wp;
+            std::fill(dst, dst + hp * wp, zero);
+            for (std::int64_t y = 0; y < s.h(); ++y)
+              for (std::int64_t x = 0; x < s.w(); ++x)
+                dst[(y + pad) * wp + x + pad] = int_pack_word(
+                    src[y * s.w() + x], GemmStage<WordT>::kOffset);
+          }
+        });
+  }
+
+  // im2row straight into one packed panel from the padded planes: column
+  // c is output position j0 + c, K row r = (ci, ky, kx) of its window.
+  // The K tail and columns past the image hold the packed form of 0.
+  void pack_patch(const WordT* img, std::int64_t hp, std::int64_t wp,
+                  std::int64_t ow, std::int64_t j0, std::int64_t cols,
+                  WordT* panel) const {
+    constexpr std::int64_t per = int_group_words<WordT>;
+    const WordT zero = int_pack_word<WordT>(0, GemmStage<WordT>::kOffset);
+    // Window origin of each column; columns past the image read the
+    // origin (any in-bounds word) and store zero instead.
+    std::int64_t base[kIntPanel];
+    for (std::int64_t c = 0; c < kIntPanel; ++c) {
+      const std::int64_t pos = j0 + c;
+      base[c] = c < cols ? (pos / ow) * stride * wp + (pos % ow) * stride : 0;
+    }
+    std::int64_t r = 0;
+    for (std::int64_t ci = 0; ci < in_c; ++ci) {
+      for (std::int64_t ky = 0; ky < kernel; ++ky) {
+        for (std::int64_t kx = 0; kx < kernel; ++kx, ++r) {
+          const WordT* src = img + (ci * hp + ky) * wp + kx;
+          WordT* dst = panel + (r / per) * kIntPanel * per + r % per;
+          for (std::int64_t c = 0; c < kIntPanel; ++c)
+            dst[c * per] = c < cols ? src[base[c]] : zero;
+        }
+      }
+    }
+    for (; r < int_row_words<WordT>(this->k); ++r) {
+      WordT* dst = panel + (r / per) * kIntPanel * per + r % per;
+      for (std::int64_t c = 0; c < kIntPanel; ++c) dst[c * per] = zero;
+    }
+  }
+};
+
+// Inner products consume flattened inputs (as the NFU does): rows are
+// samples, the activation side of the job.
+template <typename WordT>
+struct IpStage final : GemmStage<WordT> {
+  Shape out_shape(const Shape& s) const override {
+    return Shape{s[0], this->outputs};
+  }
+  std::int64_t scratch_words(const Shape& s) const override {
+    return s[0] * int_row_words<WordT>(this->k);
+  }
+
+  void run(const View<WordT>& in, WordT* out, WordT* scratch) const override {
+    const std::int64_t n = in.shape[0];
+    QNN_CHECK(in.shape.count_from(1) == this->k);
+    pack_int_rows(n, this->k, in.w, this->k, GemmStage<WordT>::kOffset,
+                  scratch);
+    IntTileJob job = this->job();
+    job.a_unsigned = true;
+    job.m = n;
+    job.n = this->outputs;
+    job.a = scratch;
+    job.b = this->weights.data();
+    job.epi.col_add = this->addend.data();
+    job.epi.out = out;
+    job.epi.ldo = this->outputs;
+    int_gemm_packed(this->level(), job);
   }
 };
 
@@ -215,25 +326,26 @@ struct PoolStage final : Stage<WordT> {
   nn::PoolMode mode = nn::PoolMode::kMax;
   std::int64_t kernel = 2, stride = 2, pad = 0;
 
-  void run(const Words<WordT>& in, Words<WordT>* out) const override {
+  std::int64_t extent(std::int64_t dim) const {
+    std::int64_t o = (dim + 2 * pad - kernel + stride - 1) / stride + 1;
+    if (pad > 0 && (o - 1) * stride >= dim + pad) --o;
+    return o;
+  }
+  Shape out_shape(const Shape& s) const override {
+    return Shape{s.n(), s.c(), extent(s.h()), extent(s.w())};
+  }
+
+  void run(const View<WordT>& in, WordT* out, WordT*) const override {
     const Shape& s = in.shape;
-    auto extent = [&](std::int64_t dim) {
-      std::int64_t o = (dim + 2 * pad - kernel + stride - 1) / stride + 1;
-      if (pad > 0 && (o - 1) * stride >= dim + pad) --o;
-      return o;
-    };
     const std::int64_t oh = extent(s.h()), ow = extent(s.w());
-    out->shape = Shape{s.n(), s.c(), oh, ow};
-    out->format = this->out_format;
-    out->w.assign(static_cast<std::size_t>(out->shape.count()), WordT{0});
     const int in_frac = in.format.frac_bits();
     const std::int64_t planes = s.n() * s.c();
     parallel_for_shards(
         planes, kReductionShards, shard_grain(2 * oh * ow * kernel * kernel),
         [&](std::size_t, std::int64_t begin, std::int64_t end) {
           for (std::int64_t pl = begin; pl < end; ++pl) {
-            const WordT* src = in.w.data() + pl * s.h() * s.w();
-            WordT* dst = out->w.data() + pl * oh * ow;
+            const WordT* src = in.w + pl * s.h() * s.w();
+            WordT* dst = out + pl * oh * ow;
             for (std::int64_t y = 0; y < oh; ++y) {
               const std::int64_t y0 =
                   std::max<std::int64_t>(0, y * stride - pad);
@@ -274,25 +386,20 @@ struct PoolStage final : Stage<WordT> {
   }
 };
 
+// ReLU that does not directly follow a conv / inner product (one that
+// does runs in that stage's epilogue).
 template <typename WordT>
 struct ReluStage final : Stage<WordT> {
-  void run(const Words<WordT>& in, Words<WordT>* out) const override {
-    out->shape = in.shape;
-    out->format = this->out_format;
-    out->w.resize(in.w.size());
+  void run(const View<WordT>& in, WordT* out, WordT*) const override {
     const int in_frac = in.format.frac_bits();
     const int out_frac = this->out_format.frac_bits();
     parallel_for_shards(
-        static_cast<std::int64_t>(in.w.size()), kReductionShards,
-        shard_grain(2),
+        in.shape.count(), kReductionShards, shard_grain(2),
         [&](std::size_t, std::int64_t begin, std::int64_t end) {
           for (std::int64_t i = begin; i < end; ++i) {
-            const std::int64_t v = std::max<std::int64_t>(
-                in.w[static_cast<std::size_t>(i)], 0);
-            out->w[static_cast<std::size_t>(i)] =
-                static_cast<WordT>(saturate(
-                    shift_raw_rounded(v, in_frac, out_frac),
-                    this->out_format));
+            const std::int64_t v = std::max<std::int64_t>(in.w[i], 0);
+            out[i] = static_cast<WordT>(saturate(
+                shift_raw_rounded(v, in_frac, out_frac), this->out_format));
           }
         });
   }
@@ -302,20 +409,14 @@ template <typename WordT>
 struct PlanStage final : Stage<WordT> {
   bool is_tanh = false;
 
-  void run(const Words<WordT>& in, Words<WordT>* out) const override {
-    out->shape = in.shape;
-    out->format = this->out_format;
-    out->w.resize(in.w.size());
+  void run(const View<WordT>& in, WordT* out, WordT*) const override {
     parallel_for_shards(
-        static_cast<std::int64_t>(in.w.size()), kReductionShards,
-        shard_grain(8),
+        in.shape.count(), kReductionShards, shard_grain(8),
         [&](std::size_t, std::int64_t begin, std::int64_t end) {
           for (std::int64_t i = begin; i < end; ++i) {
-            const double x =
-                in.format.from_raw(in.w[static_cast<std::size_t>(i)]);
+            const double x = in.format.from_raw(in.w[i]);
             const double y = is_tanh ? plan_tanh(x) : plan_sigmoid(x);
-            out->w[static_cast<std::size_t>(i)] =
-                static_cast<WordT>(this->out_format.to_raw(y));
+            out[i] = static_cast<WordT>(this->out_format.to_raw(y));
           }
         });
   }
@@ -323,22 +424,16 @@ struct PlanStage final : Stage<WordT> {
 
 template <typename WordT>
 struct PassthroughStage final : Stage<WordT> {
-  void run(const Words<WordT>& in, Words<WordT>* out) const override {
-    out->shape = in.shape;
-    out->format = this->out_format;
-    out->w.resize(in.w.size());
+  void run(const View<WordT>& in, WordT* out, WordT*) const override {
     const int in_frac = in.format.frac_bits();
     const int out_frac = this->out_format.frac_bits();
     parallel_for_shards(
-        static_cast<std::int64_t>(in.w.size()), kReductionShards,
-        shard_grain(2),
+        in.shape.count(), kReductionShards, shard_grain(2),
         [&](std::size_t, std::int64_t begin, std::int64_t end) {
           for (std::int64_t i = begin; i < end; ++i)
-            out->w[static_cast<std::size_t>(i)] =
-                static_cast<WordT>(saturate(
-                    shift_raw_rounded(in.w[static_cast<std::size_t>(i)],
-                                      in_frac, out_frac),
-                    this->out_format));
+            out[i] = static_cast<WordT>(saturate(
+                shift_raw_rounded(in.w[i], in_frac, out_frac),
+                this->out_format));
         });
   }
 };
@@ -348,25 +443,41 @@ struct Body {
   FixedPointFormat input_format{16, 8};
   std::vector<std::unique_ptr<Stage<WordT>>> stages;
 
-  Words<WordT> run(const Tensor& input) const {
-    Words<WordT> x;
-    x.shape = input.shape();
-    x.format = input_format;
-    x.w.resize(static_cast<std::size_t>(input.count()));
+  // One forward. Stage shapes come first, so the activation ping-pong
+  // pair and the stages' shared scratch are sized once per forward;
+  // nothing is cached between calls, so concurrent forwards are safe.
+  IntRawResult run(const Tensor& input) const {
+    std::vector<Shape> shapes{input.shape()};
+    std::int64_t words = input.count(), scratch_words = 0;
+    for (const auto& stage : stages) {
+      scratch_words =
+          std::max(scratch_words, stage->scratch_words(shapes.back()));
+      shapes.push_back(stage->out_shape(shapes.back()));
+      words = std::max(words, shapes.back().count());
+    }
+    std::vector<WordT> ping(static_cast<std::size_t>(words));
+    std::vector<WordT> pong(static_cast<std::size_t>(words));
+    std::vector<WordT> scratch(static_cast<std::size_t>(scratch_words));
     const float* d = input.data();
     for (std::int64_t i = 0; i < input.count(); ++i)
-      x.w[static_cast<std::size_t>(i)] =
+      ping[static_cast<std::size_t>(i)] =
           static_cast<WordT>(input_format.to_raw(d[i]));
-    for (const auto& stage : stages) {
-      // Inner products consume flattened inputs (as the NFU does).
-      if (dynamic_cast<const IpStage<WordT>*>(stage.get()) != nullptr &&
-          x.shape.rank() != 2)
-        x.shape = Shape{x.shape[0], x.shape.count_from(1)};
-      Words<WordT> y;
-      stage->run(x, &y);
-      x = std::move(y);
+    View<WordT> x{ping.data(), shapes[0], input_format};
+    for (std::size_t i = 0; i < stages.size(); ++i) {
+      const Stage<WordT>& stage = *stages[i];
+      WordT* dst = x.w == ping.data() ? pong.data() : ping.data();
+      {
+        QNN_SPAN_N(stage.span_name, stage.span_cat,
+                   static_cast<std::int64_t>(stage.layer));
+        stage.run(x, dst, scratch.data());
+      }
+      x = View<WordT>{dst, shapes[i + 1], stage.out_format};
     }
-    return x;
+    IntRawResult r;
+    r.shape = x.shape;
+    r.format = x.format;
+    r.raw.assign(x.w, x.w + x.shape.count());
+    return r;
   }
 };
 
@@ -400,68 +511,92 @@ void encode_bias(const Tensor& values, const ValueQuantizer& q,
 
 template <typename WordT>
 std::unique_ptr<Body<WordT>> build_body(nn::Network& net,
-                                        const QuantizedNetwork& qnet) {
+                                        const QuantizedNetwork& qnet,
+                                        IntPathPlan* plan) {
   auto body = std::make_unique<Body<WordT>>();
   body->input_format = site_fmt(qnet, 0);
   std::size_t param_index = 0;
   for (std::size_t li = 0; li < net.num_layers(); ++li) {
     nn::Layer& layer = net.layer(li);
+    const FixedPointFormat& in = site_fmt(qnet, li);
     const FixedPointFormat& of = site_fmt(qnet, li + 1);
-    if (auto* conv = dynamic_cast<nn::Conv2d*>(&layer)) {
-      auto stage = std::make_unique<ConvStage<WordT>>();
-      const auto params = conv->params();
-      encode_param(params[0]->value, qnet.weight_quantizer(param_index),
-                   &stage->weights, &stage->weight_frac);
+    std::unique_ptr<Stage<WordT>> stage;
+    auto* conv = dynamic_cast<nn::Conv2d*>(&layer);
+    auto* ip = dynamic_cast<nn::InnerProduct*>(&layer);
+    if (conv != nullptr || ip != nullptr) {
+      // A ReLU right after the GEMM folds into its epilogue.
+      const bool fuse = li + 1 < net.num_layers() &&
+                        dynamic_cast<nn::Relu*>(&net.layer(li + 1)) != nullptr;
+      const FixedPointFormat* relu_out = fuse ? &site_fmt(qnet, li + 2) : nullptr;
+      const auto params = layer.params();
+      std::vector<WordT> w;
+      int weight_frac = 0;
+      encode_param(params[0]->value, qnet.weight_quantizer(param_index), &w,
+                   &weight_frac);
+      std::vector<std::int64_t> bias;
+      int bias_frac = 0;
       if (params.size() > 1 && !params[1]->value.empty())
         encode_bias(params[1]->value, qnet.weight_quantizer(param_index + 1),
-                    &stage->bias, &stage->bias_frac);
+                    &bias, &bias_frac);
       param_index += params.size();
-      stage->in_c = conv->in_channels();
-      stage->kernel = conv->spec().kernel;
-      stage->stride = conv->spec().stride;
-      stage->pad = conv->spec().pad;
-      stage->out_c = conv->spec().out_channels;
-      stage->out_format = of;
+      IntStagePlan sp;
+      if (conv != nullptr) {
+        auto c = std::make_unique<ConvStage<WordT>>();
+        c->in_c = conv->in_channels();
+        c->kernel = conv->spec().kernel;
+        c->stride = conv->spec().stride;
+        c->pad = conv->spec().pad;
+        c->outputs = conv->spec().out_channels;
+        c->k = c->in_c * c->kernel * c->kernel;
+        sp = plan_gemm(*c, w, weight_frac, bias, bias_frac, in, of, relu_out,
+                       /*weights_as_panels=*/false);
+        sp.kind = "conv";
+        c->span_name = fuse ? "int.conv+relu" : "int.conv";
+        stage = std::move(c);
+      } else {
+        auto p = std::make_unique<IpStage<WordT>>();
+        p->k = ip->in_features();
+        p->outputs = ip->out_features();
+        sp = plan_gemm(*p, w, weight_frac, bias, bias_frac, in, of, relu_out,
+                       /*weights_as_panels=*/true);
+        sp.kind = "ip";
+        p->span_name = fuse ? "int.ip+relu" : "int.ip";
+        stage = std::move(p);
+      }
+      sp.layer = li;
+      plan->stages.push_back(std::move(sp));
+      stage->layer = li;
       body->stages.push_back(std::move(stage));
-    } else if (auto* ip = dynamic_cast<nn::InnerProduct*>(&layer)) {
-      auto stage = std::make_unique<IpStage<WordT>>();
-      const auto params = ip->params();
-      encode_param(params[0]->value, qnet.weight_quantizer(param_index),
-                   &stage->weights, &stage->weight_frac);
-      if (params.size() > 1 && !params[1]->value.empty())
-        encode_bias(params[1]->value, qnet.weight_quantizer(param_index + 1),
-                    &stage->bias, &stage->bias_frac);
-      param_index += params.size();
-      stage->in_features = ip->in_features();
-      stage->out_features = ip->out_features();
-      stage->out_format = of;
-      body->stages.push_back(std::move(stage));
-    } else if (auto* pool = dynamic_cast<nn::Pool2d*>(&layer)) {
-      auto stage = std::make_unique<PoolStage<WordT>>();
-      stage->mode = pool->spec().mode;
-      stage->kernel = pool->spec().kernel;
-      stage->stride = pool->spec().stride;
-      stage->pad = pool->spec().pad;
-      stage->out_format = of;
-      body->stages.push_back(std::move(stage));
+      if (fuse) ++li;
+      continue;
+    }
+    if (auto* pool = dynamic_cast<nn::Pool2d*>(&layer)) {
+      auto s = std::make_unique<PoolStage<WordT>>();
+      s->mode = pool->spec().mode;
+      s->kernel = pool->spec().kernel;
+      s->stride = pool->spec().stride;
+      s->pad = pool->spec().pad;
+      s->span_name = "int.pool";
+      stage = std::move(s);
     } else if (dynamic_cast<nn::Relu*>(&layer) != nullptr) {
-      auto stage = std::make_unique<ReluStage<WordT>>();
-      stage->out_format = of;
-      body->stages.push_back(std::move(stage));
+      stage = std::make_unique<ReluStage<WordT>>();
+      stage->span_name = "int.relu";
     } else if (dynamic_cast<nn::Sigmoid*>(&layer) != nullptr ||
                dynamic_cast<nn::Tanh*>(&layer) != nullptr) {
-      auto stage = std::make_unique<PlanStage<WordT>>();
-      stage->is_tanh = dynamic_cast<nn::Tanh*>(&layer) != nullptr;
-      stage->out_format = of;
-      body->stages.push_back(std::move(stage));
+      auto s = std::make_unique<PlanStage<WordT>>();
+      s->is_tanh = dynamic_cast<nn::Tanh*>(&layer) != nullptr;
+      s->span_name = "int.plan";
+      stage = std::move(s);
     } else if (dynamic_cast<nn::Dropout*>(&layer) != nullptr) {
-      auto stage = std::make_unique<PassthroughStage<WordT>>();
-      stage->out_format = of;
-      body->stages.push_back(std::move(stage));
+      stage = std::make_unique<PassthroughStage<WordT>>();
+      stage->span_name = "int.passthrough";
     } else {
       QNN_CHECK_MSG(false, "unsupported layer kind in IntInferenceEngine: "
                                << layer.kind());
     }
+    stage->layer = li;
+    stage->out_format = of;
+    body->stages.push_back(std::move(stage));
   }
   return body;
 }
@@ -482,6 +617,7 @@ bool supported_layer(nn::Layer& layer) {
 struct IntInferenceEngine::Impl {
   std::unique_ptr<Body<std::int8_t>> b8;
   std::unique_ptr<Body<std::int16_t>> b16;
+  IntPathPlan plan;
 };
 
 std::string IntInferenceEngine::ineligibility_reason(
@@ -541,9 +677,9 @@ IntInferenceEngine::IntInferenceEngine(nn::Network& net,
     }
   }
   if (fits8) {
-    impl_->b8 = build_body<std::int8_t>(net, qnet);
+    impl_->b8 = build_body<std::int8_t>(net, qnet, &impl_->plan);
   } else {
-    impl_->b16 = build_body<std::int16_t>(net, qnet);
+    impl_->b16 = build_body<std::int16_t>(net, qnet, &impl_->plan);
   }
 }
 
@@ -551,24 +687,10 @@ IntInferenceEngine::~IntInferenceEngine() = default;
 
 bool IntInferenceEngine::uses_int8() const { return impl_->b8 != nullptr; }
 
-std::size_t IntInferenceEngine::num_stages() const {
-  return impl_->b8 ? impl_->b8->stages.size() : impl_->b16->stages.size();
-}
+const IntPathPlan& IntInferenceEngine::plan() const { return impl_->plan; }
 
 IntRawResult IntInferenceEngine::forward_raw(const Tensor& input) const {
-  IntRawResult r;
-  if (impl_->b8) {
-    Words<std::int8_t> out = impl_->b8->run(input);
-    r.shape = out.shape;
-    r.format = out.format;
-    r.raw.assign(out.w.begin(), out.w.end());
-  } else {
-    Words<std::int16_t> out = impl_->b16->run(input);
-    r.shape = out.shape;
-    r.format = out.format;
-    r.raw.assign(out.w.begin(), out.w.end());
-  }
-  return r;
+  return impl_->b8 ? impl_->b8->run(input) : impl_->b16->run(input);
 }
 
 Tensor IntInferenceEngine::forward(const Tensor& input) const {

@@ -5,12 +5,17 @@
 // fixed-point QuantizedNetwork the way the accelerator would — and the
 // way hw/nfu_sim's bit-level oracle does: weights, biases, and
 // activations live as raw two's-complement words, conv and inner
-// product run through the native int8/int16 GEMM kernels
-// (tensor/int_gemm) with exact int64 accumulation, and every layer
-// boundary requantizes into the site's calibrated format with the same
-// shift-round-saturate step as the NFU. The contract, pinned by
+// product run through the packed integer tile kernels (tensor/int_gemm)
+// with exact accumulation, and every layer boundary requantizes into the
+// site's calibrated format with the same shift-round-saturate step as
+// the NFU, fused into the kernel's epilogue (together with a ReLU that
+// directly follows). The contract, pinned by
 // tests/int_gemm_oracle_test.cc, is word-for-word equality with
 // NfuSimulator on every supported network.
+//
+// At construction the accumulator-bound pass (quant/acc_bound) picks
+// each conv / inner-product stage's kernel tier from its encoded
+// weights, input format and bias; plan() reports the choice per stage.
 //
 // QuantizedNetwork::freeze_inference() builds one of these whenever the
 // config is eligible (fixed-point, <= 16-bit weights and data,
@@ -28,6 +33,7 @@
 
 #include "fixed/fixed_format.h"
 #include "nn/network.h"
+#include "quant/acc_bound.h"
 #include "tensor/tensor.h"
 
 namespace qnn::quant {
@@ -77,17 +83,20 @@ class IntInferenceEngine {
 
   // Integer-domain forward; returns the decoded float image of the
   // final site's raw words (injective for <= 16-bit formats, so float
-  // equality of outputs IS word equality).
+  // equality of outputs IS word equality). Const and safe to call
+  // concurrently: every forward sizes its own scratch.
   Tensor forward(const Tensor& input) const;
 
   // Same forward, returning the raw words themselves.
   IntRawResult forward_raw(const Tensor& input) const;
 
   // True when every weight and data format fits 8 bits and the engine
-  // runs on int8 storage + the int8 kernel; false -> int16.
+  // runs on int8 words; false -> int16.
   bool uses_int8() const;
 
-  std::size_t num_stages() const;
+  // Per conv / inner-product stage: word width, kernel tier, proven
+  // accumulator bits, fused ReLU, and the fallback reason if any.
+  const IntPathPlan& plan() const;
 
  private:
   struct Impl;

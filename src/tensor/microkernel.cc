@@ -1,10 +1,11 @@
 #include "tensor/microkernel.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 
+#include "tensor/int_tiles.h"
 #include "util/logging.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -59,42 +60,49 @@ void block_f32_scalar(std::int64_t mb, std::int64_t nb, std::int64_t kb,
   }
 }
 
-// Scalar integer kernels: dot-product layout, int64 accumulation.
-// Products promote to int (int8: |p| <= 2^14, int16: |p| <= 2^30 — both
-// fit int32) before widening into the int64 sum.
-void block_s8_scalar(std::int64_t m, std::int64_t n, std::int64_t k,
-                     const std::int8_t* a, const std::int8_t* b,
-                     std::int64_t* c) {
-  for (std::int64_t i = 0; i < m; ++i) {
-    const std::int8_t* ai = a + i * k;
-    std::int64_t* ci = c + i * n;
-    for (std::int64_t j = 0; j < n; ++j) {
-      const std::int8_t* bj = b + j * k;
-      std::int64_t acc = 0;
-      for (std::int64_t p = 0; p < k; ++p)
-        acc += static_cast<std::int32_t>(ai[p]) *
-               static_cast<std::int32_t>(bj[p]);
-      ci[j] = acc;
-    }
-  }
-}
+// Scalar tier of the integer tile family (tensor/int_tiles.h): one
+// column per "vector", each little-endian 4-byte group unpacked and
+// multiplied in int64 — exact for any words, so it is also the tier a
+// stage falls back to when its accumulator bound fails.
+struct ScalarIsa {
+  static constexpr int kLanes = 1;
+  static constexpr int kRows8 = 4;
+  static constexpr int kRows16 = 4;
+  using V = std::uint32_t;
+  struct Acc8 {
+    std::int64_t s;
+  };
+  struct Acc16 {
+    std::int64_t s;
+  };
 
-void block_s16_scalar(std::int64_t m, std::int64_t n, std::int64_t k,
-                      const std::int16_t* a, const std::int16_t* b,
-                      std::int64_t* c) {
-  for (std::int64_t i = 0; i < m; ++i) {
-    const std::int16_t* ai = a + i * k;
-    std::int64_t* ci = c + i * n;
-    for (std::int64_t j = 0; j < n; ++j) {
-      const std::int16_t* bj = b + j * k;
-      std::int64_t acc = 0;
-      for (std::int64_t p = 0; p < k; ++p)
-        acc += static_cast<std::int32_t>(ai[p]) *
-               static_cast<std::int32_t>(bj[p]);
-      ci[j] = acc;
-    }
+  static V load(const unsigned char* p) {
+    V v = 0;
+    std::memcpy(&v, p, sizeof v);
+    return v;
   }
-}
+  static V bcast(const unsigned char* p) { return load(p); }
+  static void zero(Acc8& acc) { acc.s = 0; }
+  static void zero(Acc16& acc) { acc.s = 0; }
+
+  template <bool kAUnsigned>
+  static void dot(Acc8& acc, V a, V b) {
+    const V u = kAUnsigned ? a : b;
+    const V s = kAUnsigned ? b : a;
+    for (int t = 0; t < 4; ++t)
+      acc.s += static_cast<std::int64_t>((u >> (8 * t)) & 0xff) *
+               static_cast<std::int8_t>(s >> (8 * t));
+  }
+  template <bool>
+  static void dot(Acc16& acc, V a, V b) {
+    for (int t = 0; t < 2; ++t)
+      acc.s += static_cast<std::int64_t>(static_cast<std::int16_t>(a >> (16 * t))) *
+               static_cast<std::int16_t>(b >> (16 * t));
+  }
+
+  static void store(const Acc8& acc, std::int64_t* out) { *out = acc.s; }
+  static void store(const Acc16& acc, std::int64_t* out) { *out = acc.s; }
+};
 
 #if QNN_MICROKERNEL_X86
 
@@ -201,176 +209,6 @@ __attribute__((target("avx2,fma"))) void block_f32_avx2(
   }
 }
 
-// ---------------------------------------------------------------------
-// AVX2 integer kernels. Exact: every path widens to int64 before any
-// value could saturate, and integer addition commutes, so the vector
-// lane order needs no contract at all.
-
-// Sums 8 int32 lanes into an int64 (widening first — the lanes alone
-// can hold up to kS8KBlock/16 pair-sums of 2^15 each).
-__attribute__((target("avx2"))) inline std::int64_t hsum_epi32_wide(
-    __m256i v) {
-  const __m256i lo = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(v));
-  const __m256i hi = _mm256_cvtepi32_epi64(_mm256_extracti128_si256(v, 1));
-  const __m256i s = _mm256_add_epi64(lo, hi);
-  alignas(32) std::int64_t t[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(t), s);
-  return t[0] + t[1] + t[2] + t[3];
-}
-
-__attribute__((target("avx2"))) inline std::int64_t hsum_epi64(__m256i v) {
-  alignas(32) std::int64_t t[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(t), v);
-  return t[0] + t[1] + t[2] + t[3];
-}
-
-// K-block bound for the int8 kernel's int32 pair-sum accumulators:
-// each madd lane adds one pair-sum of |.| <= 2^15 per 16 K steps, so a
-// 2^16-wide block keeps lanes <= 2^27 — far from int32 saturation.
-constexpr std::int64_t kS8KBlock = std::int64_t{1} << 16;
-
-__attribute__((target("avx2"))) void block_s8_avx2(std::int64_t m,
-                                                   std::int64_t n,
-                                                   std::int64_t k,
-                                                   const std::int8_t* a,
-                                                   const std::int8_t* b,
-                                                   std::int64_t* c) {
-  for (std::int64_t i = 0; i < m; ++i) {
-    const std::int8_t* ai = a + i * k;
-    std::int64_t* ci = c + i * n;
-    std::int64_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const std::int8_t* b0 = b + (j + 0) * k;
-      const std::int8_t* b1 = b + (j + 1) * k;
-      const std::int8_t* b2 = b + (j + 2) * k;
-      const std::int8_t* b3 = b + (j + 3) * k;
-      std::int64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-      for (std::int64_t p0 = 0; p0 < k; p0 += kS8KBlock) {
-        const std::int64_t pend = p0 + std::min(kS8KBlock, k - p0);
-        __m256i a0 = _mm256_setzero_si256(), a1 = _mm256_setzero_si256();
-        __m256i a2 = _mm256_setzero_si256(), a3 = _mm256_setzero_si256();
-        std::int64_t p = p0;
-        for (; p + 16 <= pend; p += 16) {
-          const __m256i av = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(ai + p)));
-          a0 = _mm256_add_epi32(
-              a0, _mm256_madd_epi16(
-                      av, _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                              reinterpret_cast<const __m128i*>(b0 + p)))));
-          a1 = _mm256_add_epi32(
-              a1, _mm256_madd_epi16(
-                      av, _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                              reinterpret_cast<const __m128i*>(b1 + p)))));
-          a2 = _mm256_add_epi32(
-              a2, _mm256_madd_epi16(
-                      av, _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                              reinterpret_cast<const __m128i*>(b2 + p)))));
-          a3 = _mm256_add_epi32(
-              a3, _mm256_madd_epi16(
-                      av, _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                              reinterpret_cast<const __m128i*>(b3 + p)))));
-        }
-        s0 += hsum_epi32_wide(a0);
-        s1 += hsum_epi32_wide(a1);
-        s2 += hsum_epi32_wide(a2);
-        s3 += hsum_epi32_wide(a3);
-        for (; p < pend; ++p) {
-          const std::int32_t av = ai[p];
-          s0 += av * static_cast<std::int32_t>(b0[p]);
-          s1 += av * static_cast<std::int32_t>(b1[p]);
-          s2 += av * static_cast<std::int32_t>(b2[p]);
-          s3 += av * static_cast<std::int32_t>(b3[p]);
-        }
-      }
-      ci[j + 0] = s0;
-      ci[j + 1] = s1;
-      ci[j + 2] = s2;
-      ci[j + 3] = s3;
-    }
-    for (; j < n; ++j) {
-      const std::int8_t* bj = b + j * k;
-      std::int64_t s = 0;
-      std::int64_t p = 0;
-      __m256i acc = _mm256_setzero_si256();
-      std::int64_t in_block = 0;
-      for (; p + 16 <= k; p += 16) {
-        const __m256i av = _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(ai + p)));
-        const __m256i bv = _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(bj + p)));
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(av, bv));
-        if (++in_block == kS8KBlock / 16) {
-          s += hsum_epi32_wide(acc);
-          acc = _mm256_setzero_si256();
-          in_block = 0;
-        }
-      }
-      s += hsum_epi32_wide(acc);
-      for (; p < k; ++p)
-        s += static_cast<std::int32_t>(ai[p]) *
-             static_cast<std::int32_t>(bj[p]);
-      ci[j] = s;
-    }
-  }
-}
-
-__attribute__((target("avx2"))) inline __m256i s16_fma_epi64(
-    __m256i acc, const std::int16_t* ap, const std::int16_t* bp) {
-  const __m256i av = _mm256_cvtepi16_epi32(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(ap)));
-  const __m256i bv = _mm256_cvtepi16_epi32(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(bp)));
-  // Products of two 16-bit values fit int32 (<= 2^30); a *pair* of them
-  // does not, hence no madd — widen each product to int64 instead.
-  const __m256i prod = _mm256_mullo_epi32(av, bv);
-  acc = _mm256_add_epi64(
-      acc, _mm256_cvtepi32_epi64(_mm256_castsi256_si128(prod)));
-  return _mm256_add_epi64(
-      acc, _mm256_cvtepi32_epi64(_mm256_extracti128_si256(prod, 1)));
-}
-
-__attribute__((target("avx2"))) void block_s16_avx2(std::int64_t m,
-                                                    std::int64_t n,
-                                                    std::int64_t k,
-                                                    const std::int16_t* a,
-                                                    const std::int16_t* b,
-                                                    std::int64_t* c) {
-  for (std::int64_t i = 0; i < m; ++i) {
-    const std::int16_t* ai = a + i * k;
-    std::int64_t* ci = c + i * n;
-    std::int64_t j = 0;
-    for (; j + 2 <= n; j += 2) {
-      const std::int16_t* b0 = b + (j + 0) * k;
-      const std::int16_t* b1 = b + (j + 1) * k;
-      __m256i a0 = _mm256_setzero_si256(), a1 = _mm256_setzero_si256();
-      std::int64_t p = 0;
-      for (; p + 8 <= k; p += 8) {
-        a0 = s16_fma_epi64(a0, ai + p, b0 + p);
-        a1 = s16_fma_epi64(a1, ai + p, b1 + p);
-      }
-      std::int64_t s0 = hsum_epi64(a0), s1 = hsum_epi64(a1);
-      for (; p < k; ++p) {
-        const std::int32_t av = ai[p];
-        s0 += av * static_cast<std::int32_t>(b0[p]);
-        s1 += av * static_cast<std::int32_t>(b1[p]);
-      }
-      ci[j + 0] = s0;
-      ci[j + 1] = s1;
-    }
-    for (; j < n; ++j) {
-      const std::int16_t* bj = b + j * k;
-      __m256i acc = _mm256_setzero_si256();
-      std::int64_t p = 0;
-      for (; p + 8 <= k; p += 8) acc = s16_fma_epi64(acc, ai + p, bj + p);
-      std::int64_t s = hsum_epi64(acc);
-      for (; p < k; ++p)
-        s += static_cast<std::int32_t>(ai[p]) *
-             static_cast<std::int32_t>(bj[p]);
-      ci[j] = s;
-    }
-  }
-}
-
 #endif  // QNN_MICROKERNEL_X86
 
 // ---------------------------------------------------------------------
@@ -379,31 +217,57 @@ __attribute__((target("avx2"))) void block_s16_avx2(std::int64_t m,
 std::atomic<int> g_forced_level{-1};  // -1 = none, else SimdLevel
 std::atomic<int> g_env_level{-1};     // cached resolve_simd_level()
 
+// Clamps a requested level to what this CPU and build support, warning
+// once per `warned` flag when it has to.
+SimdLevel clamp_to_support(SimdLevel want, const char* what,
+                           std::atomic<bool>& warned) {
+  const SimdLevel have = simd_support();
+  if (want <= have) return want;
+  if (!warned.exchange(true))
+    QNN_LOG(Warn) << what << simd_level_name(want)
+                  << " requested but this CPU/build supports only "
+                  << simd_level_name(have) << "; using "
+                  << simd_level_name(have);
+  return have;
+}
+
 }  // namespace
 
 const char* simd_level_name(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar: return "scalar";
     case SimdLevel::kAvx2: return "avx2";
+    case SimdLevel::kAvx512: return "avx512";
   }
   return "?";
 }
 
 SimdLevel simd_support() {
 #if QNN_MICROKERNEL_X86
-  static const bool avx2 =
-      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-  return avx2 ? SimdLevel::kAvx2 : SimdLevel::kScalar;
+  static const SimdLevel level = [] {
+    if (!__builtin_cpu_supports("avx2") || !__builtin_cpu_supports("fma"))
+      return SimdLevel::kScalar;
+    if (int_tiles_avx512_built() && __builtin_cpu_supports("avx512f") &&
+        __builtin_cpu_supports("avx512bw") &&
+        __builtin_cpu_supports("avx512vl") &&
+        __builtin_cpu_supports("avx512vnni"))
+      return SimdLevel::kAvx512;
+    return SimdLevel::kAvx2;
+  }();
+  return level;
 #else
   return SimdLevel::kScalar;
 #endif
 }
+
+bool simd_supports(SimdLevel level) { return level <= simd_support(); }
 
 std::optional<SimdLevel> parse_simd_env(const std::string& value,
                                         bool* invalid) {
   if (invalid != nullptr) *invalid = false;
   if (value == "off" || value == "scalar") return SimdLevel::kScalar;
   if (value == "avx2") return SimdLevel::kAvx2;
+  if (value == "avx512") return SimdLevel::kAvx512;
   if (value.empty() || value == "auto") return std::nullopt;
   if (invalid != nullptr) *invalid = true;
   return std::nullopt;
@@ -418,19 +282,13 @@ SimdLevel resolve_simd_level() {
     static std::atomic<bool> warned{false};
     if (!warned.exchange(true))
       QNN_LOG(Warn) << "ignoring QNN_SIMD=\"" << v
-                    << "\" (want off|scalar|avx2|auto); using auto="
+                    << "\" (want off|scalar|avx2|avx512|auto); using auto="
                     << simd_level_name(simd_support());
     return simd_support();
   }
   if (!choice.has_value()) return simd_support();  // auto
-  if (*choice == SimdLevel::kAvx2 && simd_support() != SimdLevel::kAvx2) {
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true))
-      QNN_LOG(Warn) << "QNN_SIMD=avx2 requested but this CPU/build has no "
-                       "AVX2+FMA; using scalar";
-    return SimdLevel::kScalar;
-  }
-  return *choice;
+  static std::atomic<bool> warned{false};
+  return clamp_to_support(*choice, "QNN_SIMD=", warned);
 }
 
 SimdLevel active_simd_level() {
@@ -446,7 +304,11 @@ SimdLevel active_simd_level() {
 
 std::optional<SimdLevel> set_forced_simd_level(
     std::optional<SimdLevel> level) {
-  const int next = level.has_value() ? static_cast<int>(*level) : -1;
+  static std::atomic<bool> warned{false};
+  const int next =
+      level.has_value()
+          ? static_cast<int>(clamp_to_support(*level, "SIMD level ", warned))
+          : -1;
   const int prev = g_forced_level.exchange(next, std::memory_order_relaxed);
   if (prev < 0) return std::nullopt;
   return static_cast<SimdLevel>(prev);
@@ -461,7 +323,7 @@ void gemm_block_f32(SimdLevel level, std::int64_t mb, std::int64_t nb,
                     const float* b, std::int64_t ldb, float* c,
                     std::int64_t ldc) {
 #if QNN_MICROKERNEL_X86
-  if (level == SimdLevel::kAvx2) {
+  if (level >= SimdLevel::kAvx2 && simd_supports(SimdLevel::kAvx2)) {
     block_f32_avx2(mb, nb, kb, a, lda, b, ldb, c, ldc);
     return;
   }
@@ -470,30 +332,12 @@ void gemm_block_f32(SimdLevel level, std::int64_t mb, std::int64_t nb,
   block_f32_scalar(mb, nb, kb, a, lda, b, ldb, c, ldc);
 }
 
-void gemm_block_s8(SimdLevel level, std::int64_t m, std::int64_t n,
-                   std::int64_t k, const std::int8_t* a, const std::int8_t* b,
-                   std::int64_t* c) {
-#if QNN_MICROKERNEL_X86
-  if (level == SimdLevel::kAvx2) {
-    block_s8_avx2(m, n, k, a, b, c);
-    return;
-  }
-#endif
-  (void)level;
-  block_s8_scalar(m, n, k, a, b, c);
-}
-
-void gemm_block_s16(SimdLevel level, std::int64_t m, std::int64_t n,
-                    std::int64_t k, const std::int16_t* a,
-                    const std::int16_t* b, std::int64_t* c) {
-#if QNN_MICROKERNEL_X86
-  if (level == SimdLevel::kAvx2) {
-    block_s16_avx2(m, n, k, a, b, c);
-    return;
-  }
-#endif
-  (void)level;
-  block_s16_scalar(m, n, k, a, b, c);
+void int_tiles(SimdLevel level, const IntTileJob& job) {
+  if (job.m <= 0 || job.n <= 0) return;
+  if (!simd_supports(level)) level = simd_support();
+  if (level == SimdLevel::kAvx512 && int_tiles_avx512(job)) return;
+  if (level >= SimdLevel::kAvx2 && int_tiles_avx2(job)) return;
+  run_int_tiles<ScalarIsa>(job);
 }
 
 }  // namespace qnn

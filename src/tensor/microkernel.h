@@ -1,26 +1,39 @@
 // SIMD microkernels and runtime dispatch (DESIGN.md §15).
 //
-// Every kernel here computes in the *canonical lane-striped order* that
-// tensor/gemm.h defines: for a fixed output element, the K reduction is
-// a serial left-fold of fused multiply-adds (one correctly-rounded
-// rounding per step, std::fmaf == vfmadd231ps), and distinct output
-// columns never mix — a vector register holds kGemmLanes consecutive
-// columns j, j+1, ..., each accumulating its own element. Because lanes
-// are independent and fma is correctly rounded by IEEE 754, the scalar
-// fallback and the AVX2 kernel produce identical bytes by construction,
-// not by codegen luck; the dispatch level is therefore free to differ
-// between runs, builds, and machines without perturbing a single bit.
+// Every float kernel here computes in the *canonical lane-striped order*
+// that tensor/gemm.h defines: for a fixed output element, the K
+// reduction is a serial left-fold of fused multiply-adds (one
+// correctly-rounded rounding per step, std::fmaf == vfmadd231ps), and
+// distinct output columns never mix — a vector register holds
+// kGemmLanes consecutive columns j, j+1, ..., each accumulating its own
+// element. Because lanes are independent and fma is correctly rounded by
+// IEEE 754, the scalar fallback and the AVX2 kernel produce identical
+// bytes by construction, not by codegen luck; the dispatch level is
+// therefore free to differ between runs, builds, and machines without
+// perturbing a single bit. Every level >= kAvx2 runs the AVX2 float
+// kernel (there is no AVX-512 float tier).
 //
-// The integer kernels accumulate in int64 (exact; integer addition is
-// associative), so they are byte-stable at ANY lane or thread order.
+// The integer kernels are one register-blocked family over packed
+// operands (IntTileJob below), written once as a template over the
+// vector width (tensor/int_tiles.h) and instantiated for scalar, AVX2
+// and AVX-512BW+VNNI. Their results are exact, so they are word-stable
+// at ANY lane, level or thread order — provided the accumulator bound
+// the caller proved holds (quant/acc_bound): int8 runs u8 x s8 quads
+// (`vpdpbusd`) into int32 lanes, exact while 255 * sum|w| < 2^31; int16
+// runs `vpmaddwd` pair sums widened to int64, which is safe without a
+// -32768 weight because only (-32768)^2 + (-32768)^2 leaves int32. The
+// scalar instantiation accumulates in int64 and is exact for any words:
+// it is the fallback tier when a bound fails.
 //
 // Dispatch: the active level resolves once from QNN_SIMD ("off"/
-// "scalar", "avx2", "auto"/unset; anything else warns and falls back to
-// auto, like QNN_THREADS) clamped to what CPUID reports, and can be
-// forced programmatically for tests and benchmarks (ScopedSimdLevel).
+// "scalar", "avx2", "avx512", "auto"/unset; anything else warns and
+// falls back to auto, like QNN_THREADS) clamped to what CPUID reports,
+// and can be forced programmatically for tests and benchmarks
+// (ScopedSimdLevel; a force beyond the CPU warns once and clamps too).
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -32,35 +45,41 @@ namespace qnn {
 // float arithmetic, so it exists only as a layout, never as an order.
 inline constexpr std::int64_t kGemmLanes = 8;
 
+// Ordered: a CPU that supports a level supports every level below it.
 enum class SimdLevel {
   kScalar = 0,  // portable fallback (fmaf per element, same order)
   kAvx2 = 1,    // AVX2 + FMA register-blocked kernels
+  kAvx512 = 2,  // AVX-512BW + VNNI integer kernels (float stays AVX2)
 };
 
 const char* simd_level_name(SimdLevel level);
 
-// Best level this CPU supports (CPUID probe, cached after first call).
+// Best level this CPU and build support (CPUID probe, cached).
 SimdLevel simd_support();
 
+// True when `level` can run here: level <= simd_support().
+bool simd_supports(SimdLevel level);
+
 // One QNN_SIMD spelling, hardened like ThreadPool::env_threads():
-// "off"/"scalar" -> kScalar, "avx2" -> kAvx2, "auto"/"" -> nullopt
-// (meaning: use simd_support()). Invalid spellings also return nullopt
-// but set *invalid. Exposed for the dispatch unit tests.
+// "off"/"scalar" -> kScalar, "avx2" -> kAvx2, "avx512" -> kAvx512,
+// "auto"/"" -> nullopt (meaning: use simd_support()). Invalid spellings
+// also return nullopt but set *invalid. Exposed for the dispatch tests.
 std::optional<SimdLevel> parse_simd_env(const std::string& value,
                                         bool* invalid = nullptr);
 
 // Resolves QNN_SIMD against simd_support() (reads the environment on
 // every call; warns once per process on garbage or an unsupported
-// request, then falls back).
+// request, then clamps).
 SimdLevel resolve_simd_level();
 
 // The level the kernels actually run at: a programmatic force when one
 // is set, else the cached resolve_simd_level() result.
 SimdLevel active_simd_level();
 
-// Forces a level (tests/benches); nullopt returns to env/CPUID
-// resolution. Returns the previous forced state. Not thread-safe
-// against in-flight kernels — switch between forwards, not during.
+// Forces a level (tests/benches), clamped to simd_support() with a
+// one-time warning; nullopt returns to env/CPUID resolution. Returns the
+// previous forced state. Not thread-safe against in-flight kernels —
+// switch between forwards, not during.
 std::optional<SimdLevel> set_forced_simd_level(std::optional<SimdLevel> level);
 
 // Drops the cached QNN_SIMD resolution so the next active_simd_level()
@@ -91,18 +110,59 @@ void gemm_block_f32(SimdLevel level, std::int64_t mb, std::int64_t nb,
                     std::int64_t ldc);
 
 // ---------------------------------------------------------------------
-// Integer block kernels, dot-product layout: C[M,N] = A[M,K] * B[N,K]^T
-// with both operands row-contiguous and C an int64 accumulator image
-// (overwritten). Exact at any lane/block order. The int8 kernel uses
-// 16-bit madd pair-sums into int32 blocks widened to int64 (pair sums
-// are <= 2^15, and blocks are re-widened long before int32 could
-// saturate); the int16 kernel widens every product to int64 (a pair of
-// extreme 16-bit products overflows int32, so there is no safe madd).
-void gemm_block_s8(SimdLevel level, std::int64_t m, std::int64_t n,
-                   std::int64_t k, const std::int8_t* a, const std::int8_t* b,
-                   std::int64_t* c);
-void gemm_block_s16(SimdLevel level, std::int64_t m, std::int64_t n,
-                    std::int64_t k, const std::int16_t* a,
-                    const std::int16_t* b, std::int64_t* c);
+// Integer tile kernels: C[i, j] = sum_p A[i, p] * B[j, p] over packed
+// operands, finished by a fused requantization epilogue.
+//
+// Packing (tensor/int_gemm.h builds it). K is split into 4-byte
+// *groups* — four int8 words (kS8) or two int16 words (kS16) —
+// zero-padded past K, so no kernel has a K tail. A (the broadcast
+// operand, one row per output row) is row-major [m][groups]; B (the
+// panel operand, one row per output column) is panel-major
+// [panels][groups][kIntPanel], zero-padded past the last column. For
+// kS8 exactly one operand holds activations, stored unsigned with a
+// +128 offset (a_unsigned says which); the caller's addends subtract
+// the 128 * sum(w) that the offset adds.
+inline constexpr std::int64_t kIntPanel = 16;
+inline constexpr std::int64_t kIntGroupBytes = 4;
+
+enum class IntBody { kS8, kS16 };
+
+// One shift-round-saturate step: exactly saturate(shift_raw_rounded(v,
+// from, to)) with shift = from - to (round half away from zero when
+// shifting down, exact shift when shifting up).
+struct IntRequant {
+  int shift = 0;
+  std::int64_t lo = std::numeric_limits<std::int64_t>::min();
+  std::int64_t hi = std::numeric_limits<std::int64_t>::max();
+};
+
+// out[i, j] = R2(R1(acc[i, j] + row_add[i] + col_add[j])). R1 is
+// `requant`; R2, when relu is set, is max(., 0) followed by
+// `relu_requant` — a conv or inner product and the ReLU after it, both
+// roundings kept. Constants are per stage, hoisted out of the tiles.
+struct IntEpilogue {
+  const std::int64_t* row_add = nullptr;  // [m] or nullptr
+  const std::int64_t* col_add = nullptr;  // [n] or nullptr
+  IntRequant requant;
+  bool relu = false;
+  IntRequant relu_requant;
+  void* out = nullptr;   // element (0, 0) of the output
+  std::int64_t ldo = 0;  // output row stride, in elements
+  int out_bytes = 8;     // 1 (int8), 2 (int16) or 8 (int64)
+};
+
+struct IntTileJob {
+  IntBody body = IntBody::kS8;
+  bool a_unsigned = false;  // kS8: A carries the +128 offset, else B does
+  std::int64_t m = 0;       // output rows (rows of A)
+  std::int64_t n = 0;       // output columns (covered by B's panels)
+  std::int64_t groups = 0;  // K groups per row
+  const void* a = nullptr;
+  const void* b = nullptr;  // first panel
+  IntEpilogue epi;
+};
+
+// Runs the job at `level`, clamped to what this CPU supports.
+void int_tiles(SimdLevel level, const IntTileJob& job);
 
 }  // namespace qnn

@@ -3,12 +3,14 @@
 // bytes for every gemm variant, shape boundary, scratch state, and
 // thread count — the lane-striped fused-multiply-add contract of
 // tensor/gemm.h makes this a structural property, and these tests pin
-// it. Also covers the QNN_SIMD runtime-dispatch parsing and override
-// machinery.
+// it. The integer tile kernels must produce identical words at the
+// scalar, AVX2 and AVX-512 levels. Also covers the QNN_SIMD
+// runtime-dispatch parsing, clamping and override machinery.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -21,7 +23,16 @@
 namespace qnn {
 namespace {
 
-bool avx2_available() { return simd_support() == SimdLevel::kAvx2; }
+bool avx2_available() { return simd_supports(SimdLevel::kAvx2); }
+bool avx512_available() { return simd_supports(SimdLevel::kAvx512); }
+
+// Every level this CPU can run, scalar first.
+std::vector<SimdLevel> supported_levels() {
+  std::vector<SimdLevel> levels;
+  for (SimdLevel l : {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512})
+    if (simd_supports(l)) levels.push_back(l);
+  return levels;
+}
 
 // Restores the global pool to its environment size no matter how a test
 // exits.
@@ -180,7 +191,7 @@ TEST(GemmKernelDifferential, ScalarMatchesAvx2AcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------
-// Integer kernels: scalar == AVX2 words (exact in int64 regardless, so
+// Integer kernels: scalar == vector words (exact regardless of level, so
 // any mismatch is a kernel bug, not a rounding difference).
 
 template <typename WordT>
@@ -194,7 +205,7 @@ std::vector<WordT> random_words(std::int64_t count, std::uint64_t seed) {
 }
 
 template <typename WordT>
-void int_kernel_differential() {
+void int_kernel_differential(SimdLevel level) {
   const std::int64_t ms[] = {1, 3, 64};
   const std::int64_t ns[] = {1, 2, 4, 5, 8, 33};
   const std::int64_t ks[] = {1, 7, 8, 15, 16, 17, 64, 300};
@@ -210,7 +221,7 @@ void int_kernel_differential() {
           int_gemm_bt(m, n, k, a.data(), b.data(), cs.data());
         }
         {
-          ScopedSimdLevel force(SimdLevel::kAvx2);
+          ScopedSimdLevel force(level);
           int_gemm_bt(m, n, k, a.data(), b.data(), cv.data());
         }
         ASSERT_EQ(cs, cv) << "m=" << m << " n=" << n << " k=" << k;
@@ -221,12 +232,89 @@ void int_kernel_differential() {
 
 TEST(GemmKernelDifferential, Int8ScalarMatchesAvx2) {
   if (!avx2_available()) GTEST_SKIP() << "no AVX2 on this machine";
-  int_kernel_differential<std::int8_t>();
+  int_kernel_differential<std::int8_t>(SimdLevel::kAvx2);
 }
 
 TEST(GemmKernelDifferential, Int16ScalarMatchesAvx2) {
   if (!avx2_available()) GTEST_SKIP() << "no AVX2 on this machine";
-  int_kernel_differential<std::int16_t>();
+  int_kernel_differential<std::int16_t>(SimdLevel::kAvx2);
+}
+
+TEST(GemmKernelDifferential, Int8ScalarMatchesAvx512) {
+  if (!avx512_available()) GTEST_SKIP() << "no AVX-512 VNNI on this machine";
+  int_kernel_differential<std::int8_t>(SimdLevel::kAvx512);
+}
+
+TEST(GemmKernelDifferential, Int16ScalarMatchesAvx512) {
+  if (!avx512_available()) GTEST_SKIP() << "no AVX-512 VNNI on this machine";
+  int_kernel_differential<std::int16_t>(SimdLevel::kAvx512);
+}
+
+// Extreme operands the fast tiers accept — all -128 / 127 int8 words,
+// +-32767 and -32768 int16 activations against +-32767 weights — at K
+// straddling the 4-byte group, the 16-column panel and a long reduction.
+// Every level must match the naive int64 sum word for word, at 1/4/8
+// threads, into a cold (zeroed) and a warm (stale-word) output buffer.
+template <typename WordT>
+void int_tiles_extremes(SimdLevel level) {
+  ThreadGuard guard;
+  constexpr WordT lo = std::numeric_limits<WordT>::min();
+  constexpr WordT hi = std::numeric_limits<WordT>::max();
+  // Activation rows (A) and weight columns (B); B never holds -32768.
+  const std::vector<std::vector<WordT>> a_fills = {
+      {lo}, {hi}, {lo, hi}, {static_cast<WordT>(-hi)}};
+  const std::vector<std::vector<WordT>> b_fills = {
+      {sizeof(WordT) == 1 ? lo : static_cast<WordT>(-hi)}, {hi},
+      {hi, static_cast<WordT>(-hi)}};
+  const std::int64_t m = static_cast<std::int64_t>(a_fills.size());
+  const std::int64_t n = 17;  // one full panel plus one column
+  for (std::int64_t k : {1, 15, 16, 17, 63, 64, 65, 4096}) {
+    std::vector<WordT> a(static_cast<std::size_t>(m * k));
+    std::vector<WordT> b(static_cast<std::size_t>(n * k));
+    for (std::int64_t i = 0; i < m; ++i)
+      for (std::int64_t p = 0; p < k; ++p)
+        a[static_cast<std::size_t>(i * k + p)] =
+            a_fills[static_cast<std::size_t>(i)]
+                   [static_cast<std::size_t>(p) %
+                    a_fills[static_cast<std::size_t>(i)].size()];
+    for (std::int64_t j = 0; j < n; ++j) {
+      const auto& fill = b_fills[static_cast<std::size_t>(j) % b_fills.size()];
+      for (std::int64_t p = 0; p < k; ++p)
+        b[static_cast<std::size_t>(j * k + p)] =
+            fill[static_cast<std::size_t>(p + j) % fill.size()];
+    }
+    std::vector<std::int64_t> want(static_cast<std::size_t>(m * n), 0);
+    for (std::int64_t i = 0; i < m; ++i)
+      for (std::int64_t j = 0; j < n; ++j)
+        for (std::int64_t p = 0; p < k; ++p)
+          want[static_cast<std::size_t>(i * n + j)] +=
+              static_cast<std::int64_t>(a[static_cast<std::size_t>(i * k + p)]) *
+              b[static_cast<std::size_t>(j * k + p)];
+    ScopedSimdLevel force(level);
+    for (int threads : {1, 4, 8}) {
+      ThreadPool::set_global_threads(threads);
+      for (std::int64_t stale : {std::int64_t{0}, std::int64_t{0x5A5A5A5A}}) {
+        std::vector<std::int64_t> got(want.size(), stale);
+        int_gemm_bt(m, n, k, a.data(), b.data(), got.data());
+        ASSERT_EQ(got, want) << simd_level_name(level) << " k=" << k
+                             << " threads=" << threads << " stale=" << stale;
+      }
+    }
+  }
+}
+
+TEST(GemmKernelDifferential, IntTilesExactAtExtremesScalarAndAvx2) {
+  for (SimdLevel level : supported_levels()) {
+    if (level == SimdLevel::kAvx512) continue;
+    int_tiles_extremes<std::int8_t>(level);
+    int_tiles_extremes<std::int16_t>(level);
+  }
+}
+
+TEST(GemmKernelDifferential, IntTilesExactAtExtremesAvx512) {
+  if (!avx512_available()) GTEST_SKIP() << "no AVX-512 VNNI on this machine";
+  int_tiles_extremes<std::int8_t>(SimdLevel::kAvx512);
+  int_tiles_extremes<std::int16_t>(SimdLevel::kAvx512);
 }
 
 // Extreme-magnitude operands: the int8 kernel's madd pair-sums and the
@@ -239,9 +327,7 @@ TEST(GemmKernelDifferential, IntKernelsExactAtExtremes) {
     std::vector<WordT> a(static_cast<std::size_t>(k), lo);
     std::vector<WordT> b(static_cast<std::size_t>(k), lo);
     std::int64_t c = 0;
-    const SimdLevel level =
-        avx2_available() ? SimdLevel::kAvx2 : SimdLevel::kScalar;
-    ScopedSimdLevel force(level);
+    ScopedSimdLevel force(simd_support());
     // min*min: the largest positive product.
     int_gemm_bt(1, 1, k, a.data(), b.data(), &c);
     EXPECT_EQ(c, k * (static_cast<std::int64_t>(lo) * lo));
@@ -271,6 +357,8 @@ TEST(SimdDispatch, ParseSimdEnvSpellings) {
   EXPECT_FALSE(invalid);
   EXPECT_EQ(parse_simd_env("avx2", &invalid), SimdLevel::kAvx2);
   EXPECT_FALSE(invalid);
+  EXPECT_EQ(parse_simd_env("avx512", &invalid), SimdLevel::kAvx512);
+  EXPECT_FALSE(invalid);
   EXPECT_EQ(parse_simd_env("auto", &invalid), std::nullopt);
   EXPECT_FALSE(invalid);
   EXPECT_EQ(parse_simd_env("", &invalid), std::nullopt);
@@ -288,8 +376,11 @@ TEST(SimdDispatch, EnvControlsActiveLevel) {
   env.set("scalar");
   EXPECT_EQ(active_simd_level(), SimdLevel::kScalar);
   env.set("avx2");
-  // Clamped to hardware support: exactly avx2 when available, scalar
-  // fallback (with a warning) when not.
+  // Clamped to hardware support: exactly avx2 when available (also on
+  // an AVX-512 CPU), scalar fallback (with a warning) when not.
+  EXPECT_EQ(active_simd_level(),
+            avx2_available() ? SimdLevel::kAvx2 : SimdLevel::kScalar);
+  env.set("avx512");
   EXPECT_EQ(active_simd_level(), simd_support());
   env.set("definitely-not-a-level");
   EXPECT_EQ(active_simd_level(), simd_support());  // auto fallback
@@ -305,6 +396,27 @@ TEST(SimdDispatch, ForcedLevelWinsOverEnv) {
     EXPECT_EQ(active_simd_level(), simd_support());
   }
   EXPECT_EQ(active_simd_level(), SimdLevel::kScalar);  // force restored
+}
+
+// A force beyond the CPU clamps (with a warning) instead of running
+// instructions the CPU lacks, and levels are ordered.
+TEST(SimdDispatch, ForcedLevelClampsToSupport) {
+  {
+    ScopedSimdLevel force(SimdLevel::kAvx512);
+    EXPECT_EQ(active_simd_level(), simd_support());
+  }
+  {
+    ScopedSimdLevel force(SimdLevel::kAvx2);
+    EXPECT_EQ(active_simd_level(),
+              avx2_available() ? SimdLevel::kAvx2 : SimdLevel::kScalar);
+  }
+  EXPECT_TRUE(simd_supports(SimdLevel::kScalar));
+  EXPECT_TRUE(simd_supports(simd_support()));
+  EXPECT_EQ(simd_supports(SimdLevel::kAvx2),
+            simd_support() >= SimdLevel::kAvx2);
+  if (avx512_available()) {
+    EXPECT_TRUE(avx2_available());
+  }
 }
 
 // Both dispatch targets, driven through the ENV path end to end (not
@@ -329,9 +441,13 @@ TEST(SimdDispatch, EnvDispatchTargetsProduceIdenticalBytes) {
 TEST(SimdDispatch, SupportLevelNameRoundTrips) {
   EXPECT_STREQ(simd_level_name(SimdLevel::kScalar), "scalar");
   EXPECT_STREQ(simd_level_name(SimdLevel::kAvx2), "avx2");
-  // simd_support() is one of the two defined levels.
+  EXPECT_STREQ(simd_level_name(SimdLevel::kAvx512), "avx512");
+  // simd_support() is one of the defined levels.
   const SimdLevel s = simd_support();
-  EXPECT_TRUE(s == SimdLevel::kScalar || s == SimdLevel::kAvx2);
+  EXPECT_TRUE(s == SimdLevel::kScalar || s == SimdLevel::kAvx2 ||
+              s == SimdLevel::kAvx512);
+  for (SimdLevel l : supported_levels())
+    EXPECT_EQ(parse_simd_env(simd_level_name(l)).value_or(l), l);
 }
 
 }  // namespace

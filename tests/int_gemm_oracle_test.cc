@@ -2,22 +2,28 @@
 // word-for-word against the NFU bit-level oracle (hw/nfu_sim): frozen
 // fixed-point forwards must produce EXACTLY the raw words the
 // accelerator simulator computes, at every precision tier, radix
-// extreme, and thread count. Also covers the int GEMM drivers against a
-// naive int64 reference and the QNN_INT_INFER gate.
+// extreme, SIMD level and thread count. Also covers the int GEMM drivers
+// against a naive int64 reference, the accumulator-bound pass and its
+// kernel-tier plan, the fused requant epilogue, and the QNN_INT_INFER
+// gate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <optional>
 #include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "fixed/fixed_arith.h"
 #include "hw/nfu_sim.h"
 #include "nn/activation.h"
 #include "nn/conv.h"
 #include "nn/inner_product.h"
 #include "nn/pool.h"
 #include "nn/zoo.h"
+#include "quant/acc_bound.h"
 #include "quant/int_inference.h"
 #include "quant/qnetwork.h"
 #include "tensor/int_gemm.h"
@@ -294,11 +300,195 @@ TEST(IntInferenceOracle, WordsStableAcrossSimdAndThreads) {
   }
   for (int threads : {1, 4, 8}) {
     ThreadPool::set_global_threads(threads);
-    for (SimdLevel level : {SimdLevel::kScalar, simd_support()}) {
+    for (SimdLevel level :
+         {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+      if (!simd_supports(level)) continue;
       ScopedSimdLevel force(level);
       const IntRawResult got = qnet.int_engine()->forward_raw(x);
       EXPECT_EQ(got.raw, base->raw)
           << threads << " threads, " << simd_level_name(level);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// The accumulator-bound pass and the plan it produces.
+
+TEST(AccBound, HandComputedInt8Bounds) {
+  // Rows {1,-2,3} and {-4,0,0}; biases 10 and -5.
+  const std::vector<std::int8_t> w = {1, -2, 3, -4, 0, 0};
+  const std::vector<std::int64_t> bias = {10, -5};
+  // 8-bit input: |a| <= 128, a + 128 <= 255.
+  AccBound b = bound_accumulator(2, 3, w.data(), FixedPointFormat(8, 4),
+                                 bias.data());
+  EXPECT_EQ(b.max_abs, 128 * 6 + 10);      // 778 (row 0)
+  EXPECT_EQ(b.max_offset, 255 * 6);        // 1530
+  EXPECT_EQ(b.bits(), 11);                 // 778 < 2^10
+  EXPECT_FALSE(b.has_min_word);
+  // 4-bit input: |a| <= 8, a + 128 <= 135; no bias.
+  b = bound_accumulator(2, 3, w.data(), FixedPointFormat(4, 2), nullptr);
+  EXPECT_EQ(b.max_abs, 8 * 6);
+  EXPECT_EQ(b.max_offset, 135 * 6);
+  EXPECT_EQ(b.bits(), 7);  // 48 < 2^6
+  std::string reason;
+  EXPECT_EQ(choose_int_tier(8, b, &reason), IntTier::kDot8);
+  EXPECT_TRUE(reason.empty());
+}
+
+TEST(AccBound, Int8TierNeedsTheOffsetAccumulatorInInt32) {
+  // 255 * 128 * k fits int32 up to k = 65793 and not beyond.
+  for (const auto& [k, tier] :
+       {std::pair<std::int64_t, IntTier>{65793, IntTier::kDot8},
+        {65794, IntTier::kExact64}}) {
+    const std::vector<std::int8_t> w(static_cast<std::size_t>(k), -128);
+    const AccBound b =
+        bound_accumulator(1, k, w.data(), FixedPointFormat(8, 0), nullptr);
+    EXPECT_EQ(b.max_offset, 255 * 128 * k);
+    EXPECT_TRUE(b.has_min_word);  // -128 is fine for the int8 tier
+    std::string reason;
+    EXPECT_EQ(choose_int_tier(8, b, &reason), tier) << k;
+    EXPECT_EQ(reason.empty(), tier == IntTier::kDot8) << reason;
+  }
+}
+
+TEST(AccBound, Int16TierRejectsOnlyTheMinimumWeightWord) {
+  const FixedPointFormat in(16, 8);
+  const std::vector<std::int16_t> ok = {32767, -32767, 5};
+  AccBound b = bound_accumulator(1, 3, ok.data(), in, nullptr);
+  EXPECT_EQ(b.max_abs, std::int64_t{32768} * (32767 + 32767 + 5));
+  EXPECT_EQ(b.bits(), 33);
+  std::string reason;
+  EXPECT_EQ(choose_int_tier(16, b, &reason), IntTier::kMadd16);
+  const std::vector<std::int16_t> bad = {-32768, 1};
+  b = bound_accumulator(1, 2, bad.data(), in, nullptr);
+  EXPECT_TRUE(b.has_min_word);
+  EXPECT_EQ(choose_int_tier(16, b, &reason), IntTier::kExact64);
+  EXPECT_NE(reason.find("-32768"), std::string::npos) << reason;
+}
+
+TEST(IntInferenceOracle, PlanProvesFastTiersAndFusesRelu) {
+  for (const auto& [cfg, bits, tier] :
+       {std::tuple<PrecisionConfig, int, IntTier>{fixed_config(8, 8), 8,
+                                                  IntTier::kDot8},
+        {fixed_config(4, 4), 8, IntTier::kDot8},
+        {fixed_config(16, 16), 16, IntTier::kMadd16}}) {
+    auto net = lenet_scale_cnn();
+    QuantizedNetwork qnet(*net, cfg);
+    qnet.calibrate(cnn_input(4, 5));
+    qnet.freeze_inference();
+    ASSERT_TRUE(qnet.native_int_active());
+    const IntPathPlan& plan = qnet.int_engine()->plan();
+    // conv(0) pool relu conv(3) pool ip(5) relu ip(7)
+    ASSERT_EQ(plan.stages.size(), 4u) << cfg.label();
+    const std::size_t layers[] = {0, 3, 5, 7};
+    for (std::size_t i = 0; i < plan.stages.size(); ++i) {
+      const IntStagePlan& s = plan.stages[i];
+      EXPECT_EQ(s.layer, layers[i]);
+      EXPECT_EQ(s.kind, i < 2 ? "conv" : "ip");
+      EXPECT_EQ(s.word_bits, bits);
+      EXPECT_EQ(s.tier, tier) << cfg.label() << " stage " << i;
+      EXPECT_TRUE(s.fallback.empty()) << s.fallback;
+      EXPECT_GT(s.acc_bits, bits);
+      EXPECT_EQ(s.fused_relu, i == 2);  // only ip(5) is followed by a ReLU
+    }
+  }
+}
+
+// A -32768 weight word takes the stated exact fallback for its stage
+// only, and the net still matches the NFU oracle word for word at every
+// level.
+TEST(IntInferenceOracle, MinWordWeightFallsBackExactlyAndMatchesNfu) {
+  auto net = lenet_scale_cnn();
+  // conv1's largest |w| is exactly 0.5 and negative: its 16-bit format
+  // gets 16 fraction bits and encodes -0.5 as -32768.
+  Tensor& w = net->layer(0).params()[0]->value;
+  for (std::int64_t i = 0; i < w.count(); ++i)
+    w[i] = std::clamp(w[i], -0.25f, 0.25f);
+  w[0] = -0.5f;
+  PrecisionConfig cfg = fixed_config(16, 16);
+  cfg.calibration = CalibrationRule::kMaxAbs;
+  QuantizedNetwork qnet(*net, cfg);
+  qnet.calibrate(cnn_input(4, 5));
+  const hw::NfuSimulator sim(*net, qnet, Shape{1, 1, 12, 12});
+  qnet.freeze_inference();
+  ASSERT_TRUE(qnet.native_int_active());
+
+  const IntPathPlan& plan = qnet.int_engine()->plan();
+  ASSERT_EQ(plan.stages.size(), 4u);
+  EXPECT_EQ(plan.stages[0].tier, IntTier::kExact64);
+  EXPECT_NE(plan.stages[0].fallback.find("-32768"), std::string::npos);
+  for (std::size_t i = 1; i < plan.stages.size(); ++i)
+    EXPECT_EQ(plan.stages[i].tier, IntTier::kMadd16) << i;
+
+  const Tensor x = cnn_input(3, 9);
+  const Tensor oracle = sim.forward(x);
+  for (SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    if (!simd_supports(level)) continue;
+    ScopedSimdLevel force(level);
+    const Tensor got = qnet.forward(x);
+    ASSERT_EQ(got.count(), oracle.count());
+    for (std::int64_t i = 0; i < got.count(); ++i)
+      ASSERT_EQ(got[i], oracle[i]) << simd_level_name(level) << " elem " << i;
+  }
+}
+
+// The fused epilogue is shift_raw_rounded + saturate, then the ReLU's
+// max(., 0) + shift_raw_rounded + saturate, for both shift directions.
+// A k = 1 job with B = 1 makes the accumulator the A word itself.
+TEST(IntTiles, FusedEpilogueMatchesShiftRoundSaturate) {
+  std::vector<std::int16_t> a;
+  for (int v = -32768; v <= 32767; v += 997) a.push_back(static_cast<std::int16_t>(v));
+  a.push_back(-32768);
+  a.push_back(32767);
+  const std::int64_t m = static_cast<std::int64_t>(a.size());
+  const std::int64_t n = 3;
+  const std::vector<std::int64_t> col_add = {0, 12345, -777};
+  const std::vector<std::int16_t> ones(static_cast<std::size_t>(n), 1);
+  std::vector<std::int16_t> pa(static_cast<std::size_t>(m * int_row_words<std::int16_t>(1)));
+  std::vector<std::int16_t> pb(static_cast<std::size_t>(int_panel_words<std::int16_t>(1)));
+  pack_int_rows<std::int16_t>(m, 1, a.data(), 1, false, pa.data());
+  pack_int_panels<std::int16_t>(n, 1, ones.data(), 1, false, pb.data());
+  const FixedPointFormat mid(8, 2), relu_out(6, 3);
+  for (int from : {-3, 0, 2, 9}) {
+    for (bool relu : {false, true}) {
+      IntTileJob job;
+      job.body = IntBody::kS16;
+      job.m = m;
+      job.n = n;
+      job.groups = 1;
+      job.a = pa.data();
+      job.b = pb.data();
+      job.epi.col_add = col_add.data();
+      job.epi.requant = IntRequant{from - mid.frac_bits(), mid.raw_min(), mid.raw_max()};
+      job.epi.relu = relu;
+      job.epi.relu_requant = IntRequant{mid.frac_bits() - relu_out.frac_bits(),
+                                        relu_out.raw_min(), relu_out.raw_max()};
+      job.epi.out_bytes = 8;
+      job.epi.ldo = n;
+      for (SimdLevel level :
+           {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+        if (!simd_supports(level)) continue;
+        std::vector<std::int64_t> out(static_cast<std::size_t>(m * n), -1);
+        job.epi.out = out.data();
+        int_tiles(level, job);
+        for (std::int64_t i = 0; i < m; ++i)
+          for (std::int64_t j = 0; j < n; ++j) {
+            const std::int64_t acc = a[static_cast<std::size_t>(i)] +
+                                     col_add[static_cast<std::size_t>(j)];
+            std::int64_t want = std::clamp(
+                shift_raw_rounded(acc, from, mid.frac_bits()), mid.raw_min(),
+                mid.raw_max());
+            if (relu)
+              want = std::clamp(shift_raw_rounded(std::max<std::int64_t>(want, 0),
+                                                  mid.frac_bits(),
+                                                  relu_out.frac_bits()),
+                                relu_out.raw_min(), relu_out.raw_max());
+            ASSERT_EQ(out[static_cast<std::size_t>(i * n + j)], want)
+                << simd_level_name(level) << " from=" << from
+                << " relu=" << relu << " acc=" << acc;
+          }
+      }
     }
   }
 }

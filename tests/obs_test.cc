@@ -393,6 +393,26 @@ TEST(ObsTrace, BufferStatsBreakDownOccupancyPerThread) {
 
 // --- run report --------------------------------------------------------
 
+TEST(ObsReport, IntPathSectionCarriesTheStagePlan) {
+  quant::IntPathPlan plan;
+  plan.stages.push_back({3, "conv", 8, quant::IntTier::kDot8, 21, true, ""});
+  plan.stages.push_back({7, "ip", 16, quant::IntTier::kExact64, 40, false,
+                         "weight word -32768"});
+  obs::RunReport report("t");
+  report.set("int_path", obs::to_json(plan));
+  const json::Value doc = json::parse(report.dump());
+  const json::Value& stages = doc.at("int_path");
+  ASSERT_EQ(stages.size(), 2u);
+  EXPECT_EQ(stages.at(0).at("layer").as_int(), 3);
+  EXPECT_EQ(stages.at(0).at("kind").as_string(), "conv");
+  EXPECT_EQ(stages.at(0).at("tier").as_string(), "s8dot-i32");
+  EXPECT_EQ(stages.at(0).at("acc_bits").as_int(), 21);
+  EXPECT_TRUE(stages.at(0).at("fused_relu").as_bool());
+  EXPECT_EQ(stages.at(1).at("word_bits").as_int(), 16);
+  EXPECT_EQ(stages.at(1).at("tier").as_string(), "exact-i64");
+  EXPECT_EQ(stages.at(1).at("fallback").as_string(), "weight word -32768");
+}
+
 TEST(ObsReport, DocumentRoundTripsWithSections) {
   obs::RunReport report("obs_test");
   quant::GuardCounters guards;
