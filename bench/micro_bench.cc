@@ -47,7 +47,8 @@ void BM_Gemm(benchmark::State& state) {
   a.fill_uniform(rng, -1, 1);
   b.fill_uniform(rng, -1, 1);
   for (auto _ : state) {
-    gemm(n, n, n, a.data(), b.data(), c.data());
+    gemm({.m = n, .n = n, .k = n, .a = a.data(), .b = b.data(),
+          .c = c.data()});
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * n * n * n);
@@ -68,7 +69,8 @@ void BM_GemmAvx2(benchmark::State& state) {
   b.fill_uniform(rng, -1, 1);
   ScopedSimdLevel force(SimdLevel::kAvx2);
   for (auto _ : state) {
-    gemm(n, n, n, a.data(), b.data(), c.data());
+    gemm({.m = n, .n = n, .k = n, .a = a.data(), .b = b.data(),
+          .c = c.data()});
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * n * n * n);
@@ -83,7 +85,8 @@ void BM_GemmScalar(benchmark::State& state) {
   b.fill_uniform(rng, -1, 1);
   ScopedSimdLevel force(SimdLevel::kScalar);
   for (auto _ : state) {
-    gemm(n, n, n, a.data(), b.data(), c.data());
+    gemm({.m = n, .n = n, .k = n, .a = a.data(), .b = b.data(),
+          .c = c.data()});
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * n * n * n);
@@ -141,7 +144,9 @@ void BM_GemmTallK(benchmark::State& state) {
   b.fill_uniform(rng, -1, 1);
   GemmScratch scratch;
   for (auto _ : state) {
-    gemm_bt(m, n, k, a.data(), b.data(), c.data(), &scratch);
+    gemm({.m = m, .n = n, .k = k, .a = a.data(), .b = b.data(),
+          .trans_b = true, .c = c.data()},
+         &scratch);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * m * n * k);
@@ -336,7 +341,9 @@ std::vector<SimdRow> time_simd_rows(obs::Registry& reg) {
     return best_of_ms(3, hist(name), fn);
   };
   const auto f32 = [&] {
-    gemm(n, n, n, a.data(), b.data(), c.data(), &scratch);
+    gemm({.m = n, .n = n, .k = n, .a = a.data(), .b = b.data(),
+          .c = c.data()},
+         &scratch);
   };
   const double scalar_f32 = time_at(SimdLevel::kScalar, "gemm_scalar", f32);
 
@@ -456,9 +463,15 @@ int write_scaling_report(bench::Session& session, double min_speedup) {
       {"protected_evaluate_128", false, 0, 0},
   };
   const std::vector<std::function<void()>> workloads = {
-      [&] { gemm(n, n, n, a.data(), b.data(), c.data(), &scratch); },
       [&] {
-        gemm_bt(tm, tn, tk, ta.data(), tb.data(), tc.data(), &tscratch);
+        gemm({.m = n, .n = n, .k = n, .a = a.data(), .b = b.data(),
+              .c = c.data()},
+             &scratch);
+      },
+      [&] {
+        gemm({.m = tm, .n = tn, .k = tk, .a = ta.data(), .b = tb.data(),
+              .trans_b = true, .c = tc.data()},
+             &tscratch);
       },
       [&] { benchmark::DoNotOptimize(net->forward(batch).data()); },
       [&] { benchmark::DoNotOptimize(nn::evaluate(qnet, split.test)); },

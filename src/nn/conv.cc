@@ -86,9 +86,10 @@ Tensor Conv2d::forward(const Tensor& in) {
                    // entry adds ABFT checksums when a protect::AbftScope
                    // is active (inherited via the pool task context);
                    // otherwise it is the plain kernel.
-                   protect::gemm_row_bias_guarded(
-                       cout, cols, rows, weight_.value.data(), colbuf,
-                       out.data() + s * out_sample, bias,
+                   protect::gemm_guarded(
+                       {.m = cout, .n = cols, .k = rows,
+                        .a = weight_.value.data(), .b = colbuf,
+                        .c = out.data() + s * out_sample, .bias = bias},
                        &gemm_scratch_[u]);
                  }
                });
@@ -141,8 +142,9 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
           const float* go = grad_out.data() + s * out_sample;
           // dW[Cout, rows] += gO[Cout, cols] * cols^T
           im2col(g, in.data() + s * in_sample, colbuf);
-          gemm_bt_accumulate(cout, rows, cols, go, colbuf, dw,
-                             &gemm_scratch_[u]);
+          gemm({.m = cout, .n = rows, .k = cols, .a = go, .b = colbuf,
+                .trans_b = true, .c = dw, .accumulate = true},
+               &gemm_scratch_[u]);
           // db[c] += sum of gO over spatial positions
           if (has_bias) {
             for (std::int64_t c = 0; c < cout; ++c) {
@@ -151,8 +153,9 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
             }
           }
           // dcols[rows, cols] = W^T[rows, Cout] * gO[Cout, cols]
-          gemm_at(rows, cols, cout, weight_.value.data(), go, gcol,
-                  &gemm_scratch_[u]);
+          gemm({.m = rows, .n = cols, .k = cout, .a = weight_.value.data(),
+                .trans_a = true, .b = go, .c = gcol},
+               &gemm_scratch_[u]);
           col2im(g, gcol, grad_in.data() + s * in_sample);
         }
       });

@@ -47,9 +47,11 @@ Tensor InnerProduct::forward(const Tensor& in) {
   // is active, the plain kernel otherwise. This is the canonical tall-K
   // K-sharded shape (M = batch, K = in_features), so the hoisted
   // scratch carries the weight transpose and the chunk partials.
-  protect::gemm_bt_col_bias_guarded(
-      n, out_features_, f, cached_in_.data(), weight_.value.data(),
-      out.data(), bias_.value.empty() ? nullptr : bias_.value.data(),
+  protect::gemm_guarded(
+      {.m = n, .n = out_features_, .k = f, .a = cached_in_.data(),
+       .b = weight_.value.data(), .trans_b = true, .c = out.data(),
+       .bias = bias_.value.empty() ? nullptr : bias_.value.data(),
+       .bias_axis = BiasAxis::kCol},
       &fwd_scratch_);
   return out;
 }
@@ -59,11 +61,13 @@ Tensor InnerProduct::backward(const Tensor& grad_out) {
   const std::int64_t n = cached_in_.shape()[0];
   QNN_CHECK(grad_out.shape() == Shape({n, out_features_}));
 
-  // dW[Out, In] += gO^T[Out, N] * x[N, In]; gemm_at overwrites, so go
-  // through a persistent scratch tensor and accumulate.
+  // dW[Out, In] += gO^T[Out, N] * x[N, In]; the product overwrites a
+  // persistent scratch tensor, which is then added to the gradient.
   if (dw_scratch_.empty()) dw_scratch_ = Tensor(weight_.grad.shape());
-  gemm_at(out_features_, in_features_, n, grad_out.data(),
-          cached_in_.data(), dw_scratch_.data(), &bwd_scratch_);
+  gemm({.m = out_features_, .n = in_features_, .k = n,
+        .a = grad_out.data(), .trans_a = true, .b = cached_in_.data(),
+        .c = dw_scratch_.data()},
+       &bwd_scratch_);
   weight_.grad.add(dw_scratch_);
 
   if (!bias_.value.empty()) {
@@ -83,8 +87,9 @@ Tensor InnerProduct::backward(const Tensor& grad_out) {
 
   // dX[N, In] = gO[N, Out] * W[Out, In]
   Tensor grad_flat(Shape{n, in_features_});
-  gemm(n, in_features_, out_features_, grad_out.data(),
-       weight_.value.data(), grad_flat.data(), &bwd_scratch_);
+  gemm({.m = n, .n = in_features_, .k = out_features_, .a = grad_out.data(),
+        .b = weight_.value.data(), .c = grad_flat.data()},
+       &bwd_scratch_);
   return grad_flat.reshaped(cached_orig_shape_);
 }
 

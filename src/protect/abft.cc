@@ -7,6 +7,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/gemm.h"
+#include "util/check.h"
 #include "util/thread_pool.h"
 
 namespace qnn::protect {
@@ -67,7 +68,7 @@ constexpr double kUnitRoundoff = 1.0 / 16777216.0;  // 2^-24
 // in float32 they differ by at most the accumulated rounding of the mb
 // K-length dot products, bounded by u·(k+mb+slack)·mag[j] where mag[j]
 // aggregates Σ|a||b| (+ |bias|) for column j. `b_at(k', j)` abstracts
-// over B's storage layout ([K,N] plain vs [N,K] transposed).
+// over B's storage layout ([K,N] plain vs [N,K] trans_b).
 template <typename BAt>
 bool shard_checksum_ok(std::int64_t i0, std::int64_t mb, std::int64_t n,
                        std::int64_t k, const float* a, BAt&& b_at,
@@ -117,11 +118,6 @@ bool shard_checksum_ok(std::int64_t i0, std::int64_t mb, std::int64_t n,
   return true;
 }
 
-// Shard loop shared by both variants: verify each kGemmBlockM-row shard
-// in order, re-executing mismatched shards via `recompute(i0, mb)` up to
-// the retry budget. Runs serially on the calling thread, after the
-// (possibly parallel) full-product computation — verification order and
-// all checksum arithmetic are independent of the thread count.
 // Process-wide mirror of ABFT activity for RunReport (see the guard
 // metrics in quant/qnetwork.cc for the rationale).
 struct AbftMetrics {
@@ -137,6 +133,11 @@ AbftMetrics& abft_metrics() {
   return m;
 }
 
+// Shard loop of abft_gemm: verify each kGemmBlockM-row shard in order,
+// re-executing mismatched shards via `recompute(i0, mb)` up to the retry
+// budget. Runs serially on the calling thread, after the (possibly
+// parallel) full-product computation — verification order and all
+// checksum arithmetic are independent of the thread count.
 template <typename BAt, typename Recompute>
 AbftCounters verify_shards(std::int64_t m, std::int64_t n, std::int64_t k,
                            const float* a, BAt&& b_at, float* c,
@@ -179,47 +180,39 @@ AbftCounters verify_shards(std::int64_t m, std::int64_t n, std::int64_t k,
 
 }  // namespace
 
-AbftCounters abft_gemm_row_bias(std::int64_t m, std::int64_t n,
-                                std::int64_t k, const float* a,
-                                const float* b, float* c,
-                                const float* row_bias,
-                                const AbftOptions& options,
-                                const AbftFaultHook& hook,
-                                GemmScratch* scratch) {
-  gemm_row_bias(m, n, k, a, b, c, row_bias, scratch);
-  const auto b_at = [b, n](std::int64_t kp, std::int64_t j) {
-    return static_cast<double>(b[kp * n + j]);
-  };
-  // Re-executing rows [i0, i0+mb) as a fresh gemm on the sliced operands
-  // reproduces the original block bytes exactly: the K-chunk plan and
-  // its merge tree depend only on K (gemm_k_plan), which the slice
-  // shares with the full product.
+AbftCounters abft_gemm(const GemmOp& op, const AbftOptions& options,
+                       const AbftFaultHook& hook, GemmScratch* scratch) {
+  QNN_CHECK_MSG(!op.accumulate,
+                "abft_gemm: a retry cannot restore an accumulated C");
+  QNN_CHECK_MSG(!op.trans_a,
+                "abft_gemm: a row shard of a [K,M] A is not contiguous");
+  gemm(op, scratch);
+  const std::int64_t n = op.n;
+  const std::int64_t k = op.k;
+  const bool row_axis = op.bias_axis == BiasAxis::kRow;
+  const float* row_bias = row_axis ? op.bias : nullptr;
+  const float* col_bias = row_axis ? nullptr : op.bias;
+  // Re-executing rows [i0, i0+mb) as gemm on the M-sliced op reproduces
+  // the original block bytes exactly: the K-chunk plan and its merge
+  // tree depend only on K (gemm_k_plan), which the slice shares with the
+  // full product.
   const auto recompute = [&](std::int64_t i0, std::int64_t mb) {
-    gemm_row_bias(mb, n, k, a + i0 * k, b, c + i0 * n,
-                  row_bias != nullptr ? row_bias + i0 : nullptr, scratch);
+    GemmOp shard = op;
+    shard.m = mb;
+    shard.a = op.a + i0 * k;
+    shard.c = op.c + i0 * n;
+    if (row_bias != nullptr) shard.bias = row_bias + i0;
+    gemm(shard, scratch);
   };
-  return verify_shards(m, n, k, a, b_at, c, row_bias, /*col_bias=*/nullptr,
-                       options, hook, recompute);
-}
-
-AbftCounters abft_gemm_bt_col_bias(std::int64_t m, std::int64_t n,
-                                   std::int64_t k, const float* a,
-                                   const float* b, float* c,
-                                   const float* col_bias,
-                                   const AbftOptions& options,
-                                   const AbftFaultHook& hook,
-                                   GemmScratch* scratch) {
-  gemm_bt_col_bias(m, n, k, a, b, c, col_bias, scratch);
-  // B is stored [N,K] row-major; verify against it directly rather than
-  // materializing the transpose a second time.
-  const auto b_at = [b, k](std::int64_t kp, std::int64_t j) {
-    return static_cast<double>(b[j * k + kp]);
+  // Verify against B as stored ([K,N], or [N,K] for trans_b) rather than
+  // materializing a transpose a second time.
+  const float* b = op.b;
+  const std::int64_t k_stride = op.trans_b ? 1 : n;
+  const std::int64_t j_stride = op.trans_b ? k : 1;
+  const auto b_at = [=](std::int64_t kp, std::int64_t j) {
+    return static_cast<double>(b[kp * k_stride + j * j_stride]);
   };
-  const auto recompute = [&](std::int64_t i0, std::int64_t mb) {
-    gemm_bt_col_bias(mb, n, k, a + i0 * k, b, c + i0 * n, col_bias,
-                     scratch);
-  };
-  return verify_shards(m, n, k, a, b_at, c, /*row_bias=*/nullptr, col_bias,
+  return verify_shards(op.m, n, k, op.a, b_at, op.c, row_bias, col_bias,
                        options, hook, recompute);
 }
 
@@ -242,28 +235,13 @@ detail::AbftContext* current_abft_context() {
 
 }  // namespace
 
-void gemm_row_bias_guarded(std::int64_t m, std::int64_t n, std::int64_t k,
-                           const float* a, const float* b, float* c,
-                           const float* row_bias, GemmScratch* scratch) {
+void gemm_guarded(const GemmOp& op, GemmScratch* scratch) {
   detail::AbftContext* ctx = current_abft_context();
   if (ctx == nullptr) {
-    gemm_row_bias(m, n, k, a, b, c, row_bias, scratch);
+    gemm(op, scratch);
     return;
   }
-  ctx->add(abft_gemm_row_bias(m, n, k, a, b, c, row_bias, ctx->options, {},
-                              scratch));
-}
-
-void gemm_bt_col_bias_guarded(std::int64_t m, std::int64_t n, std::int64_t k,
-                              const float* a, const float* b, float* c,
-                              const float* col_bias, GemmScratch* scratch) {
-  detail::AbftContext* ctx = current_abft_context();
-  if (ctx == nullptr) {
-    gemm_bt_col_bias(m, n, k, a, b, c, col_bias, scratch);
-    return;
-  }
-  ctx->add(abft_gemm_bt_col_bias(m, n, k, a, b, c, col_bias, ctx->options,
-                                 {}, scratch));
+  ctx->add(abft_gemm(op, ctx->options, {}, scratch));
 }
 
 }  // namespace qnn::protect

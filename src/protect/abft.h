@@ -1,7 +1,7 @@
 // Algorithm-based fault tolerance (ABFT) for the GEMM kernels.
 //
 // Classic Huang–Abraham checksums, applied per M-shard *around* the
-// untouched tensor/gemm kernels: for each block of kGemmBlockM output
+// untouched tensor/gemm entry: for each block of kGemmBlockM output
 // rows, the column sums of C must equal (column sums of the A slice) · B
 // up to floating-point rounding. The checksum arithmetic runs in double
 // precision, serially, on the calling thread, in shard-index order — so
@@ -9,8 +9,9 @@
 // N-thread == 1-thread bit-identity contract (DESIGN.md §9) holds with
 // protection on.
 //
-// On a checksum mismatch the affected shard alone is recomputed with a
-// fresh gemm call on the sliced operands, which reproduces the original
+// On a checksum mismatch the affected shard alone is recomputed as a
+// gemm on the M-sliced GemmOp (rows [i0, i0+mb) of A, C and a row
+// bias; B and a column bias whole), which reproduces the original
 // block bytes exactly: the K-chunk plan and its fixed merge tree are a
 // pure function of K alone (gemm_k_plan in tensor/gemm.h), so an
 // M-sliced re-execution walks the identical canonical order as the
@@ -21,6 +22,12 @@
 // passes unnoticed — by design, since such perturbations are also
 // harmless. (The serial-fold bound also covers the fixed-tree order,
 // whose accumulated rounding is strictly smaller.)
+//
+// Two GemmOp forms cannot be verified this way and are rejected with a
+// QNN_CHECK: accumulate (a retry cannot restore the old C it overwrote)
+// and trans_a (a row shard of an A stored [K,M] is not a contiguous
+// slice). The forward paths the layers guard — conv's row-bias product
+// and InnerProduct's trans_b column-bias product — are neither.
 #pragma once
 
 #include <cstdint>
@@ -28,8 +35,9 @@
 #include <memory>
 
 namespace qnn {
+struct GemmOp;
 class GemmScratch;
-}
+}  // namespace qnn
 
 namespace qnn::protect {
 
@@ -64,33 +72,21 @@ using AbftFaultHook =
     std::function<void(std::int64_t i0, std::int64_t mb, std::int64_t n,
                        float* c_rows, int attempt)>;
 
-// Checksum-verified variants of the two forward-path GEMMs. Results are
-// bit-identical to the unverified kernels whenever no corruption occurs
-// (and after successful re-execution when it does). `scratch`, when
-// given, is forwarded to the product and to every re-execution so
-// steady-state layer forwards stop heap-allocating (tensor/gemm.h).
-AbftCounters abft_gemm_row_bias(std::int64_t m, std::int64_t n,
-                                std::int64_t k, const float* a,
-                                const float* b, float* c,
-                                const float* row_bias,
-                                const AbftOptions& options,
-                                const AbftFaultHook& hook = {},
-                                GemmScratch* scratch = nullptr);
-
-// B stored [N,K] row-major, per-column bias — InnerProduct's forward.
-AbftCounters abft_gemm_bt_col_bias(std::int64_t m, std::int64_t n,
-                                   std::int64_t k, const float* a,
-                                   const float* b, float* c,
-                                   const float* col_bias,
-                                   const AbftOptions& options,
-                                   const AbftFaultHook& hook = {},
-                                   GemmScratch* scratch = nullptr);
+// Checksum-verified gemm(op). The result is bit-identical to the
+// unverified gemm whenever no corruption occurs (and after successful
+// re-execution when it does). B's layout (trans_b) and the bias axis
+// select how the checksum reads them. `scratch`, when given, is
+// forwarded to the product and to every re-execution so steady-state
+// layer forwards stop heap-allocating (tensor/gemm.h).
+AbftCounters abft_gemm(const GemmOp& op, const AbftOptions& options,
+                       const AbftFaultHook& hook = {},
+                       GemmScratch* scratch = nullptr);
 
 // ---------------------------------------------------------------------
 // Scope-based dispatch for the inference stack.
 //
-// Layers call the *_guarded entry points below; they forward to the
-// plain kernels unless an AbftScope is active. The scope registers
+// Layers call gemm_guarded below; it forwards to the plain gemm unless
+// an AbftScope is active. The scope registers
 // itself through ThreadPool's task context, so GEMMs issued from pool
 // workers inside the scope (conv's per-sample batch sharding) are
 // verified too. Counter accumulation uses relaxed atomics — integer
@@ -117,15 +113,8 @@ class AbftScope {
   void* prev_context_ = nullptr;
 };
 
-// Forward to abft_* when an AbftScope is active on this thread (directly
-// or inherited through the pool's task context), plain gemm otherwise.
-void gemm_row_bias_guarded(std::int64_t m, std::int64_t n, std::int64_t k,
-                           const float* a, const float* b, float* c,
-                           const float* row_bias,
-                           GemmScratch* scratch = nullptr);
-void gemm_bt_col_bias_guarded(std::int64_t m, std::int64_t n, std::int64_t k,
-                              const float* a, const float* b, float* c,
-                              const float* col_bias,
-                              GemmScratch* scratch = nullptr);
+// abft_gemm(op) when an AbftScope is active on this thread (directly or
+// inherited through the pool's task context), plain gemm(op) otherwise.
+void gemm_guarded(const GemmOp& op, GemmScratch* scratch = nullptr);
 
 }  // namespace qnn::protect

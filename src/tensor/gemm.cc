@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
-#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/microkernel.h"
+#include "util/check.h"
 #include "util/thread_pool.h"
 
 namespace qnn {
@@ -50,47 +50,59 @@ void block_kernel(std::int64_t mb, std::int64_t nb, std::int64_t kb,
   gemm_block_f32(active_simd_level(), mb, nb, kb, a, lda, b, ldb, c, ldc);
 }
 
+// The bias epilogue of rows [i0, i0 + mb): one float add per element,
+// after its K accumulation (and tree merge) completes.
+void add_bias(const GemmOp& op, std::int64_t i0, std::int64_t mb) {
+  if (op.bias == nullptr) return;
+  const std::int64_t n = op.n;
+  for (std::int64_t i = i0; i < i0 + mb; ++i) {
+    float* ci = op.c + i * n;
+    if (op.bias_axis == BiasAxis::kRow) {
+      const float bias = op.bias[i];
+      for (std::int64_t j = 0; j < n; ++j) ci[j] += bias;
+    } else {
+      for (std::int64_t j = 0; j < n; ++j) ci[j] += op.bias[j];
+    }
+  }
+}
+
 // One M block of the single-chunk (count == 1) plan: all K and N blocks
-// for rows [i0, i0 + mb), then the optional per-row bias epilogue.
-// Writes only rows [i0, i0 + mb) of C, and every element's accumulation
-// order over K is independent of how the M dimension is chunked — the
-// basis for deterministic row sharding.
-void run_m_block(std::int64_t i0, std::int64_t mb, std::int64_t n,
-                 std::int64_t k, const float* a, const float* b, float* c,
-                 bool accumulate, const float* row_bias) {
-  float* cblock = c + i0 * n;
-  if (!accumulate)
+// for rows [i0, i0 + mb), then the bias epilogue. Accumulate skips the
+// memset, so the fold starts from the old C (gemm.h). Writes only rows
+// [i0, i0 + mb) of C, and every element's accumulation order over K is
+// independent of how the M dimension is chunked — the basis for
+// deterministic row sharding.
+void run_m_block(const GemmOp& op, std::int64_t i0, std::int64_t mb) {
+  const std::int64_t n = op.n;
+  const std::int64_t k = op.k;
+  float* cblock = op.c + i0 * n;
+  if (!op.accumulate)
     std::memset(cblock, 0, sizeof(float) * static_cast<std::size_t>(mb * n));
   for (std::int64_t p0 = 0; p0 < k; p0 += kBlockK) {
     const std::int64_t kb = std::min(kBlockK, k - p0);
     for (std::int64_t j0 = 0; j0 < n; j0 += kBlockN) {
       const std::int64_t nb = std::min(kBlockN, n - j0);
-      block_kernel(mb, nb, kb, a + i0 * k + p0, k, b + p0 * n + j0, n,
+      block_kernel(mb, nb, kb, op.a + i0 * k + p0, k, op.b + p0 * n + j0, n,
                    cblock + j0, n);
     }
   }
-  if (row_bias != nullptr) {
-    for (std::int64_t i = 0; i < mb; ++i) {
-      const float bias = row_bias[i0 + i];
-      float* ci = cblock + i * n;
-      for (std::int64_t j = 0; j < n; ++j) ci[j] += bias;
-    }
-  }
+  add_bias(op, i0, mb);
 }
 
 // One chunk partial of the canonical order (gemm.h): rows [i0, i0+mb) of
 // A times chunk `ci`'s K slice of B, accumulated from zero into the
 // mb*n buffer `dst`.
-void compute_chunk_partial(std::int64_t i0, std::int64_t mb, std::int64_t n,
-                           std::int64_t k, const GemmKPlan& plan,
-                           std::int64_t ci, const float* a, const float* b,
+void compute_chunk_partial(const GemmOp& op, const GemmKPlan& plan,
+                           std::int64_t ci, std::int64_t i0, std::int64_t mb,
                            float* dst) {
+  const std::int64_t n = op.n;
+  const std::int64_t k = op.k;
   const std::int64_t p0 = ci * plan.chunk;
   const std::int64_t kb = std::min(plan.chunk, k - p0);
   std::memset(dst, 0, sizeof(float) * static_cast<std::size_t>(mb * n));
   for (std::int64_t j0 = 0; j0 < n; j0 += kBlockN) {
     const std::int64_t nb = std::min(kBlockN, n - j0);
-    block_kernel(mb, nb, kb, a + i0 * k + p0, k, b + p0 * n + j0, n,
+    block_kernel(mb, nb, kb, op.a + i0 * k + p0, k, op.b + p0 * n + j0, n,
                  dst + j0, n);
   }
 }
@@ -111,69 +123,51 @@ void tree_combine(float* partials, std::int64_t count, std::int64_t elems,
 }
 
 // Epilogue of the chunked path: move the tree result into C (overwrite
-// or accumulate) and apply the optional per-row bias.
-void write_block_from_tree(std::int64_t i0, std::int64_t mb, std::int64_t n,
-                           const float* tree, float* c, bool accumulate,
-                           const float* row_bias) {
-  float* cblock = c + i0 * n;
-  const std::int64_t elems = mb * n;
-  if (accumulate) {
+// or add to the old C), then the bias.
+void write_block_from_tree(const GemmOp& op, std::int64_t i0,
+                           std::int64_t mb, const float* tree) {
+  float* cblock = op.c + i0 * op.n;
+  const std::int64_t elems = mb * op.n;
+  if (op.accumulate) {
     for (std::int64_t e = 0; e < elems; ++e) cblock[e] += tree[e];
   } else {
     std::memcpy(cblock, tree, sizeof(float) * static_cast<std::size_t>(elems));
   }
-  if (row_bias != nullptr) {
-    for (std::int64_t i = 0; i < mb; ++i) {
-      const float bias = row_bias[i0 + i];
-      float* ci = cblock + i * n;
-      for (std::int64_t j = 0; j < n; ++j) ci[j] += bias;
-    }
-  }
+  add_bias(op, i0, mb);
 }
 
 // Serial-chunk execution of one M block: compute every chunk partial in
 // chunk order into `partials` (count * mb * n floats), tree-combine,
 // write out. Byte-identical to the K-parallel schedule by construction.
-void run_m_block_chunked(std::int64_t i0, std::int64_t mb, std::int64_t n,
-                         std::int64_t k, const GemmKPlan& plan,
-                         const float* a, const float* b, float* c,
-                         bool accumulate, const float* row_bias,
-                         float* partials) {
-  const std::int64_t slot = mb * n;
+void run_m_block_chunked(const GemmOp& op, const GemmKPlan& plan,
+                         std::int64_t i0, std::int64_t mb, float* partials) {
+  const std::int64_t slot = mb * op.n;
   for (std::int64_t ci = 0; ci < plan.count; ++ci)
-    compute_chunk_partial(i0, mb, n, k, plan, ci, a, b,
-                          partials + ci * slot);
+    compute_chunk_partial(op, plan, ci, i0, mb, partials + ci * slot);
   tree_combine(partials, plan.count, slot, slot);
-  write_block_from_tree(i0, mb, n, partials, c, accumulate, row_bias);
+  write_block_from_tree(op, i0, mb, partials);
 }
 
-// Growth-only per-thread buffer for M-block tasks whose chunk partials
-// cannot share a caller-provided scratch (several blocks in flight).
-// Scratchless top-level calls reuse it for the K-parallel partial
-// buffer too: K-parallelism only engages outside pool tasks, and tasks
-// of that schedule never touch their own thread_partials, so the
-// caller's buffer is free — repeated scratchless calls (benches, ad-hoc
-// tools) stop paying a multi-MB allocation each.
-float* thread_partials(std::size_t elems) {
-  thread_local std::vector<float> buf;
-  if (buf.size() < elems) buf.resize(elems);
-  return buf.data();
+// Growth-only per-thread scratch for calls without a caller scratch,
+// and for M-block tasks whose chunk partials cannot share the caller's
+// (several blocks in flight). Scratchless top-level calls take the
+// K-parallel partial buffer from it too: K-parallelism only engages
+// outside pool tasks, and tasks of that schedule never touch their own
+// thread scratch, so the caller's is free — repeated scratchless calls
+// (benches, ad-hoc tools) stop paying a multi-MB allocation each. A
+// scratchless transpose lands in its transpose buffer, which stays live
+// across gemm_impl while the serial-chunk path uses the partials.
+GemmScratch& thread_scratch() {
+  thread_local GemmScratch scratch;
+  return scratch;
 }
 
-// Growth-only per-thread destination for scratchless at/bt transposes.
-// Separate from thread_partials: the transposed operand must stay live
-// across the whole gemm_impl call, which may itself use
-// thread_partials on this thread for the serial-chunk path.
-float* thread_transpose(std::size_t elems) {
-  thread_local std::vector<float> buf;
-  if (buf.size() < elems) buf.resize(elems);
-  return buf.data();
-}
-
-void gemm_impl(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
-               const float* b, float* c, bool accumulate,
-               const float* row_bias = nullptr,
-               GemmScratch* scratch = nullptr) {
+// The product of an op whose operands are already in [M,K] x [K,N]
+// layout (gemm below materializes a flagged transpose first).
+void gemm_impl(const GemmOp& op, GemmScratch& scratch) {
+  const std::int64_t m = op.m;
+  const std::int64_t n = op.n;
+  const std::int64_t k = op.k;
   QNN_SPAN_N("gemm", "tensor", m * n * k);
   GemmMetrics& gm = gemm_metrics();
   gm.calls.inc();
@@ -185,8 +179,7 @@ void gemm_impl(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
     parallel_run(blocks, [&](std::int64_t bi) {
       QNN_SPAN_N("gemm_shard", "tensor", bi);
       const std::int64_t i0 = bi * kBlockM;
-      run_m_block(i0, std::min(kBlockM, m - i0), n, k, a, b, c, accumulate,
-                  row_bias);
+      run_m_block(op, i0, std::min(kBlockM, m - i0));
     });
     return;
   }
@@ -207,12 +200,9 @@ void gemm_impl(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
     QNN_SPAN_N("gemm_kshard", "tensor", blocks * plan.count);
     // Block bi's chunk partials pack at base(bi) = bi * count * kBlockM
     // * n with per-chunk stride mb * n (mb < kBlockM only for the last
-    // block, so bases never overlap). Scratchless calls fall back to
-    // the calling thread's growth-only buffer instead of allocating.
+    // block, so bases never overlap).
     float* partials =
-        scratch != nullptr
-            ? scratch->partials(static_cast<std::size_t>(kshard_floats))
-            : thread_partials(static_cast<std::size_t>(kshard_floats));
+        scratch.partials(static_cast<std::size_t>(kshard_floats));
     parallel_run(blocks * plan.count, [&](std::int64_t ti) {
       QNN_SPAN_N("gemm_kchunk", "tensor", ti);
       const std::int64_t bi = ti / plan.count;
@@ -220,8 +210,7 @@ void gemm_impl(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
       const std::int64_t i0 = bi * kBlockM;
       const std::int64_t mb = std::min(kBlockM, m - i0);
       float* base = partials + bi * plan.count * kBlockM * n;
-      compute_chunk_partial(i0, mb, n, k, plan, ci, a, b,
-                            base + ci * mb * n);
+      compute_chunk_partial(op, plan, ci, i0, mb, base + ci * mb * n);
     });
     parallel_run(blocks, [&](std::int64_t bi) {
       QNN_SPAN_N("gemm_kcombine", "tensor", bi);
@@ -229,39 +218,25 @@ void gemm_impl(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
       const std::int64_t mb = std::min(kBlockM, m - i0);
       float* base = partials + bi * plan.count * kBlockM * n;
       tree_combine(base, plan.count, mb * n, mb * n);
-      write_block_from_tree(i0, mb, n, base, c, accumulate, row_bias);
+      write_block_from_tree(op, i0, mb, base);
     });
     return;
   }
 
-  // Serial-chunk schedule: each M-block task owns its chunk loop. A
-  // caller scratch is safe only when a single block can be in flight.
+  // Serial-chunk schedule: each M-block task owns its chunk loop. The
+  // call's scratch is safe only when a single block can be in flight
+  // (parallel_run then runs it inline); otherwise each task takes the
+  // executing thread's.
   parallel_run(blocks, [&](std::int64_t bi) {
     QNN_SPAN_N("gemm_shard", "tensor", bi);
     const std::int64_t i0 = bi * kBlockM;
     const std::int64_t mb = std::min(kBlockM, m - i0);
     const std::size_t elems =
         static_cast<std::size_t>(plan.count * mb * n);
-    float* partials = (scratch != nullptr && blocks == 1)
-                          ? scratch->partials(elems)
-                          : thread_partials(elems);
-    run_m_block_chunked(i0, mb, n, k, plan, a, b, c, accumulate, row_bias,
-                        partials);
+    float* partials = blocks == 1 ? scratch.partials(elems)
+                                  : thread_scratch().partials(elems);
+    run_m_block_chunked(op, plan, i0, mb, partials);
   });
-}
-
-// Per-column bias epilogue, sharded over rows (disjoint writes).
-void add_col_bias(std::int64_t m, std::int64_t n, float* c,
-                  const float* col_bias) {
-  if (col_bias == nullptr) return;
-  parallel_for_shards(m, kReductionShards, shard_grain(2 * n),
-                      [&](std::size_t, std::int64_t begin, std::int64_t end) {
-                        for (std::int64_t i = begin; i < end; ++i) {
-                          float* ci = c + i * n;
-                          for (std::int64_t j = 0; j < n; ++j)
-                            ci[j] += col_bias[j];
-                        }
-                      });
 }
 
 // Tiled out-of-place transpose: dst[r*cols + c] = src[c*rows + r].
@@ -295,73 +270,28 @@ void transpose_into(float* dst, const float* src, std::int64_t rows,
       });
 }
 
-// Materialize A^T (or B^T) once; the transpose cost is small next to
-// the O(mnk) multiply and keeps the inner kernel contiguous. The
-// destination comes from the caller's scratch when provided (steady-
-// state layer forwards stop heap-allocating), the calling thread's
-// growth-only buffer otherwise.
-float* transpose_a(std::int64_t m, std::int64_t k, const float* a,
-                   GemmScratch* scratch) {
-  float* at = scratch != nullptr
-                  ? scratch->transpose(static_cast<std::size_t>(m * k))
-                  : thread_transpose(static_cast<std::size_t>(m * k));
-  transpose_into(at, a, m, k);  // at[i*k + p] = a[p*m + i]
-  return at;
-}
-
-float* transpose_b(std::int64_t n, std::int64_t k, const float* b,
-                   GemmScratch* scratch) {
-  float* bt = scratch != nullptr
-                  ? scratch->transpose(static_cast<std::size_t>(k * n))
-                  : thread_transpose(static_cast<std::size_t>(k * n));
-  transpose_into(bt, b, k, n);  // bt[p*n + j] = b[j*k + p]
-  return bt;
+// Materialize a transposed operand once: src is stored [cols, rows],
+// the result [rows, cols] (A stored [K,M] -> [M,K], B stored [N,K] ->
+// [K,N]). The transpose cost is small next to the O(mnk) multiply and
+// keeps the inner kernel contiguous.
+const float* transpose_operand(const float* src, std::int64_t rows,
+                               std::int64_t cols, GemmScratch& scratch) {
+  float* dst = scratch.transpose(static_cast<std::size_t>(rows * cols));
+  transpose_into(dst, src, rows, cols);
+  return dst;
 }
 
 }  // namespace
 
-void gemm(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
-          const float* b, float* c, GemmScratch* scratch) {
-  gemm_impl(m, n, k, a, b, c, /*accumulate=*/false, nullptr, scratch);
-}
-
-void gemm_row_bias(std::int64_t m, std::int64_t n, std::int64_t k,
-                   const float* a, const float* b, float* c,
-                   const float* row_bias, GemmScratch* scratch) {
-  gemm_impl(m, n, k, a, b, c, /*accumulate=*/false, row_bias, scratch);
-}
-
-void gemm_accumulate(std::int64_t m, std::int64_t n, std::int64_t k,
-                     const float* a, const float* b, float* c,
-                     GemmScratch* scratch) {
-  gemm_impl(m, n, k, a, b, c, /*accumulate=*/true, nullptr, scratch);
-}
-
-void gemm_at(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
-             const float* b, float* c, GemmScratch* scratch) {
-  const float* at = transpose_a(m, k, a, scratch);
-  gemm_impl(m, n, k, at, b, c, /*accumulate=*/false, nullptr, scratch);
-}
-
-void gemm_bt(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
-             const float* b, float* c, GemmScratch* scratch) {
-  const float* bt = transpose_b(n, k, b, scratch);
-  gemm_impl(m, n, k, a, bt, c, /*accumulate=*/false, nullptr, scratch);
-}
-
-void gemm_bt_col_bias(std::int64_t m, std::int64_t n, std::int64_t k,
-                      const float* a, const float* b, float* c,
-                      const float* col_bias, GemmScratch* scratch) {
-  const float* bt = transpose_b(n, k, b, scratch);
-  gemm_impl(m, n, k, a, bt, c, /*accumulate=*/false, nullptr, scratch);
-  add_col_bias(m, n, c, col_bias);
-}
-
-void gemm_bt_accumulate(std::int64_t m, std::int64_t n, std::int64_t k,
-                        const float* a, const float* b, float* c,
-                        GemmScratch* scratch) {
-  const float* bt = transpose_b(n, k, b, scratch);
-  gemm_impl(m, n, k, a, bt, c, /*accumulate=*/true, nullptr, scratch);
+void gemm(const GemmOp& op, GemmScratch* scratch) {
+  QNN_CHECK_MSG(!(op.trans_a && op.trans_b),
+                "gemm: at most one operand may be transposed");
+  GemmScratch& s = scratch != nullptr ? *scratch : thread_scratch();
+  GemmOp plain = op;
+  if (op.trans_a) plain.a = transpose_operand(op.a, op.m, op.k, s);
+  if (op.trans_b) plain.b = transpose_operand(op.b, op.k, op.n, s);
+  plain.trans_a = plain.trans_b = false;
+  gemm_impl(plain, s);
 }
 
 }  // namespace qnn

@@ -1,6 +1,7 @@
 // Single-precision matrix multiply kernels.
 //
-// Convolution (via im2col) and fully-connected layers lower to these.
+// Convolution (via im2col) and fully-connected layers lower to one
+// entry, gemm(const GemmOp&) below.
 // The implementation is a register-blocked, cache-tiled kernel — no
 // external BLAS dependency — dispatched at runtime between an AVX2/FMA
 // microkernel and a portable scalar fallback (tensor/microkernel,
@@ -12,9 +13,11 @@
 // identical bytes — and so do the scalar and vector dispatch paths (the
 // lane-stripe contract extending the plan; see below).
 //
-// The *_bias variants fold the layer bias into the kernel epilogue: the
-// bias is added to each finished output element after its K accumulation
-// completes, exactly as the layers' former scalar post-pass did.
+// A GemmOp names the four choices a product can make — which operand is
+// stored transposed, whether C is overwritten or accumulated into, and
+// which axis an optional bias runs along. The bias is added to each
+// finished output element after its K accumulation completes — one float
+// add per element, never part of the K fold.
 #pragma once
 
 #include <cstdint>
@@ -45,16 +48,29 @@ inline constexpr std::int64_t kGemmKChunk = 256;
 //                      B[.. , j] over chunk c's K range (from zero)
 //   C[i][j]          = fixed binary tree over partial[0..count):
 //                      combine partial[lo] += partial[lo+stride] for
-//                      stride = 1, 2, 4, ... — then + bias / + old C
-//                      for the epilogue/accumulate variants.
+//                      stride = 1, 2, 4, ...
 //
 // count == 1 (K <= kGemmKChunk) degenerates to the classic single
-// serial left-fold over K. Whether the chunks are *computed* in
-// parallel is a scheduling choice (K-parallelism engages when M is too
-// small to saturate the pool); it can never change the bytes, because
-// chunk boundaries and the merge tree are fixed by this plan. ABFT
-// re-execution of an M-sliced range therefore reuses the same plan as
-// the original full-M call and reproduces its bytes exactly.
+// serial left-fold over K.
+//
+// accumulate (C += A·B) differs between the two plan shapes, and both
+// forms are pinned by tests/gemm_property_test.cc:
+//
+//   count == 1: the fold is SEEDED with the old C — acc starts at
+//               C[i][j], not at zero — so the old value takes part in
+//               every rounding step (conv's dW accumulation relies on
+//               this).
+//   count >= 2: C[i][j] = old C + tree result, one float add.
+//
+// A bias, if any, is added last in both cases: C[i][j] += bias[i] (row
+// axis) or bias[j] (column axis).
+//
+// Whether the chunks are *computed* in parallel is a scheduling choice
+// (K-parallelism engages when M is too small to saturate the pool); it
+// can never change the bytes, because chunk boundaries and the merge
+// tree are fixed by this plan. ABFT re-execution of an M-sliced range
+// therefore reuses the same plan as the original full-M call and
+// reproduces its bytes exactly.
 //
 // Lane-stripe extension (DESIGN.md §15): within a chunk, each fold step
 // is one FUSED multiply-add — fl(a*b + acc) with a single rounding
@@ -68,7 +84,7 @@ inline constexpr std::int64_t kGemmKChunk = 256;
 // rather than by codegen coincidence. tensor/microkernel.h defines the
 // kernels and the QNN_SIMD runtime dispatch;
 // tests/gemm_kernel_differential_test.cc pins scalar == AVX2 bytes for
-// every variant, thread count, and boundary shape.
+// every GemmOp form, thread count, and boundary shape.
 struct GemmKPlan {
   std::int64_t chunk = 0;  // width of each full chunk
   std::int64_t count = 1;  // number of chunks, >= 1
@@ -82,10 +98,12 @@ inline GemmKPlan gemm_k_plan(std::int64_t k) {
 }
 
 // Reusable workspace for the K-sharded partial buffers and the operand
-// transposes the at/bt variants materialize. Layers hoist one per shard
-// so steady-state forwards stop heap-allocating. A scratch may not be
-// shared by two gemm calls that can run concurrently (conv holds one
-// per batch shard); buffers only grow, never shrink.
+// transpose a trans_a/trans_b GemmOp materializes. Layers hoist one per
+// shard so steady-state forwards stop heap-allocating; scratchless calls
+// use a per-thread one. A scratch may not be shared by two gemm calls
+// that can run concurrently (conv holds one per batch shard); buffers
+// only grow, never shrink. The two buffers are separate because the
+// transposed operand stays live while the product fills the partials.
 class GemmScratch {
  public:
   // Returns a buffer of at least `elems` floats (contents unspecified).
@@ -103,38 +121,31 @@ class GemmScratch {
   std::vector<float> transpose_;
 };
 
-// C[M,N] = A[M,K] * B[K,N]   (row-major, C overwritten)
-void gemm(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
-          const float* b, float* c, GemmScratch* scratch = nullptr);
+enum class BiasAxis { kRow, kCol };
 
-// C[M,N] = A[M,K] * B[K,N], then C[i,j] += row_bias[i] (skipped when
-// row_bias is null). Conv2d's per-output-channel bias.
-void gemm_row_bias(std::int64_t m, std::int64_t n, std::int64_t k,
-                   const float* a, const float* b, float* c,
-                   const float* row_bias, GemmScratch* scratch = nullptr);
+// C[M,N] = A[M,K] * B[K,N], all row-major, optionally with a transposed
+// operand, accumulated into C, and/or followed by a bias:
+//
+//   trans_a     A is stored [K,M] (conv's dcol = W^T * dO)
+//   trans_b     B is stored [N,K] (InnerProduct's forward and conv's dW)
+//   accumulate  C += A*B instead of C = A*B (see the contract above)
+//   bias        null, or M floats (kRow: conv's per-output-channel bias)
+//               or N floats (kCol: InnerProduct's per-feature bias)
+//
+// At most one operand may be transposed (QNN_CHECK): the scratch holds
+// one transpose buffer and no caller needs both.
+struct GemmOp {
+  std::int64_t m = 0, n = 0, k = 0;
+  const float* a = nullptr;
+  bool trans_a = false;
+  const float* b = nullptr;
+  bool trans_b = false;
+  float* c = nullptr;
+  bool accumulate = false;
+  const float* bias = nullptr;
+  BiasAxis bias_axis = BiasAxis::kRow;
+};
 
-// C[M,N] += A[M,K] * B[K,N]
-void gemm_accumulate(std::int64_t m, std::int64_t n, std::int64_t k,
-                     const float* a, const float* b, float* c,
-                     GemmScratch* scratch = nullptr);
-
-// C[M,N] = A^T[M,K] * B[K,N] where A is stored [K,M] row-major.
-void gemm_at(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
-             const float* b, float* c, GemmScratch* scratch = nullptr);
-
-// C[M,N] = A[M,K] * B^T[K,N] where B is stored [N,K] row-major.
-void gemm_bt(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
-             const float* b, float* c, GemmScratch* scratch = nullptr);
-
-// C[M,N] = A[M,K] * B^T, then C[i,j] += col_bias[j] (skipped when
-// col_bias is null). InnerProduct's per-output-feature bias.
-void gemm_bt_col_bias(std::int64_t m, std::int64_t n, std::int64_t k,
-                      const float* a, const float* b, float* c,
-                      const float* col_bias, GemmScratch* scratch = nullptr);
-
-// C[M,N] += A[M,K] * B^T where B is stored [N,K] row-major.
-void gemm_bt_accumulate(std::int64_t m, std::int64_t n, std::int64_t k,
-                        const float* a, const float* b, float* c,
-                        GemmScratch* scratch = nullptr);
+void gemm(const GemmOp& op, GemmScratch* scratch = nullptr);
 
 }  // namespace qnn

@@ -54,17 +54,21 @@ TEST(Determinism, GemmIsBitIdenticalAcrossThreadCounts) {
   std::vector<float> c1(static_cast<std::size_t>(m * n));
   std::vector<float> c1b(static_cast<std::size_t>(m * n));
   ThreadPool::set_global_threads(1);
-  gemm(m, n, k, a.data(), b.data(), c1.data());
-  gemm_row_bias(m, n, k, a.data(), b.data(), c1b.data(), bias.data());
+  gemm({.m = m, .n = n, .k = k, .a = a.data(), .b = b.data(),
+        .c = c1.data()});
+  gemm({.m = m, .n = n, .k = k, .a = a.data(), .b = b.data(),
+        .c = c1b.data(), .bias = bias.data()});
 
   for (int threads : {2, 4, 7, 16}) {
     ThreadPool::set_global_threads(threads);
     std::vector<float> cn(static_cast<std::size_t>(m * n));
-    gemm(m, n, k, a.data(), b.data(), cn.data());
+    gemm({.m = m, .n = n, .k = k, .a = a.data(), .b = b.data(),
+          .c = cn.data()});
     EXPECT_EQ(std::memcmp(c1.data(), cn.data(), c1.size() * sizeof(float)),
               0)
         << threads << " threads";
-    gemm_row_bias(m, n, k, a.data(), b.data(), cn.data(), bias.data());
+    gemm({.m = m, .n = n, .k = k, .a = a.data(), .b = b.data(),
+          .c = cn.data(), .bias = bias.data()});
     EXPECT_EQ(
         std::memcmp(c1b.data(), cn.data(), c1b.size() * sizeof(float)), 0)
         << threads << " threads (row bias)";
@@ -80,11 +84,15 @@ TEST(Determinism, GemmBtColBiasIsBitIdenticalAcrossThreadCounts) {
 
   std::vector<float> c1(static_cast<std::size_t>(m * n));
   ThreadPool::set_global_threads(1);
-  gemm_bt_col_bias(m, n, k, a.data(), b.data(), c1.data(), bias.data());
+  gemm({.m = m, .n = n, .k = k, .a = a.data(), .b = b.data(),
+        .trans_b = true, .c = c1.data(), .bias = bias.data(),
+        .bias_axis = BiasAxis::kCol});
 
   ThreadPool::set_global_threads(4);
   std::vector<float> c4(static_cast<std::size_t>(m * n));
-  gemm_bt_col_bias(m, n, k, a.data(), b.data(), c4.data(), bias.data());
+  gemm({.m = m, .n = n, .k = k, .a = a.data(), .b = b.data(),
+        .trans_b = true, .c = c4.data(), .bias = bias.data(),
+        .bias_axis = BiasAxis::kCol});
   EXPECT_EQ(std::memcmp(c1.data(), c4.data(), c1.size() * sizeof(float)),
             0);
 }
@@ -101,12 +109,14 @@ TEST(Determinism, TallKGemmKShardingIsBitIdenticalAcrossThreadCounts) {
 
   ThreadPool::set_global_threads(1);
   std::vector<float> c1(static_cast<std::size_t>(m * n));
-  gemm(m, n, k, a.data(), b.data(), c1.data());
+  gemm({.m = m, .n = n, .k = k, .a = a.data(), .b = b.data(),
+        .c = c1.data()});
 
   for (int threads : {2, 4, 8, 16}) {
     ThreadPool::set_global_threads(threads);
     std::vector<float> cn(static_cast<std::size_t>(m * n));
-    gemm(m, n, k, a.data(), b.data(), cn.data());
+    gemm({.m = m, .n = n, .k = k, .a = a.data(), .b = b.data(),
+          .c = cn.data()});
     EXPECT_EQ(std::memcmp(c1.data(), cn.data(), c1.size() * sizeof(float)),
               0)
         << threads << " threads";

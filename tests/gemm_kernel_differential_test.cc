@@ -1,6 +1,6 @@
 // Differential tests for the SIMD microkernel dispatch (DESIGN.md §15):
 // the scalar fallback and the AVX2/FMA kernels must produce IDENTICAL
-// bytes for every gemm variant, shape boundary, scratch state, and
+// bytes for every GemmOp form, shape boundary, scratch state, and
 // thread count — the lane-striped fused-multiply-add contract of
 // tensor/gemm.h makes this a structural property, and these tests pin
 // it. The integer tile kernels must produce identical words at the
@@ -8,6 +8,7 @@
 // runtime-dispatch parsing, clamping and override machinery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -18,6 +19,7 @@
 #include "tensor/gemm.h"
 #include "tensor/int_gemm.h"
 #include "tensor/microkernel.h"
+#include "testing/gemm_forms.h"
 #include "util/thread_pool.h"
 
 namespace qnn {
@@ -80,27 +82,19 @@ std::vector<float> random_vec(std::int64_t count, std::uint64_t seed) {
   return out;
 }
 
-// One output buffer per gemm variant, all computed at the given level.
-struct VariantOutputs {
-  std::vector<float> plain, row_bias, accumulate, at, bt, bt_col_bias,
-      bt_accumulate;
+// One output buffer per GemmOp form (testing::all_gemm_forms order), all
+// computed at the given level; equal means equal bytes.
+struct FormOutputs {
+  std::vector<std::vector<float>> c;
 
-  bool operator==(const VariantOutputs& o) const {
-    auto same = [](const std::vector<float>& x, const std::vector<float>& y) {
-      return x.size() == y.size() &&
-             (x.empty() || std::memcmp(x.data(), y.data(),
-                                       x.size() * sizeof(float)) == 0);
-    };
-    return same(plain, o.plain) && same(row_bias, o.row_bias) &&
-           same(accumulate, o.accumulate) && same(at, o.at) &&
-           same(bt, o.bt) && same(bt_col_bias, o.bt_col_bias) &&
-           same(bt_accumulate, o.bt_accumulate);
+  bool operator==(const FormOutputs& o) const {
+    return std::equal(c.begin(), c.end(), o.c.begin(), o.c.end(),
+                      testing::bytes_equal);
   }
 };
 
-VariantOutputs run_all_variants(SimdLevel level, std::int64_t m,
-                                std::int64_t n, std::int64_t k,
-                                GemmScratch* scratch = nullptr) {
+FormOutputs run_all_forms(SimdLevel level, std::int64_t m, std::int64_t n,
+                          std::int64_t k, GemmScratch* scratch = nullptr) {
   ScopedSimdLevel force(level);
   const auto a = random_vec(m * k, 11);    // row-major [M,K]
   const auto b = random_vec(k * n, 12);    // row-major [K,N]
@@ -109,32 +103,19 @@ VariantOutputs run_all_variants(SimdLevel level, std::int64_t m,
   const auto rbias = random_vec(m, 15);
   const auto cbias = random_vec(n, 16);
   const auto seed_c = random_vec(m * n, 17);
+  const testing::GemmOperands x{
+      .m = m, .n = n, .k = k, .a = a.data(), .a_t = at_op.data(),
+      .b = b.data(), .b_t = bt_op.data(), .row_bias = rbias.data(),
+      .col_bias = cbias.data(), .c_seed = seed_c.data()};
 
-  VariantOutputs out;
-  const std::size_t cn = static_cast<std::size_t>(m * n);
-  out.plain.resize(cn);
-  gemm(m, n, k, a.data(), b.data(), out.plain.data(), scratch);
-  out.row_bias.resize(cn);
-  gemm_row_bias(m, n, k, a.data(), b.data(), out.row_bias.data(),
-                rbias.data(), scratch);
-  out.accumulate = seed_c;
-  gemm_accumulate(m, n, k, a.data(), b.data(), out.accumulate.data(),
-                  scratch);
-  out.at.resize(cn);
-  gemm_at(m, n, k, at_op.data(), b.data(), out.at.data(), scratch);
-  out.bt.resize(cn);
-  gemm_bt(m, n, k, a.data(), bt_op.data(), out.bt.data(), scratch);
-  out.bt_col_bias.resize(cn);
-  gemm_bt_col_bias(m, n, k, a.data(), bt_op.data(), out.bt_col_bias.data(),
-                   cbias.data(), scratch);
-  out.bt_accumulate = seed_c;
-  gemm_bt_accumulate(m, n, k, a.data(), bt_op.data(),
-                     out.bt_accumulate.data(), scratch);
+  FormOutputs out;
+  for (const testing::GemmForm& form : testing::all_gemm_forms())
+    out.c.push_back(testing::run_form(form, x, scratch));
   return out;
 }
 
 // ---------------------------------------------------------------------
-// Scalar == AVX2, bytes, every variant, boundary shapes.
+// Scalar == AVX2, bytes, every form, boundary shapes.
 
 TEST(GemmKernelDifferential, ScalarMatchesAvx2AcrossBoundaryShapes) {
   if (!avx2_available()) GTEST_SKIP() << "no AVX2 on this machine";
@@ -147,10 +128,10 @@ TEST(GemmKernelDifferential, ScalarMatchesAvx2AcrossBoundaryShapes) {
   for (std::int64_t m : ms) {
     for (std::int64_t n : ns) {
       for (std::int64_t k : ks) {
-        const VariantOutputs scalar =
-            run_all_variants(SimdLevel::kScalar, m, n, k);
-        const VariantOutputs avx2 =
-            run_all_variants(SimdLevel::kAvx2, m, n, k);
+        const FormOutputs scalar =
+            run_all_forms(SimdLevel::kScalar, m, n, k);
+        const FormOutputs avx2 =
+            run_all_forms(SimdLevel::kAvx2, m, n, k);
         ASSERT_TRUE(scalar == avx2)
             << "m=" << m << " n=" << n << " k=" << k;
       }
@@ -161,12 +142,12 @@ TEST(GemmKernelDifferential, ScalarMatchesAvx2AcrossBoundaryShapes) {
 TEST(GemmKernelDifferential, ScalarMatchesAvx2ColdAndWarmScratch) {
   if (!avx2_available()) GTEST_SKIP() << "no AVX2 on this machine";
   const std::int64_t m = 65, n = 257, k = 300;  // K-chunked, odd edges
-  const VariantOutputs base = run_all_variants(SimdLevel::kScalar, m, n, k);
+  const FormOutputs base = run_all_forms(SimdLevel::kScalar, m, n, k);
   GemmScratch scratch;  // cold on the first pass, warm on the second
-  const VariantOutputs cold =
-      run_all_variants(SimdLevel::kAvx2, m, n, k, &scratch);
-  const VariantOutputs warm =
-      run_all_variants(SimdLevel::kAvx2, m, n, k, &scratch);
+  const FormOutputs cold =
+      run_all_forms(SimdLevel::kAvx2, m, n, k, &scratch);
+  const FormOutputs warm =
+      run_all_forms(SimdLevel::kAvx2, m, n, k, &scratch);
   EXPECT_TRUE(base == cold);
   EXPECT_TRUE(cold == warm);
 }
@@ -177,14 +158,14 @@ TEST(GemmKernelDifferential, ScalarMatchesAvx2AcrossThreadCounts) {
   // Tall-K shape engages the K-parallel fixed-tree path; wide-M engages
   // M-block sharding.
   ThreadPool::set_global_threads(1);
-  const VariantOutputs base =
-      run_all_variants(SimdLevel::kScalar, 130, 33, 700);
+  const FormOutputs base =
+      run_all_forms(SimdLevel::kScalar, 130, 33, 700);
   for (int threads : {1, 2, 4, 8}) {
     ThreadPool::set_global_threads(threads);
-    const VariantOutputs scalar =
-        run_all_variants(SimdLevel::kScalar, 130, 33, 700);
-    const VariantOutputs avx2 =
-        run_all_variants(SimdLevel::kAvx2, 130, 33, 700);
+    const FormOutputs scalar =
+        run_all_forms(SimdLevel::kScalar, 130, 33, 700);
+    const FormOutputs avx2 =
+        run_all_forms(SimdLevel::kAvx2, 130, 33, 700);
     EXPECT_TRUE(base == scalar) << threads << " threads (scalar)";
     EXPECT_TRUE(base == avx2) << threads << " threads (avx2)";
   }
@@ -430,9 +411,11 @@ TEST(SimdDispatch, EnvDispatchTargetsProduceIdenticalBytes) {
   std::vector<float> c_off(static_cast<std::size_t>(m * n));
   std::vector<float> c_avx2(static_cast<std::size_t>(m * n));
   env.set("off");
-  gemm(m, n, k, a.data(), b.data(), c_off.data());
+  gemm({.m = m, .n = n, .k = k, .a = a.data(), .b = b.data(),
+        .c = c_off.data()});
   env.set("avx2");
-  gemm(m, n, k, a.data(), b.data(), c_avx2.data());
+  gemm({.m = m, .n = n, .k = k, .a = a.data(), .b = b.data(),
+        .c = c_avx2.data()});
   EXPECT_EQ(std::memcmp(c_off.data(), c_avx2.data(),
                         c_off.size() * sizeof(float)),
             0);

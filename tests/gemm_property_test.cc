@@ -14,7 +14,11 @@
 //     within a rounding tolerance — catches consistently-wrong math the
 //     self-differential check cannot see.
 //  3. Thread-count invariance: bytes at 1/2/4/8/16 threads are identical,
-//     with and without a caller GemmScratch, for every entry point.
+//     with and without a caller GemmScratch, for every GemmOp form.
+//
+// A standalone fused-multiply-add reference also pins the accumulate
+// contract of gemm.h: a single-chunk plan seeds the fold with the old C,
+// a chunked plan adds the tree result to it.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -23,11 +27,14 @@
 #include <vector>
 
 #include "tensor/gemm.h"
+#include "testing/gemm_forms.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace qnn {
 namespace {
+
+using testing::bytes_equal;
 
 struct ThreadGuard {
   ~ThreadGuard() {
@@ -62,8 +69,8 @@ std::vector<float> tree_of_single_chunk_gemms(std::int64_t m, std::int64_t n,
     for (std::int64_t i = 0; i < m; ++i)
       std::memcpy(a_slice.data() + i * kb, a + i * k + p0,
                   sizeof(float) * static_cast<std::size_t>(kb));
-    gemm(m, n, kb, a_slice.data(), b + p0 * n,
-         parts[static_cast<std::size_t>(c)].data());
+    gemm({.m = m, .n = n, .k = kb, .a = a_slice.data(), .b = b + p0 * n,
+          .c = parts[static_cast<std::size_t>(c)].data()});
   }
   // Fixed binary tree: combine parts[lo] += parts[lo + stride].
   for (std::int64_t stride = 1; stride < plan.count; stride *= 2)
@@ -86,11 +93,6 @@ void naive_gemm_double(std::int64_t m, std::int64_t n, std::int64_t k,
                static_cast<double>(b[p * n + j]);
       c[i * n + j] = acc;
     }
-}
-
-bool bytes_equal(const std::vector<float>& x, const std::vector<float>& y) {
-  return x.size() == y.size() &&
-         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
 }
 
 // Shapes straddling every plan edge: K = 0, 1, chunk - 1, chunk,
@@ -153,7 +155,8 @@ TEST(GemmProperty, ChunkedProductEqualsFixedTreeOfSingleChunkProducts) {
     for (int threads : {1, 2, 4, 8, 16}) {
       ThreadPool::set_global_threads(threads);
       std::vector<float> c(static_cast<std::size_t>(p.m * p.n), -7.0f);
-      gemm(p.m, p.n, p.k, a.data(), b.data(), c.data());
+      gemm({.m = p.m, .n = p.n, .k = p.k, .a = a.data(), .b = b.data(),
+            .c = c.data()});
       EXPECT_TRUE(bytes_equal(ref, c)) << threads << " threads";
     }
   }
@@ -169,16 +172,17 @@ TEST(GemmProperty, MatchesNaiveDoubleReferenceWithinRounding) {
     const auto b = random_matrix(std::max<std::int64_t>(p.k, 1) * p.n, rng);
     std::vector<float> c(static_cast<std::size_t>(p.m * p.n));
     std::vector<double> ref(c.size());
-    gemm(p.m, p.n, p.k, a.data(), b.data(), c.data());
+    gemm({.m = p.m, .n = p.n, .k = p.k, .a = a.data(), .b = b.data(),
+          .c = c.data()});
     naive_gemm_double(p.m, p.n, p.k, a.data(), b.data(), ref.data());
     for (std::size_t i = 0; i < c.size(); ++i)
       ASSERT_NEAR(c[i], ref[i], 1e-3 * (1.0 + std::abs(ref[i]))) << i;
   }
 }
 
-// Every entry point, bit-identical across thread counts 1/2/4/8, with
-// and without a caller scratch. The serial (1-thread) bytes are the
-// canonical reference for each variant.
+// Every GemmOp form, bit-identical across thread counts 1/2/4/8/16,
+// with and without a caller scratch. The serial (1-thread) bytes are the
+// canonical reference for each form.
 TEST(GemmProperty, AllVariantsBitIdenticalAcrossThreadsAndScratch) {
   ThreadGuard guard;
   const std::vector<Problem> problems = {
@@ -193,94 +197,41 @@ TEST(GemmProperty, AllVariantsBitIdenticalAcrossThreadsAndScratch) {
     Rng rng(static_cast<std::uint64_t>(p.m + p.n * 53 + p.k * 10007));
     const auto a = random_matrix(p.m * p.k, rng);
     const auto b = random_matrix(p.k * p.n, rng);        // [K,N]
-    const auto a_t = random_matrix(p.k * p.m, rng);      // [K,M] for at
-    const auto b_t = random_matrix(p.n * p.k, rng);      // [N,K] for bt
+    const auto a_t = random_matrix(p.k * p.m, rng);      // [K,M] for trans_a
+    const auto b_t = random_matrix(p.n * p.k, rng);      // [N,K] for trans_b
     const auto row_bias = random_matrix(p.m, rng);
     const auto col_bias = random_matrix(p.n, rng);
-    const std::size_t elems = static_cast<std::size_t>(p.m * p.n);
+    std::vector<float> c_seed(static_cast<std::size_t>(p.m * p.n));
+    for (std::size_t e = 0; e < c_seed.size(); ++e)
+      c_seed[e] = 0.25f * static_cast<float>(e % 17);
+    const testing::GemmOperands x{
+        .m = p.m, .n = p.n, .k = p.k, .a = a.data(), .a_t = a_t.data(),
+        .b = b.data(), .b_t = b_t.data(), .row_bias = row_bias.data(),
+        .col_bias = col_bias.data(), .c_seed = c_seed.data()};
 
-    struct Variant {
-      std::string name;
-      void (*run)(const Problem&, const float*, const float*, const float*,
-                  const float*, const float*, const float*, float*,
-                  GemmScratch*);
-    };
-    const std::vector<Variant> variants = {
-        {"gemm",
-         [](const Problem& q, const float* a_, const float* b_, const float*,
-            const float*, const float*, const float*, float* c,
-            GemmScratch* s) { gemm(q.m, q.n, q.k, a_, b_, c, s); }},
-        {"gemm_row_bias",
-         [](const Problem& q, const float* a_, const float* b_, const float*,
-            const float*, const float* rb, const float*, float* c,
-            GemmScratch* s) {
-           gemm_row_bias(q.m, q.n, q.k, a_, b_, c, rb, s);
-         }},
-        {"gemm_accumulate",
-         [](const Problem& q, const float* a_, const float* b_, const float*,
-            const float*, const float*, const float*, float* c,
-            GemmScratch* s) {
-           for (std::int64_t e = 0; e < q.m * q.n; ++e)
-             c[e] = 0.25f * static_cast<float>(e % 17);
-           gemm_accumulate(q.m, q.n, q.k, a_, b_, c, s);
-         }},
-        {"gemm_at",
-         [](const Problem& q, const float*, const float* b_,
-            const float* at, const float*, const float*, const float*,
-            float* c, GemmScratch* s) {
-           gemm_at(q.m, q.n, q.k, at, b_, c, s);
-         }},
-        {"gemm_bt",
-         [](const Problem& q, const float* a_, const float*, const float*,
-            const float* bt, const float*, const float*, float* c,
-            GemmScratch* s) { gemm_bt(q.m, q.n, q.k, a_, bt, c, s); }},
-        {"gemm_bt_col_bias",
-         [](const Problem& q, const float* a_, const float*, const float*,
-            const float* bt, const float*, const float* cb, float* c,
-            GemmScratch* s) {
-           gemm_bt_col_bias(q.m, q.n, q.k, a_, bt, c, cb, s);
-         }},
-        {"gemm_bt_accumulate",
-         [](const Problem& q, const float* a_, const float*, const float*,
-            const float* bt, const float*, const float*, float* c,
-            GemmScratch* s) {
-           for (std::int64_t e = 0; e < q.m * q.n; ++e)
-             c[e] = -0.5f + 0.125f * static_cast<float>(e % 9);
-           gemm_bt_accumulate(q.m, q.n, q.k, a_, bt, c, s);
-         }},
-    };
-
-    for (const Variant& v : variants) {
-      SCOPED_TRACE(v.name);
+    for (const testing::GemmForm& form : testing::all_gemm_forms()) {
+      SCOPED_TRACE(testing::form_name(form));
       ThreadPool::set_global_threads(1);
-      std::vector<float> ref(elems);
-      v.run(p, a.data(), b.data(), a_t.data(), b_t.data(), row_bias.data(),
-            col_bias.data(), ref.data(), nullptr);
+      const std::vector<float> ref = testing::run_form(form, x);
       for (int threads : {1, 2, 4, 8, 16}) {
         ThreadPool::set_global_threads(threads);
-        std::vector<float> plain(elems), scratched(elems);
         GemmScratch scratch;
-        v.run(p, a.data(), b.data(), a_t.data(), b_t.data(),
-              row_bias.data(), col_bias.data(), plain.data(), nullptr);
-        v.run(p, a.data(), b.data(), a_t.data(), b_t.data(),
-              row_bias.data(), col_bias.data(), scratched.data(), &scratch);
-        EXPECT_TRUE(bytes_equal(ref, plain)) << threads << " threads";
-        EXPECT_TRUE(bytes_equal(ref, scratched))
+        EXPECT_TRUE(bytes_equal(ref, testing::run_form(form, x)))
+            << threads << " threads";
+        EXPECT_TRUE(bytes_equal(ref, testing::run_form(form, x, &scratch)))
             << threads << " threads (scratch)";
         // A warm scratch (buffers already sized) must not change bytes.
-        std::vector<float> warm(elems);
-        v.run(p, a.data(), b.data(), a_t.data(), b_t.data(),
-              row_bias.data(), col_bias.data(), warm.data(), &scratch);
-        EXPECT_TRUE(bytes_equal(ref, warm))
+        EXPECT_TRUE(bytes_equal(ref, testing::run_form(form, x, &scratch)))
             << threads << " threads (warm scratch)";
       }
     }
   }
 }
 
-// The transpose variants must agree byte-for-byte with the plain kernel
-// on materialized operands — they share gemm_impl, so any divergence is
-// a transpose bug.
+// The transposed forms must agree byte-for-byte with the plain form on
+// materialized operands — they share gemm_impl, so any divergence is a
+// transpose bug. Either bias is one float add onto the finished tree
+// result (K = 600 is chunked), whatever the operand layout.
 TEST(GemmProperty, TransposeVariantsMatchPlainKernelBytes) {
   ThreadGuard guard;
   const Problem p{13, 41, 600};
@@ -296,11 +247,87 @@ TEST(GemmProperty, TransposeVariantsMatchPlainKernelBytes) {
 
   const std::size_t elems = static_cast<std::size_t>(p.m * p.n);
   std::vector<float> plain(elems), via_at(elems), via_bt(elems);
-  gemm(p.m, p.n, p.k, a.data(), b.data(), plain.data());
-  gemm_at(p.m, p.n, p.k, a_t.data(), b.data(), via_at.data());
-  gemm_bt(p.m, p.n, p.k, a.data(), b_t.data(), via_bt.data());
+  gemm({.m = p.m, .n = p.n, .k = p.k, .a = a.data(), .b = b.data(),
+        .c = plain.data()});
+  gemm({.m = p.m, .n = p.n, .k = p.k, .a = a_t.data(), .trans_a = true,
+        .b = b.data(), .c = via_at.data()});
+  gemm({.m = p.m, .n = p.n, .k = p.k, .a = a.data(), .b = b_t.data(),
+        .trans_b = true, .c = via_bt.data()});
   EXPECT_TRUE(bytes_equal(plain, via_at));
   EXPECT_TRUE(bytes_equal(plain, via_bt));
+
+  const auto row_bias = random_matrix(p.m, rng);
+  const auto col_bias = random_matrix(p.n, rng);
+  std::vector<float> want_row(elems), want_col(elems);
+  for (std::int64_t i = 0; i < p.m; ++i)
+    for (std::int64_t j = 0; j < p.n; ++j) {
+      want_row[i * p.n + j] = plain[i * p.n + j] + row_bias[i];
+      want_col[i * p.n + j] = plain[i * p.n + j] + col_bias[j];
+    }
+  std::vector<float> row(elems), col(elems);
+  gemm({.m = p.m, .n = p.n, .k = p.k, .a = a_t.data(), .trans_a = true,
+        .b = b.data(), .c = row.data(), .bias = row_bias.data()});
+  gemm({.m = p.m, .n = p.n, .k = p.k, .a = a.data(), .b = b_t.data(),
+        .trans_b = true, .c = col.data(), .bias = col_bias.data(),
+        .bias_axis = BiasAxis::kCol});
+  EXPECT_TRUE(bytes_equal(want_row, row));
+  EXPECT_TRUE(bytes_equal(want_col, col));
+}
+
+// The accumulate contract of gemm.h, against a standalone std::fmaf
+// reference rather than the kernel itself: a single-chunk plan (K <=
+// kGemmKChunk) seeds each element's fused-multiply-add fold with the old
+// C; a chunked plan folds every chunk from zero, merges the fixed tree,
+// and adds the old C once. The old C is large next to the products, so
+// the two forms round apart and each check can tell them from the other.
+TEST(GemmProperty, AccumulateSeedsSingleChunkFoldAndAddsOldCAfterTree) {
+  ThreadGuard guard;
+  // C[i][j] = sum over K range [p0, p1) as a fused fold from `seed`.
+  const auto fold = [](const std::vector<float>& a,
+                       const std::vector<float>& b, std::int64_t n,
+                       std::int64_t k, std::int64_t i, std::int64_t j,
+                       std::int64_t p0, std::int64_t p1, float seed) {
+    float acc = seed;
+    for (std::int64_t p = p0; p < p1; ++p)
+      acc = std::fmaf(a[static_cast<std::size_t>(i * k + p)],
+                      b[static_cast<std::size_t>(p * n + j)], acc);
+    return acc;
+  };
+  const std::int64_t m = 70, n = 19;
+  for (std::int64_t k : {kGemmKChunk, 3 * kGemmKChunk + 5}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    const GemmKPlan plan = gemm_k_plan(k);
+    Rng rng(static_cast<std::uint64_t>(k));
+    const auto a = random_matrix(m * k, rng);
+    const auto b = random_matrix(k * n, rng);
+    std::vector<float> old_c(static_cast<std::size_t>(m * n));
+    for (float& v : old_c) v = 1000.0f + static_cast<float>(rng.uniform(0, 1));
+
+    std::vector<float> seeded(old_c.size()), tree_plus_c(old_c.size());
+    for (std::int64_t i = 0; i < m; ++i)
+      for (std::int64_t j = 0; j < n; ++j) {
+        const std::size_t e = static_cast<std::size_t>(i * n + j);
+        seeded[e] = fold(a, b, n, k, i, j, 0, k, old_c[e]);
+        std::vector<float> parts;
+        for (std::int64_t c = 0; c < plan.count; ++c)
+          parts.push_back(fold(a, b, n, k, i, j, c * plan.chunk,
+                               std::min(k, (c + 1) * plan.chunk), 0.0f));
+        for (std::int64_t stride = 1; stride < plan.count; stride *= 2)
+          for (std::int64_t lo = 0; lo + stride < plan.count; lo += 2 * stride)
+            parts[static_cast<std::size_t>(lo)] +=
+                parts[static_cast<std::size_t>(lo + stride)];
+        tree_plus_c[e] = old_c[e] + parts.front();
+      }
+    ASSERT_FALSE(bytes_equal(seeded, tree_plus_c));
+    const std::vector<float>& want = plan.count == 1 ? seeded : tree_plus_c;
+    for (int threads : {1, 4}) {
+      ThreadPool::set_global_threads(threads);
+      std::vector<float> c = old_c;
+      gemm({.m = m, .n = n, .k = k, .a = a.data(), .b = b.data(),
+            .c = c.data(), .accumulate = true});
+      EXPECT_TRUE(bytes_equal(want, c)) << threads << " threads";
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "tensor/gemm.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace qnn {
@@ -31,7 +32,7 @@ TEST(Gemm, TinyKnownValues) {
   const float a[] = {1, 2, 3, 4};
   const float b[] = {5, 6, 7, 8};
   float c[4];
-  gemm(2, 2, 2, a, b, c);
+  gemm({.m = 2, .n = 2, .k = 2, .a = a, .b = b, .c = c});
   EXPECT_FLOAT_EQ(c[0], 19);
   EXPECT_FLOAT_EQ(c[1], 22);
   EXPECT_FLOAT_EQ(c[2], 43);
@@ -42,7 +43,7 @@ TEST(Gemm, AccumulateAddsToExisting) {
   const float a[] = {1, 0, 0, 1};
   const float b[] = {2, 3, 4, 5};
   float c[] = {10, 10, 10, 10};
-  gemm_accumulate(2, 2, 2, a, b, c);
+  gemm({.m = 2, .n = 2, .k = 2, .a = a, .b = b, .c = c, .accumulate = true});
   EXPECT_FLOAT_EQ(c[0], 12);
   EXPECT_FLOAT_EQ(c[3], 15);
 }
@@ -57,7 +58,7 @@ TEST_P(GemmSizes, MatchesNaiveReference) {
   const auto b = random_matrix(static_cast<std::int64_t>(k) * n, rng);
   std::vector<float> c(static_cast<std::size_t>(m) * n);
   std::vector<double> ref(static_cast<std::size_t>(m) * n);
-  gemm(m, n, k, a.data(), b.data(), c.data());
+  gemm({.m = m, .n = n, .k = k, .a = a.data(), .b = b.data(), .c = c.data()});
   naive_gemm(m, n, k, a.data(), b.data(), ref.data());
   for (std::size_t i = 0; i < c.size(); ++i)
     EXPECT_NEAR(c[i], ref[i], 1e-3 * (1 + std::abs(ref[i])))
@@ -86,7 +87,8 @@ TEST(Gemm, TransposedAVariant) {
     for (int i = 0; i < m; ++i) a[i * k + p] = a_t[p * m + i];
   std::vector<float> c(static_cast<std::size_t>(m) * n);
   std::vector<double> ref(static_cast<std::size_t>(m) * n);
-  gemm_at(m, n, k, a_t.data(), b.data(), c.data());
+  gemm({.m = m, .n = n, .k = k, .a = a_t.data(), .trans_a = true,
+        .b = b.data(), .c = c.data()});
   naive_gemm(m, n, k, a.data(), b.data(), ref.data());
   for (std::size_t i = 0; i < c.size(); ++i) EXPECT_NEAR(c[i], ref[i], 1e-3);
 }
@@ -101,7 +103,8 @@ TEST(Gemm, TransposedBVariant) {
     for (int p = 0; p < k; ++p) b[p * n + j] = b_t[j * k + p];
   std::vector<float> c(static_cast<std::size_t>(m) * n);
   std::vector<double> ref(static_cast<std::size_t>(m) * n);
-  gemm_bt(m, n, k, a.data(), b_t.data(), c.data());
+  gemm({.m = m, .n = n, .k = k, .a = a.data(), .b = b_t.data(),
+        .trans_b = true, .c = c.data()});
   naive_gemm(m, n, k, a.data(), b.data(), ref.data());
   for (std::size_t i = 0; i < c.size(); ++i) EXPECT_NEAR(c[i], ref[i], 1e-3);
 }
@@ -114,11 +117,24 @@ TEST(Gemm, TransposedBAccumulate) {
   std::vector<float> c(static_cast<std::size_t>(m) * n, 1.0f);
   std::vector<float> expect(c);
   std::vector<float> delta(static_cast<std::size_t>(m) * n);
-  gemm_bt(m, n, k, a.data(), b_t.data(), delta.data());
+  gemm({.m = m, .n = n, .k = k, .a = a.data(), .b = b_t.data(),
+        .trans_b = true, .c = delta.data()});
   for (std::size_t i = 0; i < c.size(); ++i) expect[i] += delta[i];
-  gemm_bt_accumulate(m, n, k, a.data(), b_t.data(), c.data());
+  gemm({.m = m, .n = n, .k = k, .a = a.data(), .b = b_t.data(),
+        .trans_b = true, .c = c.data(), .accumulate = true});
   for (std::size_t i = 0; i < c.size(); ++i)
     EXPECT_NEAR(c[i], expect[i], 1e-4);
+}
+
+// GemmScratch holds one transpose buffer, so an op may transpose at most
+// one operand.
+TEST(Gemm, RejectsBothOperandsTransposed) {
+  const float a[] = {1, 2, 3, 4};
+  const float b[] = {5, 6, 7, 8};
+  float c[4] = {};
+  EXPECT_THROW(gemm({.m = 2, .n = 2, .k = 2, .a = a, .trans_a = true, .b = b,
+                     .trans_b = true, .c = c}),
+               CheckError);
 }
 
 }  // namespace

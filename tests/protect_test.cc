@@ -18,6 +18,7 @@
 #include "protect/envelope.h"
 #include "protect/protected_network.h"
 #include "tensor/gemm.h"
+#include "util/check.h"
 #include "util/thread_pool.h"
 
 namespace qnn::protect {
@@ -27,10 +28,11 @@ namespace {
 
 struct GemmProblem {
   std::int64_t m, n, k;
-  std::vector<float> a, b, bias;
+  std::vector<float> a, b, bias, bt, col_bias;
 
   GemmProblem(std::int64_t m_, std::int64_t n_, std::int64_t k_)
-      : m(m_), n(n_), k(k_), a(m_ * k_), b(k_ * n_), bias(m_) {
+      : m(m_), n(n_), k(k_), a(m_ * k_), b(k_ * n_), bias(m_),
+        bt(n_ * k_), col_bias(n_) {
     // Deterministic, sign-varied fill; magnitudes O(1).
     for (std::size_t i = 0; i < a.size(); ++i)
       a[i] = 0.05f * static_cast<float>((i * 37 + 11) % 23) - 0.5f;
@@ -38,17 +40,30 @@ struct GemmProblem {
       b[i] = 0.04f * static_cast<float>((i * 53 + 5) % 29) - 0.55f;
     for (std::size_t i = 0; i < bias.size(); ++i)
       bias[i] = 0.1f * static_cast<float>(i % 7) - 0.3f;
+    for (std::size_t i = 0; i < bt.size(); ++i)
+      bt[i] = 0.03f * static_cast<float>((i * 41 + 3) % 31) - 0.45f;
+    for (std::size_t j = 0; j < col_bias.size(); ++j)
+      col_bias[j] = 0.05f * static_cast<float>(j % 5);
+  }
+
+  // Conv's forward form: B stored [K,N], per-row bias.
+  GemmOp op(float* c) const {
+    return {.m = m, .n = n, .k = k, .a = a.data(), .b = b.data(), .c = c,
+            .bias = bias.data()};
+  }
+  // InnerProduct's forward form: B stored [N,K], per-column bias.
+  GemmOp bt_op(float* c) const {
+    return {.m = m, .n = n, .k = k, .a = a.data(), .b = bt.data(),
+            .trans_b = true, .c = c, .bias = col_bias.data(),
+            .bias_axis = BiasAxis::kCol};
   }
 };
 
 TEST(Abft, CleanRowBiasMatchesPlainKernelByteForByte) {
   const GemmProblem p(150, 33, 40);  // 3 M-shards at kGemmBlockM = 64
   std::vector<float> plain(p.m * p.n), checked(p.m * p.n);
-  gemm_row_bias(p.m, p.n, p.k, p.a.data(), p.b.data(), plain.data(),
-                p.bias.data());
-  const AbftCounters c = abft_gemm_row_bias(p.m, p.n, p.k, p.a.data(),
-                                            p.b.data(), checked.data(),
-                                            p.bias.data(), AbftOptions{});
+  gemm(p.op(plain.data()));
+  const AbftCounters c = abft_gemm(p.op(checked.data()), AbftOptions{});
   EXPECT_EQ(std::memcmp(plain.data(), checked.data(),
                         plain.size() * sizeof(float)),
             0);
@@ -60,19 +75,9 @@ TEST(Abft, CleanRowBiasMatchesPlainKernelByteForByte) {
 TEST(Abft, CleanBtColBiasMatchesPlainKernelByteForByte) {
   // B stored [N,K]: InnerProduct's forward shape.
   const GemmProblem p(100, 25, 48);
-  std::vector<float> bt(p.n * p.k);
-  for (std::size_t i = 0; i < bt.size(); ++i)
-    bt[i] = 0.03f * static_cast<float>((i * 41 + 3) % 31) - 0.45f;
-  std::vector<float> col_bias(p.n);
-  for (std::size_t j = 0; j < col_bias.size(); ++j)
-    col_bias[j] = 0.05f * static_cast<float>(j % 5);
-
   std::vector<float> plain(p.m * p.n), checked(p.m * p.n);
-  gemm_bt_col_bias(p.m, p.n, p.k, p.a.data(), bt.data(), plain.data(),
-                   col_bias.data());
-  const AbftCounters c =
-      abft_gemm_bt_col_bias(p.m, p.n, p.k, p.a.data(), bt.data(),
-                            checked.data(), col_bias.data(), AbftOptions{});
+  gemm(p.bt_op(plain.data()));
+  const AbftCounters c = abft_gemm(p.bt_op(checked.data()), AbftOptions{});
   EXPECT_EQ(std::memcmp(plain.data(), checked.data(),
                         plain.size() * sizeof(float)),
             0);
@@ -83,13 +88,11 @@ TEST(Abft, CleanBtColBiasMatchesPlainKernelByteForByte) {
 TEST(Abft, TransientCorruptionIsDetectedAndRepaired) {
   const GemmProblem p(150, 33, 40);
   std::vector<float> plain(p.m * p.n), checked(p.m * p.n);
-  gemm_row_bias(p.m, p.n, p.k, p.a.data(), p.b.data(), plain.data(),
-                p.bias.data());
+  gemm(p.op(plain.data()));
   // Corrupt one element of the middle shard on the initial pass only —
   // a transient upset that re-execution heals.
-  const AbftCounters c = abft_gemm_row_bias(
-      p.m, p.n, p.k, p.a.data(), p.b.data(), checked.data(), p.bias.data(),
-      AbftOptions{},
+  const AbftCounters c = abft_gemm(
+      p.op(checked.data()), AbftOptions{},
       [](std::int64_t i0, std::int64_t, std::int64_t, float* c_rows,
          int attempt) {
         if (i0 == kGemmBlockM && attempt == 0) c_rows[0] += 1000.0f;
@@ -117,15 +120,13 @@ TEST(Abft, TallKRecoveryReusesChunkPlanAndRestoresExactBytes) {
   } guard;
   const GemmProblem p(150, 33, 700);
   std::vector<float> plain(p.m * p.n);
-  gemm_row_bias(p.m, p.n, p.k, p.a.data(), p.b.data(), plain.data(),
-                p.bias.data());
+  gemm(p.op(plain.data()));
   for (int threads : {1, 2, 4, 8}) {
     SCOPED_TRACE(std::to_string(threads) + " threads");
     ThreadPool::set_global_threads(threads);
     std::vector<float> checked(p.m * p.n);
-    const AbftCounters c = abft_gemm_row_bias(
-        p.m, p.n, p.k, p.a.data(), p.b.data(), checked.data(),
-        p.bias.data(), AbftOptions{},
+    const AbftCounters c = abft_gemm(
+        p.op(checked.data()), AbftOptions{},
         [](std::int64_t i0, std::int64_t, std::int64_t, float* c_rows,
            int attempt) {
           if (i0 == kGemmBlockM && attempt == 0) c_rows[0] += 1000.0f;
@@ -141,24 +142,15 @@ TEST(Abft, TallKRecoveryReusesChunkPlanAndRestoresExactBytes) {
 }
 
 TEST(Abft, TallKBtRecoveryRestoresExactBytes) {
-  // Same plan-reuse guarantee through the transposed-B entry (the
+  // Same plan-reuse guarantee through the trans_b form (the
   // inner-product forward shape, where K-parallelism engages: small M,
   // K across multiple chunks).
   const GemmProblem p(8, 25, 600);
-  std::vector<float> bt(p.n * p.k);
-  for (std::size_t i = 0; i < bt.size(); ++i)
-    bt[i] = 0.03f * static_cast<float>((i * 41 + 3) % 31) - 0.45f;
-  std::vector<float> col_bias(p.n);
-  for (std::size_t j = 0; j < col_bias.size(); ++j)
-    col_bias[j] = 0.05f * static_cast<float>(j % 5);
-
   std::vector<float> plain(p.m * p.n), checked(p.m * p.n);
-  gemm_bt_col_bias(p.m, p.n, p.k, p.a.data(), bt.data(), plain.data(),
-                   col_bias.data());
+  gemm(p.bt_op(plain.data()));
   GemmScratch scratch;  // shared by initial pass and re-execution
-  const AbftCounters c = abft_gemm_bt_col_bias(
-      p.m, p.n, p.k, p.a.data(), bt.data(), checked.data(),
-      col_bias.data(), AbftOptions{},
+  const AbftCounters c = abft_gemm(
+      p.bt_op(checked.data()), AbftOptions{},
       [](std::int64_t i0, std::int64_t, std::int64_t, float* c_rows,
          int attempt) {
         if (i0 == 0 && attempt == 0) c_rows[1] -= 500.0f;
@@ -177,11 +169,9 @@ TEST(Abft, TallKCleanScopedGemmVerifiesOverShardedPartials) {
   // byte-identical to the plain kernel.
   const GemmProblem p(96, 17, 1000);
   std::vector<float> plain(p.m * p.n), guarded(p.m * p.n);
-  gemm_row_bias(p.m, p.n, p.k, p.a.data(), p.b.data(), plain.data(),
-                p.bias.data());
+  gemm(p.op(plain.data()));
   AbftScope scope{AbftOptions{}};
-  gemm_row_bias_guarded(p.m, p.n, p.k, p.a.data(), p.b.data(),
-                        guarded.data(), p.bias.data());
+  gemm_guarded(p.op(guarded.data()));
   EXPECT_EQ(std::memcmp(plain.data(), guarded.data(),
                         plain.size() * sizeof(float)),
             0);
@@ -196,9 +186,8 @@ TEST(Abft, PersistentCorruptionExhaustsRetriesAndReportsUnrecovered) {
   std::vector<float> checked(p.m * p.n);
   AbftOptions opts;
   opts.max_reexecutions = 2;
-  const AbftCounters c = abft_gemm_row_bias(
-      p.m, p.n, p.k, p.a.data(), p.b.data(), checked.data(), p.bias.data(),
-      opts,
+  const AbftCounters c = abft_gemm(
+      p.op(checked.data()), opts,
       [](std::int64_t i0, std::int64_t, std::int64_t, float* c_rows, int) {
         if (i0 == 0) c_rows[0] += 1000.0f;  // hard fault: every attempt
       });
@@ -213,9 +202,8 @@ TEST(Abft, CorruptionBelowToleranceIsInvisibleByDesign) {
   // product cannot be distinguished from legitimate arithmetic.
   const GemmProblem p(64, 16, 32);
   std::vector<float> checked(p.m * p.n);
-  const AbftCounters c = abft_gemm_row_bias(
-      p.m, p.n, p.k, p.a.data(), p.b.data(), checked.data(), p.bias.data(),
-      AbftOptions{},
+  const AbftCounters c = abft_gemm(
+      p.op(checked.data()), AbftOptions{},
       [](std::int64_t, std::int64_t, std::int64_t, float* c_rows,
          int attempt) {
         if (attempt == 0) c_rows[0] = std::nextafterf(c_rows[0], 1e30f);
@@ -226,11 +214,9 @@ TEST(Abft, CorruptionBelowToleranceIsInvisibleByDesign) {
 TEST(Abft, NaNCorruptionIsCaught) {
   const GemmProblem p(64, 16, 32);
   std::vector<float> plain(p.m * p.n), checked(p.m * p.n);
-  gemm_row_bias(p.m, p.n, p.k, p.a.data(), p.b.data(), plain.data(),
-                p.bias.data());
-  const AbftCounters c = abft_gemm_row_bias(
-      p.m, p.n, p.k, p.a.data(), p.b.data(), checked.data(), p.bias.data(),
-      AbftOptions{},
+  gemm(p.op(plain.data()));
+  const AbftCounters c = abft_gemm(
+      p.op(checked.data()), AbftOptions{},
       [](std::int64_t, std::int64_t, std::int64_t, float* c_rows,
          int attempt) {
         if (attempt == 0) c_rows[3] = std::nanf("");
@@ -242,13 +228,32 @@ TEST(Abft, NaNCorruptionIsCaught) {
             0);
 }
 
+// Forms a shard retry cannot reproduce are refused before any work:
+// accumulate (the retry would add onto the corrupted C, not the old one)
+// and trans_a (a row shard of a [K,M] A is not a contiguous slice).
+TEST(Abft, RejectsAccumulateForm) {
+  const GemmProblem p(64, 16, 32);
+  std::vector<float> c(p.m * p.n, 1.0f);
+  GemmOp op = p.op(c.data());
+  op.accumulate = true;
+  EXPECT_THROW(abft_gemm(op, AbftOptions{}), CheckError);
+  EXPECT_EQ(c, std::vector<float>(p.m * p.n, 1.0f));  // C untouched
+}
+
+TEST(Abft, RejectsTransposedAForm) {
+  const GemmProblem p(64, 16, 32);
+  std::vector<float> c(p.m * p.n, 1.0f);
+  GemmOp op = p.op(c.data());
+  op.trans_a = true;  // p.a read as [K,M]
+  EXPECT_THROW(abft_gemm(op, AbftOptions{}), CheckError);
+  EXPECT_EQ(c, std::vector<float>(p.m * p.n, 1.0f));  // C untouched
+}
+
 TEST(Abft, GuardedDispatchFallsThroughWithoutScope) {
   const GemmProblem p(96, 17, 24);
   std::vector<float> plain(p.m * p.n), guarded(p.m * p.n);
-  gemm_row_bias(p.m, p.n, p.k, p.a.data(), p.b.data(), plain.data(),
-                p.bias.data());
-  gemm_row_bias_guarded(p.m, p.n, p.k, p.a.data(), p.b.data(),
-                        guarded.data(), p.bias.data());
+  gemm(p.op(plain.data()));
+  gemm_guarded(p.op(guarded.data()));
   EXPECT_EQ(std::memcmp(plain.data(), guarded.data(),
                         plain.size() * sizeof(float)),
             0);
@@ -257,11 +262,9 @@ TEST(Abft, GuardedDispatchFallsThroughWithoutScope) {
 TEST(Abft, ScopeCollectsCountersFromGuardedCalls) {
   const GemmProblem p(96, 17, 24);
   std::vector<float> plain(p.m * p.n), guarded(p.m * p.n);
-  gemm_row_bias(p.m, p.n, p.k, p.a.data(), p.b.data(), plain.data(),
-                p.bias.data());
+  gemm(p.op(plain.data()));
   AbftScope scope{AbftOptions{}};
-  gemm_row_bias_guarded(p.m, p.n, p.k, p.a.data(), p.b.data(),
-                        guarded.data(), p.bias.data());
+  gemm_guarded(p.op(guarded.data()));
   EXPECT_EQ(std::memcmp(plain.data(), guarded.data(),
                         plain.size() * sizeof(float)),
             0);
