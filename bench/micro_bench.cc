@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks of the performance-critical kernels:
 // GEMM, im2col, quantizer application, full network forward, range
-// analysis, and the (pure-arithmetic) hardware model evaluation.
+// analysis, the (pure-arithmetic) hardware model evaluation, and the
+// CRC-32 paths behind the serve corruption audit.
 //
 // After the google-benchmark suite runs, main() times a few headline
 // workloads serially (1 thread) and on the full pool and writes the
@@ -32,6 +33,7 @@
 #include "tensor/im2col.h"
 #include "tensor/int_gemm.h"
 #include "tensor/microkernel.h"
+#include "util/crc32.h"
 #include "util/fileio.h"
 #include "util/json.h"
 #include "util/stopwatch.h"
@@ -265,6 +267,36 @@ void BM_SyntheticCifarGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_SyntheticCifarGeneration);
 
+// The serve corruption audit CRCs a replica's whole float parameter
+// image per published batch: about 436 KB for LeNet at scale 0.5.
+constexpr std::int64_t kServeImageBytes = 436 * 1024;
+
+bool crc32_clmul_runs() { return std::string(crc32_kernel()) == "clmul"; }
+
+std::vector<unsigned char> crc32_input(std::size_t size) {
+  std::vector<unsigned char> buf(size);
+  Rng rng(5);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.uniform_int(0, 255));
+  return buf;
+}
+
+// Args: buffer bytes, path (0 = table loop, 1 = carry-less-multiply fold).
+void BM_Crc32(benchmark::State& state) {
+  const bool fold = state.range(1) != 0;
+  if (fold && !crc32_clmul_runs()) {
+    state.SkipWithError("carry-less-multiply CRC not available");
+    return;
+  }
+  const auto buf = crc32_input(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(fold ? crc32_clmul(buf.data(), buf.size())
+                                  : crc32_table(buf.data(), buf.size()));
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)
+    ->ArgNames({"bytes", "clmul"})
+    ->ArgsProduct({{kServeImageBytes, 4096}, {0, 1}});
+
 // --- serial vs N-thread scaling report ---------------------------------
 
 // Wall-time histogram bounds: 1 µs .. ~4.2 s in powers of two.
@@ -387,6 +419,42 @@ std::vector<SimdRow> time_simd_rows(obs::Registry& reg) {
   return rows;
 }
 
+// CRC-32 rows: the table loop and the folding path per call, on the
+// serve image and a 4 KiB buffer (clmul_us stays 0 where PCLMULQDQ is
+// unavailable).
+struct Crc32Row {
+  std::string name;
+  std::int64_t bytes = 0;
+  int calls = 0;  // per timed rep
+  double table_us = 0;
+  double clmul_us = 0;
+};
+
+std::vector<Crc32Row> time_crc32_rows(obs::Registry& reg) {
+  std::vector<Crc32Row> rows = {{"crc32_serve_image", kServeImageBytes, 20},
+                                {"crc32_4k", 4096, 2000}};
+  using CrcFn = std::uint32_t (*)(const void*, std::size_t, std::uint32_t);
+  for (Crc32Row& row : rows) {
+    const auto buf = crc32_input(static_cast<std::size_t>(row.bytes));
+    const auto per_call_us = [&](const std::string& path, CrcFn fn) {
+      std::uint32_t crc = 0;
+      const double ms = best_of_ms(
+          3,
+          reg.histogram("phase.crc32." + row.name + "." + path + "_us",
+                        phase_bounds()),
+          [&] {
+            for (int i = 0; i < row.calls; ++i)
+              crc = fn(buf.data(), buf.size(), crc);
+          });
+      benchmark::DoNotOptimize(crc);
+      return ms * 1000.0 / row.calls;
+    };
+    row.table_us = per_call_us("table", crc32_table);
+    if (crc32_clmul_runs()) row.clmul_us = per_call_us("clmul", crc32_clmul);
+  }
+  return rows;
+}
+
 // The native int path's per-stage plan for the 15 native zoo configs
 // (5 full-size nets x fixed16/8/4): word width, kernel tier, proven
 // accumulator bits and any fallback reason, keyed "<net>.fixed<bits>",
@@ -491,6 +559,7 @@ int write_scaling_report(bench::Session& session, double min_speedup) {
   // SIMD rows run on the 1-thread pool so the ratios isolate the
   // microkernel dispatch from the scheduler.
   const std::vector<SimdRow> simd_rows = time_simd_rows(reg);
+  const std::vector<Crc32Row> crc_rows = time_crc32_rows(reg);
   ThreadPool::set_global_threads(threads);
   for (std::size_t w = 0; w < workloads.size(); ++w)
     rows[w].parallel_ms =
@@ -523,6 +592,7 @@ int write_scaling_report(bench::Session& session, double min_speedup) {
   params.set("gemm_k_chunk", kGemmKChunk);
   params.set("simd_support", simd_level_name(simd_support()));
   params.set("simd_active", simd_level_name(active_simd_level()));
+  params.set("crc32_kernel", crc32_kernel());
   doc.set("params", std::move(params));
   json::Value arr = json::Value::array();
   for (const ScalingRow& row : rows) {
@@ -546,6 +616,17 @@ int write_scaling_report(bench::Session& session, double min_speedup) {
     simd_arr.push_back(std::move(entry));
   }
   doc.set("simd", std::move(simd_arr));
+  json::Value crc_arr = json::Value::array();
+  for (const Crc32Row& row : crc_rows) {
+    json::Value entry = json::Value::object();
+    entry.set("name", row.name);
+    entry.set("bytes", row.bytes);
+    entry.set("table_us", row.table_us);
+    entry.set("clmul_us", row.clmul_us);
+    entry.set("speedup", row.clmul_us > 0 ? row.table_us / row.clmul_us : 0.0);
+    crc_arr.push_back(std::move(entry));
+  }
+  doc.set("crc32", std::move(crc_arr));
   doc.set("phases", std::move(phases));
   write_file_atomic("BENCH_micro.json", doc.dump() + "\n");
 
@@ -563,6 +644,10 @@ int write_scaling_report(bench::Session& session, double min_speedup) {
   for (const SimdRow& row : simd_rows)
     std::cout << "  " << row.name << ": " << row.baseline_ms << " ms -> "
               << row.candidate_ms << " ms (" << row.speedup() << "x)\n";
+  std::cout << "CRC-32 (" << crc32_kernel() << ", per call):\n";
+  for (const Crc32Row& row : crc_rows)
+    std::cout << "  " << row.name << ": table " << row.table_us
+              << " us, clmul " << row.clmul_us << " us\n";
   std::cout << "wrote BENCH_micro.json\n";
 
   // --min-speedup gate: every gated (large) workload must clear the

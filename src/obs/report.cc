@@ -1,6 +1,8 @@
 #include "obs/report.h"
 
 #include "obs/trace.h"
+#include "tensor/microkernel.h"
+#include "util/crc32.h"
 #include "util/fileio.h"
 #include "util/thread_pool.h"
 
@@ -56,6 +58,8 @@ RunReport::RunReport(std::string tool) : root_(json::Value::object()) {
   root_.set("schema", "qnn.run_report/1");
   root_.set("tool", std::move(tool));
   root_.set("threads", ThreadPool::env_threads());
+  root_.set("simd_level", simd_level_name(active_simd_level()));
+  root_.set("crc32_kernel", crc32_kernel());
 }
 
 void RunReport::set(const std::string& key, json::Value v) {

@@ -8,7 +8,9 @@
 // scraping logs.
 //
 // Schema (qnn.run_report/1): a flat object with "schema", "tool",
-// "threads", plus one member per added section. Section values are
+// "threads", "simd_level" (the kernel level active when the report is
+// made: scalar | avx2 | avx512) and "crc32_kernel" (the util/crc32 path:
+// clmul | table), plus one member per added section. Section values are
 // plain JSON built by the to_json() helpers below, so the document is
 // stable and machine-diffable; doubles round-trip bit-exactly through
 // util/json.

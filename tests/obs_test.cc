@@ -15,7 +15,9 @@
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "quant/guards.h"
+#include "tensor/microkernel.h"
 #include "util/check.h"
+#include "util/crc32.h"
 #include "util/json.h"
 #include "util/thread_pool.h"
 
@@ -436,6 +438,22 @@ TEST(ObsReport, DocumentRoundTripsWithSections) {
             3);
   EXPECT_EQ(doc.at("custom").as_int(), 42);
   EXPECT_TRUE(doc.at("trace").contains("enabled"));
+}
+
+TEST(ObsReport, HeaderStatesSimdLevelAndCrcKernel) {
+  {
+    ScopedSimdLevel scalar(SimdLevel::kScalar);
+    const json::Value doc =
+        json::parse(obs::RunReport("obs_test").dump(), "report");
+    EXPECT_EQ(doc.at("simd_level").as_string(), "scalar");
+  }
+  const json::Value doc =
+      json::parse(obs::RunReport("obs_test").dump(), "report");
+  EXPECT_EQ(doc.at("simd_level").as_string(),
+            simd_level_name(active_simd_level()));
+  const std::string kernel = doc.at("crc32_kernel").as_string();
+  EXPECT_EQ(kernel, crc32_kernel());
+  EXPECT_TRUE(kernel == "clmul" || kernel == "table") << kernel;
 }
 
 TEST(ObsReport, TraceAndRegistrySectionsCarryOccupancy) {

@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "util/check.h"
-#include "util/crc32.h"
 #include "util/csv.h"
 #include "util/fileio.h"
 #include "util/json.h"
@@ -247,23 +246,6 @@ TEST(Stopwatch, MeasuresElapsedTime) {
   EXPECT_GE(t0, 0.0);
   sw.reset();
   EXPECT_LT(sw.seconds(), 1.0);
-}
-
-TEST(Crc32, KnownVectors) {
-  // The standard zlib-compatible check value.
-  EXPECT_EQ(crc32("123456789"), 0xCBF43926u);
-  EXPECT_EQ(crc32(""), 0x00000000u);
-  EXPECT_EQ(crc32("a"), 0xE8B7BE43u);
-  // Incremental: crc of "ab" equals crc("b") seeded with crc("a").
-  EXPECT_EQ(crc32("ab"),
-            crc32(std::string_view("b"), crc32(std::string_view("a"))));
-}
-
-TEST(Crc32, DetectsSingleBitChange) {
-  std::string data(256, '\0');
-  const auto base = crc32(data);
-  data[100] ^= 1;
-  EXPECT_NE(crc32(data), base);
 }
 
 TEST(FileIo, AtomicWriteRoundTrip) {
