@@ -3,406 +3,212 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "fixed/fixed_arith.h"
 #include "fixed/plan_sigmoid.h"
-#include "nn/activation.h"
-#include "nn/conv.h"
-#include "nn/inner_product.h"
-#include "nn/pool.h"
 #include "util/check.h"
 
 namespace qnn::hw {
 namespace {
 
+using quant::IntStage;
+using quant::IntStageKind;
+using quant::RawTensor;
+using quant::WeightCode;
+
 std::int64_t saturate(std::int64_t raw, const FixedPointFormat& f) {
   return std::clamp(raw, f.raw_min(), f.raw_max());
 }
 
-// The three weight-block realizations of paper Fig. 2.
-enum class WbKind { kMultiplier, kShifter, kSignMux };
-
-}  // namespace
-
-Tensor RawTensor::decode() const {
-  Tensor t(shape);
-  for (std::int64_t i = 0; i < count(); ++i)
-    t[i] = static_cast<float>(format.from_raw(raw[static_cast<std::size_t>(i)]));
-  return t;
+// Moves a raw word from `from_frac` onto `f`'s grid.
+std::int64_t requantize(std::int64_t raw, int from_frac,
+                        const FixedPointFormat& f) {
+  return saturate(shift_raw_rounded(raw, from_frac, f.frac_bits()), f);
 }
 
-RawTensor encode_tensor(const Tensor& t, const FixedPointFormat& format) {
-  RawTensor r;
-  r.shape = t.shape();
-  r.format = format;
-  r.raw.resize(static_cast<std::size_t>(t.count()));
-  for (std::int64_t i = 0; i < t.count(); ++i)
-    r.raw[static_cast<std::size_t>(i)] = format.to_raw(t[i]);
-  return r;
+RawTensor make_output(const Shape& shape, const FixedPointFormat& format) {
+  RawTensor out;
+  out.shape = shape;
+  out.format = format;
+  out.raw.assign(static_cast<std::size_t>(shape.count()), 0);
+  return out;
 }
 
-// ----------------------------------------------------------------------
-// Stages
-
-struct NfuSimulator::Stage {
-  virtual ~Stage() = default;
-  virtual RawTensor run(const RawTensor& in) const = 0;
-};
-
-namespace {
-
-// Requantizes a raw word from `from_frac` into `format`, optionally
-// applying a real-valued scale (the binary net's folded multiplier).
-std::int64_t requantize(std::int64_t acc, int from_frac, double scale,
-                        const FixedPointFormat& format) {
-  if (scale == 1.0) {
-    return saturate(
-        shift_raw_rounded(acc, from_frac, format.frac_bits()), format);
+// One weight-block product (paper Fig. 2): weight `i` times a data word.
+std::int64_t product(const quant::IntWeights& w, std::size_t i,
+                     std::int64_t data, const MultiplyFn& mul) {
+  switch (w.code) {
+    case WeightCode::kFixed:
+      return mul(w.words[i], data);
+    case WeightCode::kPow2: {
+      if (w.sign[i] == 0) return 0;
+      const int shift = w.headroom + w.words[i];
+      QNN_DCHECK(shift >= 0 && shift < 62);
+      const std::int64_t p = data << shift;
+      return w.sign[i] > 0 ? p : -p;
+    }
+    case WeightCode::kBinary:
+      return w.sign[i] > 0 ? data : -data;
   }
-  const double value = static_cast<double>(acc) *
-                       std::ldexp(1.0, -from_frac) * scale;
-  return format.to_raw(value);
+  return 0;
 }
 
-// Shared weight storage for conv/ip stages.
-struct Bank {
-  WbKind kind = WbKind::kMultiplier;
-  // kMultiplier only: the (possibly approximate) multiplier circuit.
-  MultiplyFn mul = [](std::int64_t a, std::int64_t b) { return a * b; };
-  // kMultiplier: raw weight words. kShifter: signed exponents, with
-  // sign_mask holding the weight signs and zero_mask flagging exact-zero
-  // weights. kSignMux: +1/-1 signs.
-  std::vector<std::int64_t> words;
-  std::vector<std::int8_t> sign;   // kShifter: +1/-1
-  std::vector<std::int8_t> zero;   // kShifter: weight == 0
-  int weight_frac = 0;
-  int headroom = 0;
-  double binary_scale = 1.0;
-  std::vector<std::int64_t> bias;  // raw in bias_frac
-  int bias_frac = 0;
-  bool has_bias = false;
-
-  int acc_frac(int data_frac) const {
-    switch (kind) {
-      case WbKind::kMultiplier: return data_frac + weight_frac;
-      case WbKind::kShifter: return data_frac + headroom;
-      case WbKind::kSignMux: return data_frac;
-    }
-    return data_frac;
+// Output `o`'s weighted sum plus its aligned bias, requantized onto the
+// stage's output site.
+std::int64_t requantize_sum(const IntStage& st, std::size_t o,
+                            std::int64_t sum) {
+  const std::int64_t bias = st.bias.empty() ? 0 : st.bias[o];
+  if (st.weights.code == WeightCode::kBinary) {
+    // The per-tensor scale multiplies the sign-mux sum, not the bias.
+    const double value = (static_cast<double>(sum) * st.weights.scale +
+                          static_cast<double>(bias)) *
+                         std::ldexp(1.0, -st.acc_frac);
+    return st.out.to_raw(value);
   }
-
-  std::int64_t product(std::size_t i, std::int64_t data_raw) const {
-    switch (kind) {
-      case WbKind::kMultiplier:
-        return mul(words[i], data_raw);
-      case WbKind::kShifter: {
-        if (zero[i]) return 0;
-        const int shift = headroom + static_cast<int>(words[i]);
-        QNN_DCHECK(shift >= 0 && shift < 62);
-        const std::int64_t p = data_raw << shift;
-        return sign[i] > 0 ? p : -p;
-      }
-      case WbKind::kSignMux:
-        return words[i] > 0 ? data_raw : -data_raw;
-    }
-    return 0;
-  }
-
-  // Bias term aligned to the accumulator fraction.
-  std::int64_t bias_term(std::size_t channel, int acc_frac_bits) const {
-    if (!has_bias) return 0;
-    return shift_raw_rounded(bias[channel], bias_frac, acc_frac_bits);
-  }
-};
-
-// Builds a Bank from the live (quantized) values of a parameter.
-Bank make_bank(quant::PrecisionKind kind, const Tensor& qweights,
-               const quant::ValueQuantizer& wq, const Tensor* qbias,
-               const quant::ValueQuantizer* bq,
-               const ApproxMultSpec& multiplier) {
-  Bank bank;
-  const std::size_t n = static_cast<std::size_t>(qweights.count());
-  switch (kind) {
-    case quant::PrecisionKind::kFixed: {
-      bank.kind = WbKind::kMultiplier;
-      bank.mul = make_multiplier(multiplier);
-      const auto& fq = dynamic_cast<const quant::FixedQuantizer&>(wq);
-      QNN_CHECK(fq.format().has_value());
-      bank.weight_frac = fq.format()->frac_bits();
-      bank.words.resize(n);
-      for (std::size_t i = 0; i < n; ++i)
-        bank.words[i] =
-            fq.format()->to_raw(static_cast<double>(qweights[static_cast<std::int64_t>(i)]));
-      break;
-    }
-    case quant::PrecisionKind::kPow2: {
-      bank.kind = WbKind::kShifter;
-      bank.words.resize(n);
-      bank.sign.resize(n);
-      bank.zero.resize(n);
-      int min_exp = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        const double v = qweights[static_cast<std::int64_t>(i)];
-        if (v == 0.0) {
-          bank.zero[i] = 1;
-          bank.sign[i] = 1;
-          bank.words[i] = 0;
-          continue;
-        }
-        bank.zero[i] = 0;
-        bank.sign[i] = v > 0 ? 1 : -1;
-        const int e = static_cast<int>(
-            std::lround(std::log2(std::fabs(static_cast<double>(v)))));
-        bank.words[i] = e;
-        min_exp = std::min(min_exp, e);
-      }
-      bank.headroom = -min_exp;
-      break;
-    }
-    case quant::PrecisionKind::kBinary: {
-      // Quantized binary weights are ±scale with one scale per tensor;
-      // the simulator stores signs and folds the scale into requant.
-      bank.kind = WbKind::kSignMux;
-      bank.words.resize(n);
-      for (std::size_t i = 0; i < n; ++i)
-        bank.words[i] = qweights[static_cast<std::int64_t>(i)] >= 0 ? 1 : -1;
-      bank.binary_scale =
-          n > 0 ? std::fabs(static_cast<double>(qweights[0])) : 1.0;
-      break;
-    }
-    case quant::PrecisionKind::kFloat:
-      QNN_CHECK_MSG(false, "float has no integer realization");
-  }
-  if (qbias != nullptr && !qbias->empty()) {
-    const auto& fb = dynamic_cast<const quant::FixedQuantizer&>(*bq);
-    QNN_CHECK(fb.format().has_value());
-    bank.has_bias = true;
-    bank.bias_frac = fb.format()->frac_bits();
-    bank.bias.resize(static_cast<std::size_t>(qbias->count()));
-    for (std::int64_t i = 0; i < qbias->count(); ++i)
-      bank.bias[static_cast<std::size_t>(i)] =
-          fb.format()->to_raw(static_cast<double>((*qbias)[i]));
-  }
-  return bank;
+  return requantize(sum + bias, st.acc_frac, st.out);
 }
 
-struct ConvStage final : NfuSimulator::Stage {
-  Bank bank;
-  std::int64_t in_c, kernel, stride, pad, out_c;
-  FixedPointFormat out_format{16, 8};
-  double requant_scale = 1.0;
-
-  RawTensor run(const RawTensor& in) const override {
-    const Shape& s = in.shape;
-    QNN_CHECK(s.rank() == 4 && s.c() == in_c);
-    const std::int64_t oh = (s.h() + 2 * pad - kernel) / stride + 1;
-    const std::int64_t ow = (s.w() + 2 * pad - kernel) / stride + 1;
-    RawTensor out;
-    out.shape = Shape{s.n(), out_c, oh, ow};
-    out.format = out_format;
-    out.raw.assign(static_cast<std::size_t>(out.shape.count()), 0);
-
-    const int acc_frac = bank.acc_frac(in.format.frac_bits());
-    const std::int64_t ksq = kernel * kernel;
-    for (std::int64_t n = 0; n < s.n(); ++n) {
-      for (std::int64_t oc = 0; oc < out_c; ++oc) {
-        const std::size_t wbase =
-            static_cast<std::size_t>(oc * in_c * ksq);
-        for (std::int64_t y = 0; y < oh; ++y) {
-          for (std::int64_t x = 0; x < ow; ++x) {
-            std::int64_t acc =
-                bank.bias_term(static_cast<std::size_t>(oc), acc_frac);
-            for (std::int64_t c = 0; c < in_c; ++c) {
-              for (std::int64_t ky = 0; ky < kernel; ++ky) {
-                const std::int64_t iy = y * stride - pad + ky;
-                if (iy < 0 || iy >= s.h()) continue;
-                for (std::int64_t kx = 0; kx < kernel; ++kx) {
-                  const std::int64_t ix = x * stride - pad + kx;
-                  if (ix < 0 || ix >= s.w()) continue;
-                  const std::int64_t draw =
-                      in.raw[static_cast<std::size_t>(
-                          ((n * in_c + c) * s.h() + iy) * s.w() + ix)];
-                  acc += bank.product(
-                      wbase + static_cast<std::size_t>(
-                                  (c * kernel + ky) * kernel + kx),
-                      draw);
-                }
+RawTensor run_conv(const IntStage& st, const RawTensor& in,
+                   const MultiplyFn& mul) {
+  const Shape& s = in.shape;
+  QNN_CHECK(s.rank() == 4 && s.c() == st.in_c);
+  RawTensor out = make_output(st.out_shape(s), st.out);
+  const std::int64_t oh = out.shape.h(), ow = out.shape.w();
+  const std::int64_t kernel = st.kernel;
+  for (std::int64_t n = 0; n < s.n(); ++n) {
+    for (std::int64_t oc = 0; oc < st.outputs; ++oc) {
+      const std::size_t wbase = static_cast<std::size_t>(oc * st.k);
+      for (std::int64_t y = 0; y < oh; ++y) {
+        for (std::int64_t x = 0; x < ow; ++x) {
+          std::int64_t sum = 0;
+          for (std::int64_t c = 0; c < st.in_c; ++c) {
+            for (std::int64_t ky = 0; ky < kernel; ++ky) {
+              const std::int64_t iy = y * st.stride - st.pad + ky;
+              if (iy < 0 || iy >= s.h()) continue;
+              for (std::int64_t kx = 0; kx < kernel; ++kx) {
+                const std::int64_t ix = x * st.stride - st.pad + kx;
+                if (ix < 0 || ix >= s.w()) continue;
+                const std::int64_t draw = in.raw[static_cast<std::size_t>(
+                    ((n * st.in_c + c) * s.h() + iy) * s.w() + ix)];
+                sum += product(st.weights,
+                               wbase + static_cast<std::size_t>(
+                                           (c * kernel + ky) * kernel + kx),
+                               draw, mul);
               }
             }
-            out.raw[static_cast<std::size_t>(
-                ((n * out_c + oc) * oh + y) * ow + x)] =
-                requantize(acc, acc_frac, requant_scale, out_format);
+          }
+          out.raw[static_cast<std::size_t>(
+              ((n * st.outputs + oc) * oh + y) * ow + x)] =
+              requantize_sum(st, static_cast<std::size_t>(oc), sum);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// Inner products consume their input flattened per sample.
+RawTensor run_ip(const IntStage& st, const RawTensor& in,
+                 const MultiplyFn& mul) {
+  QNN_CHECK(in.shape.count_from(1) == st.k);
+  RawTensor out = make_output(st.out_shape(in.shape), st.out);
+  for (std::int64_t s = 0; s < in.shape[0]; ++s) {
+    const std::size_t ibase = static_cast<std::size_t>(s * st.k);
+    for (std::int64_t o = 0; o < st.outputs; ++o) {
+      const std::size_t wbase = static_cast<std::size_t>(o * st.k);
+      std::int64_t sum = 0;
+      for (std::int64_t i = 0; i < st.k; ++i)
+        sum += product(st.weights, wbase + static_cast<std::size_t>(i),
+                       in.raw[ibase + static_cast<std::size_t>(i)], mul);
+      out.raw[static_cast<std::size_t>(s * st.outputs + o)] =
+          requantize_sum(st, static_cast<std::size_t>(o), sum);
+    }
+  }
+  return out;
+}
+
+RawTensor run_pool(const IntStage& st, const RawTensor& in) {
+  const Shape& s = in.shape;
+  RawTensor out = make_output(st.out_shape(s), st.out);
+  const std::int64_t oh = out.shape.h(), ow = out.shape.w();
+  const int in_frac = in.format.frac_bits();
+  std::size_t oidx = 0;
+  for (std::int64_t n = 0; n < s.n(); ++n) {
+    for (std::int64_t c = 0; c < s.c(); ++c) {
+      const std::size_t plane =
+          static_cast<std::size_t>((n * s.c() + c) * s.h() * s.w());
+      for (std::int64_t y = 0; y < oh; ++y) {
+        const std::int64_t y0 =
+            std::max<std::int64_t>(0, y * st.stride - st.pad);
+        const std::int64_t y1 =
+            std::min<std::int64_t>(s.h(), y * st.stride - st.pad + st.kernel);
+        for (std::int64_t x = 0; x < ow; ++x, ++oidx) {
+          const std::int64_t x0 =
+              std::max<std::int64_t>(0, x * st.stride - st.pad);
+          const std::int64_t x1 = std::min<std::int64_t>(
+              s.w(), x * st.stride - st.pad + st.kernel);
+          if (st.pool_mode == nn::PoolMode::kMax) {
+            std::int64_t best = std::numeric_limits<std::int64_t>::min();
+            for (std::int64_t yy = y0; yy < y1; ++yy)
+              for (std::int64_t xx = x0; xx < x1; ++xx)
+                best = std::max(best, in.raw[plane + static_cast<std::size_t>(
+                                                         yy * s.w() + xx)]);
+            // Max preserves the grid; only the format label changes.
+            out.raw[oidx] = requantize(best, in_frac, st.out);
+          } else {
+            std::int64_t acc = 0;
+            for (std::int64_t yy = y0; yy < y1; ++yy)
+              for (std::int64_t xx = x0; xx < x1; ++xx)
+                acc += in.raw[plane +
+                              static_cast<std::size_t>(yy * s.w() + xx)];
+            const double count = static_cast<double>((y1 - y0) * (x1 - x0));
+            const double value =
+                static_cast<double>(acc) * std::ldexp(1.0, -in_frac) / count;
+            out.raw[oidx] = st.out.to_raw(value);
           }
         }
       }
     }
-    return out;
   }
-};
+  return out;
+}
 
-struct IpStage final : NfuSimulator::Stage {
-  Bank bank;
-  std::int64_t in_features, out_features;
-  FixedPointFormat out_format{16, 8};
-  double requant_scale = 1.0;
-
-  RawTensor run(const RawTensor& in) const override {
-    const std::int64_t n = in.shape[0];
-    QNN_CHECK(in.shape.count_from(1) == in_features);
-    RawTensor out;
-    out.shape = Shape{n, out_features};
-    out.format = out_format;
-    out.raw.assign(static_cast<std::size_t>(n * out_features), 0);
-    const int acc_frac = bank.acc_frac(in.format.frac_bits());
-    for (std::int64_t s = 0; s < n; ++s) {
-      const std::size_t ibase = static_cast<std::size_t>(s * in_features);
-      for (std::int64_t o = 0; o < out_features; ++o) {
-        std::int64_t acc =
-            bank.bias_term(static_cast<std::size_t>(o), acc_frac);
-        const std::size_t wbase =
-            static_cast<std::size_t>(o * in_features);
-        for (std::int64_t i = 0; i < in_features; ++i)
-          acc += bank.product(wbase + static_cast<std::size_t>(i),
-                              in.raw[ibase + static_cast<std::size_t>(i)]);
-        out.raw[static_cast<std::size_t>(s * out_features + o)] =
-            requantize(acc, acc_frac, requant_scale, out_format);
-      }
+// ReLU, DianNao's stage-3 sigmoid/tanh block, and inference-time dropout
+// (identity: inverted dropout trains with the scale folded in), each
+// re-gridded to the site format. The PLAN piecewise-linear approximation
+// (shift-and-add slopes) is evaluated on decoded values — functionally
+// identical to the fixed-point shift network for the formats in play.
+RawTensor run_pointwise(const IntStage& st, const RawTensor& in) {
+  RawTensor out = make_output(in.shape, st.out);
+  const int in_frac = in.format.frac_bits();
+  for (std::size_t i = 0; i < in.raw.size(); ++i) {
+    const std::int64_t v = in.raw[i];
+    switch (st.kind) {
+      case IntStageKind::kRelu:
+        out.raw[i] = requantize(std::max<std::int64_t>(v, 0), in_frac, st.out);
+        break;
+      case IntStageKind::kSigmoid:
+        out.raw[i] = st.out.to_raw(plan_sigmoid(in.format.from_raw(v)));
+        break;
+      case IntStageKind::kTanh:
+        out.raw[i] = st.out.to_raw(plan_tanh(in.format.from_raw(v)));
+        break;
+      default:
+        out.raw[i] = requantize(v, in_frac, st.out);
     }
-    return out;
   }
-};
+  return out;
+}
 
-struct PoolStage final : NfuSimulator::Stage {
-  nn::PoolMode mode;
-  std::int64_t kernel, stride, pad;
-  FixedPointFormat out_format{16, 8};
-
-  RawTensor run(const RawTensor& in) const override {
-    const Shape& s = in.shape;
-    auto extent = [&](std::int64_t dim) {
-      std::int64_t o = (dim + 2 * pad - kernel + stride - 1) / stride + 1;
-      if (pad > 0 && (o - 1) * stride >= dim + pad) --o;
-      return o;
-    };
-    const std::int64_t oh = extent(s.h()), ow = extent(s.w());
-    RawTensor out;
-    out.shape = Shape{s.n(), s.c(), oh, ow};
-    out.format = out_format;
-    out.raw.assign(static_cast<std::size_t>(out.shape.count()), 0);
-    std::size_t oidx = 0;
-    for (std::int64_t n = 0; n < s.n(); ++n) {
-      for (std::int64_t c = 0; c < s.c(); ++c) {
-        const std::size_t plane =
-            static_cast<std::size_t>((n * s.c() + c) * s.h() * s.w());
-        for (std::int64_t y = 0; y < oh; ++y) {
-          const std::int64_t y0 = std::max<std::int64_t>(0, y * stride - pad);
-          const std::int64_t y1 =
-              std::min<std::int64_t>(s.h(), y * stride - pad + kernel);
-          for (std::int64_t x = 0; x < ow; ++x, ++oidx) {
-            const std::int64_t x0 =
-                std::max<std::int64_t>(0, x * stride - pad);
-            const std::int64_t x1 =
-                std::min<std::int64_t>(s.w(), x * stride - pad + kernel);
-            if (mode == nn::PoolMode::kMax) {
-              std::int64_t best = std::numeric_limits<std::int64_t>::min();
-              for (std::int64_t yy = y0; yy < y1; ++yy)
-                for (std::int64_t xx = x0; xx < x1; ++xx)
-                  best = std::max(
-                      best, in.raw[plane + static_cast<std::size_t>(
-                                               yy * s.w() + xx)]);
-              // Max preserves the grid; only the format label changes.
-              out.raw[oidx] = saturate(
-                  shift_raw_rounded(best, in.format.frac_bits(),
-                                    out_format.frac_bits()),
-                  out_format);
-            } else {
-              std::int64_t acc = 0;
-              for (std::int64_t yy = y0; yy < y1; ++yy)
-                for (std::int64_t xx = x0; xx < x1; ++xx)
-                  acc += in.raw[plane + static_cast<std::size_t>(
-                                            yy * s.w() + xx)];
-              const double count =
-                  static_cast<double>((y1 - y0) * (x1 - x0));
-              const double value = static_cast<double>(acc) *
-                                   std::ldexp(1.0, -in.format.frac_bits()) /
-                                   count;
-              out.raw[oidx] = out_format.to_raw(value);
-            }
-          }
-        }
-      }
-    }
-    return out;
+RawTensor run_stage(const IntStage& stage, const RawTensor& in,
+                    const MultiplyFn& mul) {
+  switch (stage.kind) {
+    case IntStageKind::kConv: return run_conv(stage, in, mul);
+    case IntStageKind::kIp: return run_ip(stage, in, mul);
+    case IntStageKind::kPool: return run_pool(stage, in);
+    default: return run_pointwise(stage, in);
   }
-};
-
-struct ReluStage final : NfuSimulator::Stage {
-  FixedPointFormat out_format{16, 8};
-
-  RawTensor run(const RawTensor& in) const override {
-    RawTensor out;
-    out.shape = in.shape;
-    out.format = out_format;
-    out.raw.resize(in.raw.size());
-    for (std::size_t i = 0; i < in.raw.size(); ++i) {
-      const std::int64_t v = std::max<std::int64_t>(in.raw[i], 0);
-      out.raw[i] = saturate(shift_raw_rounded(v, in.format.frac_bits(),
-                                              out_format.frac_bits()),
-                            out_format);
-    }
-    return out;
-  }
-};
-
-// DianNao's stage-3 sigmoid/tanh block: the PLAN piecewise-linear
-// approximation (shift-and-add slopes), evaluated here on decoded
-// values and re-gridded — functionally identical to the fixed-point
-// shift network for the formats in play.
-struct PlanStage final : NfuSimulator::Stage {
-  bool is_tanh = false;
-  FixedPointFormat out_format{16, 8};
-
-  RawTensor run(const RawTensor& in) const override {
-    RawTensor out;
-    out.shape = in.shape;
-    out.format = out_format;
-    out.raw.resize(in.raw.size());
-    for (std::size_t i = 0; i < in.raw.size(); ++i) {
-      const double x = in.format.from_raw(in.raw[i]);
-      const double y = is_tanh ? plan_tanh(x) : plan_sigmoid(x);
-      out.raw[i] = out_format.to_raw(y);
-    }
-    return out;
-  }
-};
-
-// Inference-time dropout: identity (inverted dropout trains with the
-// scale folded in), just re-gridded to the site format.
-struct PassthroughStage final : NfuSimulator::Stage {
-  FixedPointFormat out_format{16, 8};
-
-  RawTensor run(const RawTensor& in) const override {
-    RawTensor out;
-    out.shape = in.shape;
-    out.format = out_format;
-    out.raw.resize(in.raw.size());
-    for (std::size_t i = 0; i < in.raw.size(); ++i)
-      out.raw[i] = saturate(
-          shift_raw_rounded(in.raw[i], in.format.frac_bits(),
-                            out_format.frac_bits()),
-          out_format);
-    return out;
-  }
-};
-
-const FixedPointFormat& site_format(const quant::QuantizedNetwork& qnet,
-                                    std::size_t site) {
-  const auto* fq = dynamic_cast<const quant::FixedQuantizer*>(
-      &qnet.data_quantizer(site));
-  QNN_CHECK_MSG(fq != nullptr && fq->format().has_value(),
-                "NfuSimulator requires fixed-point data formats "
-                "(calibrated non-float config)");
-  return *fq->format();
 }
 
 }  // namespace
@@ -410,112 +216,35 @@ const FixedPointFormat& site_format(const quant::QuantizedNetwork& qnet,
 NfuSimulator::NfuSimulator(nn::Network& net,
                            const quant::QuantizedNetwork& qnet,
                            const Shape& input_shape,
-                           const ApproxMultSpec& multiplier) {
+                           const ApproxMultSpec& multiplier)
+    : mul_(make_multiplier(multiplier)) {
   QNN_CHECK_MSG(!qnet.config().is_float(),
                 "the float config has no integer realization");
   QNN_CHECK_MSG(multiplier.kind == ApproxMultKind::kExact ||
                     qnet.config().kind == quant::PrecisionKind::kFixed,
                 "approximate multipliers apply to fixed-point configs");
-  QNN_CHECK_MSG(qnet.calibrated(), "calibrate the QuantizedNetwork first");
-  input_format_ = site_format(qnet, 0);
-
-  // Materialize the quantized weights: a forward pass leaves quantized
-  // values live in the network parameters.
+  if (qnet.inference_frozen()) {
+    plan_ = quant::lower_int_plan(net, qnet);
+    return;
+  }
+  // A forward leaves the quantized values live in the network parameters.
   auto& mutable_qnet = const_cast<quant::QuantizedNetwork&>(qnet);
-  {
-    std::vector<std::int64_t> dims = input_shape.dims();
-    QNN_CHECK(!dims.empty());
-    dims[0] = 1;
-    (void)mutable_qnet.forward(Tensor(Shape{dims}));
-  }
-
-  const quant::PrecisionKind kind = qnet.config().kind;
-  std::size_t param_index = 0;
-  for (std::size_t li = 0; li < net.num_layers(); ++li) {
-    nn::Layer& layer = net.layer(li);
-    const FixedPointFormat& of = site_format(qnet, li + 1);
-    if (auto* conv = dynamic_cast<nn::Conv2d*>(&layer)) {
-      auto stage = std::make_unique<ConvStage>();
-      const auto params = conv->params();
-      const Tensor* bias =
-          params.size() > 1 ? &params[1]->value : nullptr;
-      stage->bank = make_bank(
-          kind, params[0]->value, qnet.weight_quantizer(param_index), bias,
-          params.size() > 1 ? &qnet.weight_quantizer(param_index + 1)
-                            : nullptr,
-          multiplier);
-      stage->requant_scale =
-          kind == quant::PrecisionKind::kBinary ? stage->bank.binary_scale
-                                                : 1.0;
-      param_index += params.size();
-      stage->in_c = conv->in_channels();
-      stage->kernel = conv->spec().kernel;
-      stage->stride = conv->spec().stride;
-      stage->pad = conv->spec().pad;
-      stage->out_c = conv->spec().out_channels;
-      stage->out_format = of;
-      stages_.push_back(std::move(stage));
-    } else if (auto* ip = dynamic_cast<nn::InnerProduct*>(&layer)) {
-      auto stage = std::make_unique<IpStage>();
-      const auto params = ip->params();
-      const Tensor* bias =
-          params.size() > 1 ? &params[1]->value : nullptr;
-      stage->bank = make_bank(
-          kind, params[0]->value, qnet.weight_quantizer(param_index), bias,
-          params.size() > 1 ? &qnet.weight_quantizer(param_index + 1)
-                            : nullptr,
-          multiplier);
-      stage->requant_scale =
-          kind == quant::PrecisionKind::kBinary ? stage->bank.binary_scale
-                                                : 1.0;
-      param_index += params.size();
-      stage->in_features = ip->in_features();
-      stage->out_features = ip->out_features();
-      stage->out_format = of;
-      stages_.push_back(std::move(stage));
-    } else if (auto* pool = dynamic_cast<nn::Pool2d*>(&layer)) {
-      auto stage = std::make_unique<PoolStage>();
-      stage->mode = pool->spec().mode;
-      stage->kernel = pool->spec().kernel;
-      stage->stride = pool->spec().stride;
-      stage->pad = pool->spec().pad;
-      stage->out_format = of;
-      stages_.push_back(std::move(stage));
-    } else if (dynamic_cast<nn::Relu*>(&layer) != nullptr) {
-      auto stage = std::make_unique<ReluStage>();
-      stage->out_format = of;
-      stages_.push_back(std::move(stage));
-    } else if (dynamic_cast<nn::Sigmoid*>(&layer) != nullptr ||
-               dynamic_cast<nn::Tanh*>(&layer) != nullptr) {
-      auto stage = std::make_unique<PlanStage>();
-      stage->is_tanh = dynamic_cast<nn::Tanh*>(&layer) != nullptr;
-      stage->out_format = of;
-      stages_.push_back(std::move(stage));
-    } else if (dynamic_cast<nn::Dropout*>(&layer) != nullptr) {
-      auto stage = std::make_unique<PassthroughStage>();
-      stage->out_format = of;
-      stages_.push_back(std::move(stage));
-    } else {
-      QNN_CHECK_MSG(false, "unsupported layer kind in NfuSimulator: "
-                               << layer.kind());
-    }
-  }
+  std::vector<std::int64_t> dims = input_shape.dims();
+  QNN_CHECK(!dims.empty());
+  dims[0] = 1;
+  (void)mutable_qnet.forward(Tensor(Shape{dims}));
+  plan_ = quant::lower_int_plan(net, qnet);
   mutable_qnet.restore_masters();
 }
 
-NfuSimulator::~NfuSimulator() = default;
+RawTensor NfuSimulator::forward_raw(const Tensor& input) const {
+  RawTensor x = quant::encode_tensor(input, plan_.input);
+  for (const IntStage& stage : plan_.stages) x = run_stage(stage, x, mul_);
+  return x;
+}
 
 Tensor NfuSimulator::forward(const Tensor& input) const {
-  RawTensor x = encode_tensor(input, input_format_);
-  for (const auto& stage : stages_) {
-    // Inner products consume flattened inputs.
-    if (dynamic_cast<const IpStage*>(stage.get()) != nullptr &&
-        x.shape.rank() != 2) {
-      x.shape = Shape{x.shape[0], x.shape.count_from(1)};
-    }
-    x = stage->run(x);
-  }
-  return x.decode();
+  return forward_raw(input).decode();
 }
 
 }  // namespace qnn::hw

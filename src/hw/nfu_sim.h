@@ -5,76 +5,64 @@
 // raw two's-complement words from the buffers, a weight-block stage that
 // is a multiplier / barrel shifter / sign-mux depending on precision, a
 // wide adder-tree accumulator, and a requantizing nonlinearity stage.
-// This module executes a calibrated QuantizedNetwork exactly that way:
+// This module is the naive reference executor of that arithmetic over
+// the shared integer lowering (quant/int_plan):
 //
 //   * weights/biases/activations live as int64 raw words in their
 //     calibrated FixedPointFormats;
-//   * convolution / inner-product MACs accumulate exactly in a wide
-//     accumulator (never overflows for the paper's layer sizes);
+//   * convolution / inner-product MACs accumulate exactly in an int64
+//     accumulator, one hand-written loop per stage kind;
 //   * power-of-two weights multiply by shifting; binary weights by
-//     conditional negation, with the per-tensor scale folded into the
-//     requantization step (a fixed multiplier there, as DESIGN.md §5
-//     documents);
+//     conditional negation, with the per-tensor scale applied to the
+//     sign-mux sum at requantization (a fixed multiplier there, as
+//     DESIGN.md §5 documents);
 //   * pooling and ReLU operate on raw words (order-preserving);
 //   * every layer boundary requantizes into the site's data format.
 //
-// Because the float path accumulates in float32 while this path is
-// exact, outputs can differ by the float path's accumulation rounding —
-// at most about one output grid step for the paper's fan-ins. The
-// equivalence tests assert exactly that bound, which is the evidence
-// that fake-quantized training is faithful to the hardware.
+// Its loops share no code with the packed integer kernels
+// (tensor/int_gemm), so the native engine (quant/int_inference) is
+// checked against it word for word. The lowering the two share is
+// checked separately: against the fake-quantized float path within one
+// output grid step (the float path accumulates in float32), and against
+// hand-computed golden words (tests/nfu_sim_test.cc).
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "fixed/approx_mult.h"
-#include "fixed/fixed_format.h"
+#include "quant/int_plan.h"
 #include "quant/qnetwork.h"
 #include "tensor/tensor.h"
 
 namespace qnn::hw {
 
-// A tensor of raw fixed-point words tagged with its format.
-struct RawTensor {
-  Shape shape;
-  std::vector<std::int64_t> raw;
-  FixedPointFormat format{16, 8};
-
-  std::int64_t count() const { return shape.count(); }
-  // Decodes to float for inspection / final readout.
-  Tensor decode() const;
-};
-
-// Encodes a float tensor onto `format`'s grid as raw words.
-RawTensor encode_tensor(const Tensor& t, const FixedPointFormat& format);
-
 class NfuSimulator {
  public:
-  // Captures the quantized weights and all calibrated formats from a
-  // calibrated QuantizedNetwork over `net`. Only fixed-point data paths
-  // are supported (every non-float paper config qualifies: their data
-  // side is fixed-point). The float config has no integer realization.
-  // `input_shape` is the network's sample input shape (N ignored).
-  // `multiplier` swaps the weight-block multiplier for an approximate
-  // design (fixed-point configs only; pow2/binary have no multiplier).
+  // Lowers a calibrated QuantizedNetwork over `net`. Only fixed-point
+  // data paths are supported (every non-float paper config qualifies:
+  // their data side is fixed-point); the float config has no integer
+  // realization. A frozen `qnet` is lowered from its live parameter
+  // image and stays frozen; otherwise one forward on a zero input of
+  // `input_shape` (N ignored) materializes the quantized weights and
+  // the masters are restored afterwards. `multiplier` swaps the
+  // weight-block multiplier for an approximate design (fixed-point
+  // configs only; pow2/binary have no multiplier).
   NfuSimulator(nn::Network& net, const quant::QuantizedNetwork& qnet,
                const Shape& input_shape,
                const ApproxMultSpec& multiplier = {});
-  ~NfuSimulator();  // out-of-line: Stage is incomplete here
 
   // Integer-domain forward pass; returns decoded float logits.
   Tensor forward(const Tensor& input) const;
+  // The same forward, returning the final site's raw words.
+  quant::RawTensor forward_raw(const Tensor& input) const;
 
-  // Number of executed (non-trivial) stages, for introspection.
-  std::size_t num_stages() const { return stages_.size(); }
-
-  struct Stage;  // opaque; defined in the .cc
+  // Number of executed stages (one per layer), for introspection.
+  std::size_t num_stages() const { return plan_.stages.size(); }
+  const quant::IntPlan& plan() const { return plan_; }
 
  private:
-  std::vector<std::unique_ptr<Stage>> stages_;
-  FixedPointFormat input_format_{16, 8};
+  quant::IntPlan plan_;
+  MultiplyFn mul_;
 };
 
 }  // namespace qnn::hw

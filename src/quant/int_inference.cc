@@ -8,10 +8,6 @@
 
 #include "fixed/fixed_arith.h"
 #include "fixed/plan_sigmoid.h"
-#include "nn/activation.h"
-#include "nn/conv.h"
-#include "nn/inner_product.h"
-#include "nn/pool.h"
 #include "obs/trace.h"
 #include "quant/qnetwork.h"
 #include "tensor/int_gemm.h"
@@ -52,15 +48,6 @@ std::int64_t saturate(std::int64_t raw, const FixedPointFormat& f) {
   return std::clamp(raw, f.raw_min(), f.raw_max());
 }
 
-const FixedPointFormat& site_fmt(const QuantizedNetwork& qnet,
-                                 std::size_t site) {
-  const auto* fq =
-      dynamic_cast<const FixedQuantizer*>(&qnet.data_quantizer(site));
-  QNN_CHECK_MSG(fq != nullptr && fq->format().has_value(),
-                "int inference requires calibrated fixed-point data formats");
-  return *fq->format();
-}
-
 // The shift-round-saturate step from `from_frac` onto `f`'s grid.
 IntRequant requant_to(int from_frac, const FixedPointFormat& f) {
   const int shift = from_frac - f.frac_bits();
@@ -81,12 +68,13 @@ struct View {
 template <typename WordT>
 struct Stage {
   virtual ~Stage() = default;
-  std::size_t layer = 0;  // network layer index: the span's argument
+  // The plan stage: geometry and formats. A conv / inner product drops
+  // its weight words and bias once they are packed.
+  IntStage spec;
   // Span name and category; literals, since spans keep the pointers.
   const char* span_name = "int.stage";
   const char* span_cat = "int";
-  FixedPointFormat out_format{16, 8};
-  virtual Shape out_shape(const Shape& in) const { return in; }
+  FixedPointFormat out_format{16, 8};  // spec.out, or a fused ReLU's site
   // Scratch words run() needs for an input of shape `in`.
   virtual std::int64_t scratch_words(const Shape&) const { return 0; }
   virtual void run(const View<WordT>& in, WordT* out,
@@ -99,8 +87,6 @@ struct Stage {
 template <typename WordT>
 struct GemmStage : Stage<WordT> {
   static constexpr bool kOffset = sizeof(WordT) == 1;
-  std::int64_t k = 0;        // reduction length
-  std::int64_t outputs = 0;  // output channels / features
   std::vector<WordT> weights;
   std::vector<std::int64_t> addend;
   IntTier tier = IntTier::kExact64;
@@ -114,7 +100,7 @@ struct GemmStage : Stage<WordT> {
   IntTileJob job() const {
     IntTileJob j;
     j.body = int_body<WordT>;
-    j.groups = int_groups<WordT>(k);
+    j.groups = int_groups<WordT>(this->spec.k);
     j.epi = epi;
     j.epi.out_bytes = sizeof(WordT);
     return j;
@@ -125,20 +111,26 @@ struct GemmStage : Stage<WordT> {
 // encoded weights, the input site's raw range and the aligned bias,
 // take the tier the bound proves exact, fold bias and offset correction
 // into the addend, and pack the weights (as B panels when they are the
-// column operand, as A rows otherwise).
+// column operand, as A rows otherwise). The plan's words and bias are
+// released: only the packed form stays.
 template <typename WordT>
-IntStagePlan plan_gemm(GemmStage<WordT>& st, const std::vector<WordT>& w,
-                       int weight_frac, const std::vector<std::int64_t>& bias,
-                       int bias_frac, const FixedPointFormat& in,
-                       const FixedPointFormat& out,
-                       const FixedPointFormat* relu_out,
+IntStagePlan plan_gemm(GemmStage<WordT>& st, const FixedPointFormat* relu_out,
                        bool weights_as_panels) {
-  const int acc_frac = in.frac_bits() + weight_frac;
-  st.addend.assign(static_cast<std::size_t>(st.outputs), 0);
-  for (std::size_t o = 0; o < bias.size(); ++o)
-    st.addend[o] = shift_raw_rounded(bias[o], bias_frac, acc_frac);
+  IntStage& spec = st.spec;
+  const std::int64_t outputs = spec.outputs, k = spec.k;
+  std::vector<WordT> w(spec.weights.words.size());
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    const std::int32_t raw = spec.weights.words[i];
+    QNN_DCHECK(raw >= std::numeric_limits<WordT>::min() &&
+               raw <= std::numeric_limits<WordT>::max());
+    w[i] = static_cast<WordT>(raw);
+  }
+  st.addend = std::move(spec.bias);
+  st.addend.resize(static_cast<std::size_t>(outputs), 0);
+  spec.weights = IntWeights{};
+  spec.bias = {};
   const AccBound bound =
-      bound_accumulator(st.outputs, st.k, w.data(), in, st.addend.data());
+      bound_accumulator(outputs, k, w.data(), spec.in, st.addend.data());
 
   IntStagePlan plan;
   plan.word_bits = 8 * static_cast<int>(sizeof(WordT));
@@ -148,75 +140,70 @@ IntStagePlan plan_gemm(GemmStage<WordT>& st, const std::vector<WordT>& w,
   st.tier = plan.tier;
 
   if constexpr (GemmStage<WordT>::kOffset) {
-    for (std::int64_t o = 0; o < st.outputs; ++o) {
+    for (std::int64_t o = 0; o < outputs; ++o) {
       std::int64_t sum = 0;
-      for (std::int64_t p = 0; p < st.k; ++p) sum += w[o * st.k + p];
+      for (std::int64_t p = 0; p < k; ++p) sum += w[o * k + p];
       st.addend[static_cast<std::size_t>(o)] -= 128 * sum;
     }
   }
   if (weights_as_panels) {
-    st.weights.resize(static_cast<std::size_t>(
-        int_panels(st.outputs) * int_panel_words<WordT>(st.k)));
-    pack_int_panels(st.outputs, st.k, w.data(), st.k, false,
-                    st.weights.data());
+    st.weights.resize(static_cast<std::size_t>(int_panels(outputs) *
+                                               int_panel_words<WordT>(k)));
+    pack_int_panels(outputs, k, w.data(), k, false, st.weights.data());
   } else {
     st.weights.resize(
-        static_cast<std::size_t>(st.outputs * int_row_words<WordT>(st.k)));
-    pack_int_rows(st.outputs, st.k, w.data(), st.k, false, st.weights.data());
+        static_cast<std::size_t>(outputs * int_row_words<WordT>(k)));
+    pack_int_rows(outputs, k, w.data(), k, false, st.weights.data());
   }
-  st.epi.requant = requant_to(acc_frac, out);
+  st.epi.requant = requant_to(spec.acc_frac, spec.out);
   st.epi.relu = relu_out != nullptr;
   if (relu_out != nullptr)
-    st.epi.relu_requant = requant_to(out.frac_bits(), *relu_out);
-  st.out_format = relu_out != nullptr ? *relu_out : out;
+    st.epi.relu_requant = requant_to(spec.out.frac_bits(), *relu_out);
+  st.out_format = relu_out != nullptr ? *relu_out : spec.out;
   st.span_cat = int_tier_name(plan.tier);
   return plan;
 }
 
 template <typename WordT>
 struct ConvStage final : GemmStage<WordT> {
-  std::int64_t in_c = 0, kernel = 0, stride = 1, pad = 0;
-
-  std::int64_t out_dim(std::int64_t d) const {
-    return (d + 2 * pad - kernel) / stride + 1;
-  }
-  Shape out_shape(const Shape& s) const override {
-    return Shape{s.n(), this->outputs, out_dim(s.h()), out_dim(s.w())};
-  }
   // Work items are (sample, panel) pairs; each shard packs one panel at a
   // time into its own scratch slot, gathering from the input image
   // zero-padded (and, for int8, offset) once per forward.
   std::int64_t items(const Shape& s) const {
-    return s.n() * int_panels(out_dim(s.h()) * out_dim(s.w()));
+    const Shape o = this->spec.out_shape(s);
+    return s.n() * int_panels(o.h() * o.w());
   }
   std::int64_t grain() const {
-    return shard_grain(2 * this->outputs * kIntPanel * this->k);
+    return shard_grain(2 * this->spec.outputs * kIntPanel * this->spec.k);
   }
   std::int64_t padded_words(const Shape& s) const {
-    return s.n() * in_c * (s.h() + 2 * pad) * (s.w() + 2 * pad);
+    const std::int64_t pad = this->spec.pad;
+    return s.n() * this->spec.in_c * (s.h() + 2 * pad) * (s.w() + 2 * pad);
   }
   std::int64_t scratch_words(const Shape& s) const override {
     return padded_words(s) +
            static_cast<std::int64_t>(
                make_shards(items(s), kReductionShards, grain()).size()) *
-               int_panel_words<WordT>(this->k);
+               int_panel_words<WordT>(this->spec.k);
   }
 
   void run(const View<WordT>& in, WordT* out, WordT* scratch) const override {
+    const IntStage& sp = this->spec;
     const Shape& s = in.shape;
-    QNN_CHECK(s.rank() == 4 && s.c() == in_c);
-    const std::int64_t ow = out_dim(s.w());
-    const std::int64_t ohw = out_dim(s.h()) * ow;
+    QNN_CHECK(s.rank() == 4 && s.c() == sp.in_c);
+    const Shape os = sp.out_shape(s);
+    const std::int64_t ow = os.w();
+    const std::int64_t ohw = os.h() * ow;
     const std::int64_t panels = int_panels(ohw);
-    const std::int64_t panel_words = int_panel_words<WordT>(this->k);
-    const std::int64_t hp = s.h() + 2 * pad, wp = s.w() + 2 * pad;
-    const std::int64_t plane = in_c * hp * wp;
+    const std::int64_t panel_words = int_panel_words<WordT>(sp.k);
+    const std::int64_t hp = s.h() + 2 * sp.pad, wp = s.w() + 2 * sp.pad;
+    const std::int64_t plane = sp.in_c * hp * wp;
     WordT* padded = scratch;
     scratch += padded_words(s);
     pad_planes(in, hp, wp, padded);
     const SimdLevel level = this->level();
     IntTileJob job = this->job();
-    job.m = this->outputs;
+    job.m = sp.outputs;
     job.a = this->weights.data();
     job.epi.row_add = this->addend.data();
     job.epi.ldo = ohw;
@@ -232,7 +219,7 @@ struct ConvStage final : GemmStage<WordT> {
             part.n = std::min(kIntPanel, ohw - j0);
             pack_patch(padded + sample * plane, hp, wp, ow, j0, part.n,
                        panel);
-            part.epi.out = out + sample * this->outputs * ohw + j0;
+            part.epi.out = out + sample * sp.outputs * ohw + j0;
             int_tiles(level, part);
           }
         });
@@ -243,9 +230,10 @@ struct ConvStage final : GemmStage<WordT> {
   void pad_planes(const View<WordT>& in, std::int64_t hp, std::int64_t wp,
                   WordT* padded) const {
     const Shape& s = in.shape;
+    const std::int64_t pad = this->spec.pad;
     const WordT zero = int_pack_word<WordT>(0, GemmStage<WordT>::kOffset);
     parallel_for_shards(
-        s.n() * in_c, kReductionShards, shard_grain(2 * hp * wp),
+        s.n() * this->spec.in_c, kReductionShards, shard_grain(2 * hp * wp),
         [&](std::size_t, std::int64_t begin, std::int64_t end) {
           for (std::int64_t pl = begin; pl < end; ++pl) {
             const WordT* src = in.w + pl * s.h() * s.w();
@@ -266,18 +254,20 @@ struct ConvStage final : GemmStage<WordT> {
                   std::int64_t ow, std::int64_t j0, std::int64_t cols,
                   WordT* panel) const {
     constexpr std::int64_t per = int_group_words<WordT>;
+    const IntStage& sp = this->spec;
     const WordT zero = int_pack_word<WordT>(0, GemmStage<WordT>::kOffset);
     // Window origin of each column; columns past the image read the
     // origin (any in-bounds word) and store zero instead.
     std::int64_t base[kIntPanel];
     for (std::int64_t c = 0; c < kIntPanel; ++c) {
       const std::int64_t pos = j0 + c;
-      base[c] = c < cols ? (pos / ow) * stride * wp + (pos % ow) * stride : 0;
+      base[c] =
+          c < cols ? (pos / ow) * sp.stride * wp + (pos % ow) * sp.stride : 0;
     }
     std::int64_t r = 0;
-    for (std::int64_t ci = 0; ci < in_c; ++ci) {
-      for (std::int64_t ky = 0; ky < kernel; ++ky) {
-        for (std::int64_t kx = 0; kx < kernel; ++kx, ++r) {
+    for (std::int64_t ci = 0; ci < sp.in_c; ++ci) {
+      for (std::int64_t ky = 0; ky < sp.kernel; ++ky) {
+        for (std::int64_t kx = 0; kx < sp.kernel; ++kx, ++r) {
           const WordT* src = img + (ci * hp + ky) * wp + kx;
           WordT* dst = panel + (r / per) * kIntPanel * per + r % per;
           for (std::int64_t c = 0; c < kIntPanel; ++c)
@@ -285,7 +275,7 @@ struct ConvStage final : GemmStage<WordT> {
         }
       }
     }
-    for (; r < int_row_words<WordT>(this->k); ++r) {
+    for (; r < int_row_words<WordT>(sp.k); ++r) {
       WordT* dst = panel + (r / per) * kIntPanel * per + r % per;
       for (std::int64_t c = 0; c < kIntPanel; ++c) dst[c * per] = zero;
     }
@@ -296,48 +286,35 @@ struct ConvStage final : GemmStage<WordT> {
 // samples, the activation side of the job.
 template <typename WordT>
 struct IpStage final : GemmStage<WordT> {
-  Shape out_shape(const Shape& s) const override {
-    return Shape{s[0], this->outputs};
-  }
   std::int64_t scratch_words(const Shape& s) const override {
-    return s[0] * int_row_words<WordT>(this->k);
+    return s[0] * int_row_words<WordT>(this->spec.k);
   }
 
   void run(const View<WordT>& in, WordT* out, WordT* scratch) const override {
-    const std::int64_t n = in.shape[0];
-    QNN_CHECK(in.shape.count_from(1) == this->k);
-    pack_int_rows(n, this->k, in.w, this->k, GemmStage<WordT>::kOffset,
-                  scratch);
+    const std::int64_t n = in.shape[0], k = this->spec.k;
+    QNN_CHECK(in.shape.count_from(1) == k);
+    pack_int_rows(n, k, in.w, k, GemmStage<WordT>::kOffset, scratch);
     IntTileJob job = this->job();
     job.a_unsigned = true;
     job.m = n;
-    job.n = this->outputs;
+    job.n = this->spec.outputs;
     job.a = scratch;
     job.b = this->weights.data();
     job.epi.col_add = this->addend.data();
     job.epi.out = out;
-    job.epi.ldo = this->outputs;
+    job.epi.ldo = this->spec.outputs;
     int_gemm_packed(this->level(), job);
   }
 };
 
 template <typename WordT>
 struct PoolStage final : Stage<WordT> {
-  nn::PoolMode mode = nn::PoolMode::kMax;
-  std::int64_t kernel = 2, stride = 2, pad = 0;
-
-  std::int64_t extent(std::int64_t dim) const {
-    std::int64_t o = (dim + 2 * pad - kernel + stride - 1) / stride + 1;
-    if (pad > 0 && (o - 1) * stride >= dim + pad) --o;
-    return o;
-  }
-  Shape out_shape(const Shape& s) const override {
-    return Shape{s.n(), s.c(), extent(s.h()), extent(s.w())};
-  }
-
   void run(const View<WordT>& in, WordT* out, WordT*) const override {
+    const IntStage& sp = this->spec;
     const Shape& s = in.shape;
-    const std::int64_t oh = extent(s.h()), ow = extent(s.w());
+    const Shape os = sp.out_shape(s);
+    const std::int64_t oh = os.h(), ow = os.w();
+    const std::int64_t kernel = sp.kernel, stride = sp.stride, pad = sp.pad;
     const int in_frac = in.format.frac_bits();
     const std::int64_t planes = s.n() * s.c();
     parallel_for_shards(
@@ -356,7 +333,7 @@ struct PoolStage final : Stage<WordT> {
                     std::max<std::int64_t>(0, x * stride - pad);
                 const std::int64_t x1 =
                     std::min<std::int64_t>(s.w(), x * stride - pad + kernel);
-                if (mode == nn::PoolMode::kMax) {
+                if (sp.pool_mode == nn::PoolMode::kMax) {
                   std::int64_t best =
                       std::numeric_limits<std::int64_t>::min();
                   for (std::int64_t yy = y0; yy < y1; ++yy)
@@ -407,9 +384,8 @@ struct ReluStage final : Stage<WordT> {
 
 template <typename WordT>
 struct PlanStage final : Stage<WordT> {
-  bool is_tanh = false;
-
   void run(const View<WordT>& in, WordT* out, WordT*) const override {
+    const bool is_tanh = this->spec.kind == IntStageKind::kTanh;
     parallel_for_shards(
         in.shape.count(), kReductionShards, shard_grain(8),
         [&](std::size_t, std::int64_t begin, std::int64_t end) {
@@ -446,13 +422,13 @@ struct Body {
   // One forward. Stage shapes come first, so the activation ping-pong
   // pair and the stages' shared scratch are sized once per forward;
   // nothing is cached between calls, so concurrent forwards are safe.
-  IntRawResult run(const Tensor& input) const {
+  RawTensor run(const Tensor& input) const {
     std::vector<Shape> shapes{input.shape()};
     std::int64_t words = input.count(), scratch_words = 0;
     for (const auto& stage : stages) {
       scratch_words =
           std::max(scratch_words, stage->scratch_words(shapes.back()));
-      shapes.push_back(stage->out_shape(shapes.back()));
+      shapes.push_back(stage->spec.out_shape(shapes.back()));
       words = std::max(words, shapes.back().count());
     }
     std::vector<WordT> ping(static_cast<std::size_t>(words));
@@ -468,12 +444,12 @@ struct Body {
       WordT* dst = x.w == ping.data() ? pong.data() : ping.data();
       {
         QNN_SPAN_N(stage.span_name, stage.span_cat,
-                   static_cast<std::int64_t>(stage.layer));
+                   static_cast<std::int64_t>(stage.spec.layer));
         stage.run(x, dst, scratch.data());
       }
       x = View<WordT>{dst, shapes[i + 1], stage.out_format};
     }
-    IntRawResult r;
+    RawTensor r;
     r.shape = x.shape;
     r.format = x.format;
     r.raw.assign(x.w, x.w + x.shape.count());
@@ -481,135 +457,62 @@ struct Body {
   }
 };
 
-// Encodes one quantized parameter tensor through its calibrated format.
+// Turns the plan into kernel stages, consuming it: each conv / inner
+// product packs its words and releases them.
 template <typename WordT>
-void encode_param(const Tensor& values, const ValueQuantizer& q,
-                  std::vector<WordT>* words, int* frac) {
-  const auto& fq = dynamic_cast<const FixedQuantizer&>(q);
-  QNN_CHECK(fq.format().has_value());
-  *frac = fq.format()->frac_bits();
-  words->resize(static_cast<std::size_t>(values.count()));
-  for (std::int64_t i = 0; i < values.count(); ++i) {
-    const std::int64_t raw =
-        fq.format()->to_raw(static_cast<double>(values[i]));
-    QNN_DCHECK(raw >= std::numeric_limits<WordT>::min() &&
-               raw <= std::numeric_limits<WordT>::max());
-    (*words)[static_cast<std::size_t>(i)] = static_cast<WordT>(raw);
-  }
-}
-
-void encode_bias(const Tensor& values, const ValueQuantizer& q,
-                 std::vector<std::int64_t>* raw, int* frac) {
-  const auto& fq = dynamic_cast<const FixedQuantizer&>(q);
-  QNN_CHECK(fq.format().has_value());
-  *frac = fq.format()->frac_bits();
-  raw->resize(static_cast<std::size_t>(values.count()));
-  for (std::int64_t i = 0; i < values.count(); ++i)
-    (*raw)[static_cast<std::size_t>(i)] =
-        fq.format()->to_raw(static_cast<double>(values[i]));
-}
-
-template <typename WordT>
-std::unique_ptr<Body<WordT>> build_body(nn::Network& net,
-                                        const QuantizedNetwork& qnet,
-                                        IntPathPlan* plan) {
+std::unique_ptr<Body<WordT>> build_body(IntPlan& plan, IntPathPlan* report) {
   auto body = std::make_unique<Body<WordT>>();
-  body->input_format = site_fmt(qnet, 0);
-  std::size_t param_index = 0;
-  for (std::size_t li = 0; li < net.num_layers(); ++li) {
-    nn::Layer& layer = net.layer(li);
-    const FixedPointFormat& in = site_fmt(qnet, li);
-    const FixedPointFormat& of = site_fmt(qnet, li + 1);
+  body->input_format = plan.input;
+  for (std::size_t i = 0; i < plan.stages.size(); ++i) {
+    IntStage& spec = plan.stages[i];
     std::unique_ptr<Stage<WordT>> stage;
-    auto* conv = dynamic_cast<nn::Conv2d*>(&layer);
-    auto* ip = dynamic_cast<nn::InnerProduct*>(&layer);
-    if (conv != nullptr || ip != nullptr) {
+    if (spec.has_weights()) {
       // A ReLU right after the GEMM folds into its epilogue.
-      const bool fuse = li + 1 < net.num_layers() &&
-                        dynamic_cast<nn::Relu*>(&net.layer(li + 1)) != nullptr;
-      const FixedPointFormat* relu_out = fuse ? &site_fmt(qnet, li + 2) : nullptr;
-      const auto params = layer.params();
-      std::vector<WordT> w;
-      int weight_frac = 0;
-      encode_param(params[0]->value, qnet.weight_quantizer(param_index), &w,
-                   &weight_frac);
-      std::vector<std::int64_t> bias;
-      int bias_frac = 0;
-      if (params.size() > 1 && !params[1]->value.empty())
-        encode_bias(params[1]->value, qnet.weight_quantizer(param_index + 1),
-                    &bias, &bias_frac);
-      param_index += params.size();
-      IntStagePlan sp;
-      if (conv != nullptr) {
-        auto c = std::make_unique<ConvStage<WordT>>();
-        c->in_c = conv->in_channels();
-        c->kernel = conv->spec().kernel;
-        c->stride = conv->spec().stride;
-        c->pad = conv->spec().pad;
-        c->outputs = conv->spec().out_channels;
-        c->k = c->in_c * c->kernel * c->kernel;
-        sp = plan_gemm(*c, w, weight_frac, bias, bias_frac, in, of, relu_out,
-                       /*weights_as_panels=*/false);
-        sp.kind = "conv";
-        c->span_name = fuse ? "int.conv+relu" : "int.conv";
-        stage = std::move(c);
+      const bool fuse = i + 1 < plan.stages.size() &&
+                        plan.stages[i + 1].kind == IntStageKind::kRelu;
+      const bool conv = spec.kind == IntStageKind::kConv;
+      std::unique_ptr<GemmStage<WordT>> g;
+      if (conv) {
+        g = std::make_unique<ConvStage<WordT>>();
+        g->span_name = fuse ? "int.conv+relu" : "int.conv";
       } else {
-        auto p = std::make_unique<IpStage<WordT>>();
-        p->k = ip->in_features();
-        p->outputs = ip->out_features();
-        sp = plan_gemm(*p, w, weight_frac, bias, bias_frac, in, of, relu_out,
-                       /*weights_as_panels=*/true);
-        sp.kind = "ip";
-        p->span_name = fuse ? "int.ip+relu" : "int.ip";
-        stage = std::move(p);
+        g = std::make_unique<IpStage<WordT>>();
+        g->span_name = fuse ? "int.ip+relu" : "int.ip";
       }
-      sp.layer = li;
-      plan->stages.push_back(std::move(sp));
-      stage->layer = li;
-      body->stages.push_back(std::move(stage));
-      if (fuse) ++li;
+      g->spec = std::move(spec);
+      IntStagePlan sp =
+          plan_gemm(*g, fuse ? &plan.stages[i + 1].out : nullptr,
+                    /*weights_as_panels=*/!conv);
+      sp.kind = conv ? "conv" : "ip";
+      sp.layer = g->spec.layer;
+      report->stages.push_back(std::move(sp));
+      body->stages.push_back(std::move(g));
+      if (fuse) ++i;
       continue;
     }
-    if (auto* pool = dynamic_cast<nn::Pool2d*>(&layer)) {
-      auto s = std::make_unique<PoolStage<WordT>>();
-      s->mode = pool->spec().mode;
-      s->kernel = pool->spec().kernel;
-      s->stride = pool->spec().stride;
-      s->pad = pool->spec().pad;
-      s->span_name = "int.pool";
-      stage = std::move(s);
-    } else if (dynamic_cast<nn::Relu*>(&layer) != nullptr) {
-      stage = std::make_unique<ReluStage<WordT>>();
-      stage->span_name = "int.relu";
-    } else if (dynamic_cast<nn::Sigmoid*>(&layer) != nullptr ||
-               dynamic_cast<nn::Tanh*>(&layer) != nullptr) {
-      auto s = std::make_unique<PlanStage<WordT>>();
-      s->is_tanh = dynamic_cast<nn::Tanh*>(&layer) != nullptr;
-      s->span_name = "int.plan";
-      stage = std::move(s);
-    } else if (dynamic_cast<nn::Dropout*>(&layer) != nullptr) {
-      stage = std::make_unique<PassthroughStage<WordT>>();
-      stage->span_name = "int.passthrough";
-    } else {
-      QNN_CHECK_MSG(false, "unsupported layer kind in IntInferenceEngine: "
-                               << layer.kind());
+    switch (spec.kind) {
+      case IntStageKind::kPool:
+        stage = std::make_unique<PoolStage<WordT>>();
+        stage->span_name = "int.pool";
+        break;
+      case IntStageKind::kRelu:
+        stage = std::make_unique<ReluStage<WordT>>();
+        stage->span_name = "int.relu";
+        break;
+      case IntStageKind::kSigmoid:
+      case IntStageKind::kTanh:
+        stage = std::make_unique<PlanStage<WordT>>();
+        stage->span_name = "int.plan";
+        break;
+      default:
+        stage = std::make_unique<PassthroughStage<WordT>>();
+        stage->span_name = "int.passthrough";
     }
-    stage->layer = li;
-    stage->out_format = of;
+    stage->out_format = spec.out;
+    stage->spec = std::move(spec);
     body->stages.push_back(std::move(stage));
   }
   return body;
-}
-
-// True when the layer kind has a native integer stage.
-bool supported_layer(nn::Layer& layer) {
-  return dynamic_cast<nn::Conv2d*>(&layer) != nullptr ||
-         dynamic_cast<nn::InnerProduct*>(&layer) != nullptr ||
-         dynamic_cast<nn::Pool2d*>(&layer) != nullptr ||
-         dynamic_cast<nn::Relu*>(&layer) != nullptr ||
-         dynamic_cast<nn::Sigmoid*>(&layer) != nullptr ||
-         dynamic_cast<nn::Tanh*>(&layer) != nullptr ||
-         dynamic_cast<nn::Dropout*>(&layer) != nullptr;
 }
 
 }  // namespace
@@ -640,7 +543,7 @@ std::string IntInferenceEngine::ineligibility_reason(
   std::size_t param_index = 0;
   for (std::size_t li = 0; li < mutable_net.num_layers(); ++li) {
     nn::Layer& layer = mutable_net.layer(li);
-    if (!supported_layer(layer))
+    if (!int_stage_kind(layer).has_value())
       return std::string("unsupported layer kind: ") + layer.kind();
     for (nn::Param* p : layer.params()) {
       const auto* fq = dynamic_cast<const FixedQuantizer*>(
@@ -662,24 +565,15 @@ IntInferenceEngine::IntInferenceEngine(nn::Network& net,
   const std::string reason = ineligibility_reason(net, qnet);
   QNN_CHECK_MSG(reason.empty(), "IntInferenceEngine: " << reason);
 
-  bool fits8 = true;
-  for (std::size_t s = 0; s < qnet.num_sites() && fits8; ++s)
-    fits8 = site_fmt(qnet, s).total_bits() <= 8;
-  std::size_t param_index = 0;
-  for (std::size_t li = 0; li < net.num_layers() && fits8; ++li) {
-    for (nn::Param* p : net.layer(li).params()) {
-      if (p->name == "w") {
-        const auto& fq = dynamic_cast<const FixedQuantizer&>(
-            qnet.weight_quantizer(param_index));
-        if (fq.format()->total_bits() > 8) fits8 = false;
-      }
-      ++param_index;
-    }
-  }
+  IntPlan plan = lower_int_plan(net, qnet);
+  bool fits8 = plan.input.total_bits() <= 8;
+  for (const IntStage& s : plan.stages)
+    fits8 = fits8 && s.out.total_bits() <= 8 &&
+            (!s.has_weights() || s.weights.format.total_bits() <= 8);
   if (fits8) {
-    impl_->b8 = build_body<std::int8_t>(net, qnet, &impl_->plan);
+    impl_->b8 = build_body<std::int8_t>(plan, &impl_->plan);
   } else {
-    impl_->b16 = build_body<std::int16_t>(net, qnet, &impl_->plan);
+    impl_->b16 = build_body<std::int16_t>(plan, &impl_->plan);
   }
 }
 
@@ -689,17 +583,12 @@ bool IntInferenceEngine::uses_int8() const { return impl_->b8 != nullptr; }
 
 const IntPathPlan& IntInferenceEngine::plan() const { return impl_->plan; }
 
-IntRawResult IntInferenceEngine::forward_raw(const Tensor& input) const {
+RawTensor IntInferenceEngine::forward_raw(const Tensor& input) const {
   return impl_->b8 ? impl_->b8->run(input) : impl_->b16->run(input);
 }
 
 Tensor IntInferenceEngine::forward(const Tensor& input) const {
-  const IntRawResult r = forward_raw(input);
-  Tensor t(r.shape);
-  for (std::int64_t i = 0; i < t.count(); ++i)
-    t[i] = static_cast<float>(
-        r.format.from_raw(r.raw[static_cast<std::size_t>(i)]));
-  return t;
+  return forward_raw(input).decode();
 }
 
 }  // namespace qnn::quant

@@ -1,17 +1,18 @@
-// Native integer inference (DESIGN.md §15).
+// Native integer inference (DESIGN.md §15): the kernel executor of the
+// shared integer lowering (quant/int_plan).
 //
 // The fake-quantized float path constrains values to fixed-point grids
-// but still *computes* in float32. This engine executes a calibrated
-// fixed-point QuantizedNetwork the way the accelerator would — and the
-// way hw/nfu_sim's bit-level oracle does: weights, biases, and
-// activations live as raw two's-complement words, conv and inner
-// product run through the packed integer tile kernels (tensor/int_gemm)
-// with exact accumulation, and every layer boundary requantizes into the
-// site's calibrated format with the same shift-round-saturate step as
-// the NFU, fused into the kernel's epilogue (together with a ReLU that
-// directly follows). The contract, pinned by
-// tests/int_gemm_oracle_test.cc, is word-for-word equality with
-// NfuSimulator on every supported network.
+// but still *computes* in float32. This engine executes the IntPlan of a
+// calibrated fixed-point QuantizedNetwork the way the accelerator would:
+// the plan's weight words are packed once into int8/int16 panels (the
+// plan itself is not kept), activations live as raw two's-complement
+// words, conv and inner product run through the packed integer tile
+// kernels (tensor/int_gemm) with exact accumulation, and every layer
+// boundary requantizes into the site's calibrated format with the
+// shift-round-saturate step, fused into the kernel's epilogue (together
+// with a ReLU that directly follows). The contract, pinned by
+// tests/int_gemm_oracle_test.cc, is word-for-word equality with the
+// reference executor hw::NfuSimulator on every supported network.
 //
 // At construction the accumulator-bound pass (quant/acc_bound) picks
 // each conv / inner-product stage's kernel tier from its encoded
@@ -25,15 +26,13 @@
 // path up automatically.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
-#include "fixed/fixed_format.h"
 #include "nn/network.h"
 #include "quant/acc_bound.h"
+#include "quant/int_plan.h"
 #include "tensor/tensor.h"
 
 namespace qnn::quant {
@@ -51,14 +50,6 @@ std::optional<bool> parse_int_infer_env(const std::string& value,
 // only, so tests can setenv between freezes). Unset/auto/on -> true,
 // off -> false, garbage -> warn once, then true.
 bool int_inference_env_enabled();
-
-// Raw words of a forward's final site — the exact integers the engine
-// produced, for differential comparison against hw::RawTensor.
-struct IntRawResult {
-  Shape shape;
-  std::vector<std::int64_t> raw;
-  FixedPointFormat format{16, 8};
-};
 
 class IntInferenceEngine {
  public:
@@ -81,14 +72,13 @@ class IntInferenceEngine {
   IntInferenceEngine(const IntInferenceEngine&) = delete;
   IntInferenceEngine& operator=(const IntInferenceEngine&) = delete;
 
-  // Integer-domain forward; returns the decoded float image of the
-  // final site's raw words (injective for <= 16-bit formats, so float
-  // equality of outputs IS word equality). Const and safe to call
-  // concurrently: every forward sizes its own scratch.
-  Tensor forward(const Tensor& input) const;
+  // Integer-domain forward: the final site's raw words. Const and safe
+  // to call concurrently: every forward sizes its own scratch.
+  RawTensor forward_raw(const Tensor& input) const;
 
-  // Same forward, returning the raw words themselves.
-  IntRawResult forward_raw(const Tensor& input) const;
+  // forward_raw(input).decode(): injective for <= 16-bit formats, so
+  // float equality of outputs IS word equality.
+  Tensor forward(const Tensor& input) const;
 
   // True when every weight and data format fits 8 bits and the engine
   // runs on int8 words; false -> int16.

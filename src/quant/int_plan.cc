@@ -1,0 +1,191 @@
+#include "quant/int_plan.h"
+
+#include <algorithm>
+#include <cmath>
+
+#include "fixed/fixed_arith.h"
+#include "nn/activation.h"
+#include "nn/conv.h"
+#include "nn/inner_product.h"
+#include "quant/qnetwork.h"
+#include "util/check.h"
+
+namespace qnn::quant {
+
+Tensor RawTensor::decode() const {
+  Tensor t(shape);
+  for (std::int64_t i = 0; i < count(); ++i)
+    t[i] = static_cast<float>(
+        format.from_raw(raw[static_cast<std::size_t>(i)]));
+  return t;
+}
+
+RawTensor encode_tensor(const Tensor& t, const FixedPointFormat& format) {
+  RawTensor r;
+  r.shape = t.shape();
+  r.format = format;
+  r.raw.resize(static_cast<std::size_t>(t.count()));
+  for (std::int64_t i = 0; i < t.count(); ++i)
+    r.raw[static_cast<std::size_t>(i)] = format.to_raw(t[i]);
+  return r;
+}
+
+std::optional<IntStageKind> int_stage_kind(const nn::Layer& layer) {
+  if (dynamic_cast<const nn::Conv2d*>(&layer)) return IntStageKind::kConv;
+  if (dynamic_cast<const nn::InnerProduct*>(&layer)) return IntStageKind::kIp;
+  if (dynamic_cast<const nn::Pool2d*>(&layer)) return IntStageKind::kPool;
+  if (dynamic_cast<const nn::Relu*>(&layer)) return IntStageKind::kRelu;
+  if (dynamic_cast<const nn::Sigmoid*>(&layer)) return IntStageKind::kSigmoid;
+  if (dynamic_cast<const nn::Tanh*>(&layer)) return IntStageKind::kTanh;
+  if (dynamic_cast<const nn::Dropout*>(&layer))
+    return IntStageKind::kPassthrough;
+  return std::nullopt;
+}
+
+Shape IntStage::out_shape(const Shape& s) const {
+  switch (kind) {
+    case IntStageKind::kConv: {
+      auto extent = [&](std::int64_t d) {
+        return (d + 2 * pad - kernel) / stride + 1;
+      };
+      return Shape{s.n(), outputs, extent(s.h()), extent(s.w())};
+    }
+    case IntStageKind::kIp:
+      return Shape{s[0], outputs};
+    case IntStageKind::kPool: {
+      auto extent = [&](std::int64_t d) {
+        std::int64_t o = (d + 2 * pad - kernel + stride - 1) / stride + 1;
+        if (pad > 0 && (o - 1) * stride >= d + pad) --o;
+        return o;
+      };
+      return Shape{s.n(), s.c(), extent(s.h()), extent(s.w())};
+    }
+    default:
+      return s;
+  }
+}
+
+namespace {
+
+// The calibrated format of a fixed-point quantizer.
+const FixedPointFormat& fixed_format(const ValueQuantizer& q) {
+  const auto* fq = dynamic_cast<const FixedQuantizer*>(&q);
+  QNN_CHECK_MSG(fq != nullptr && fq->format().has_value(),
+                "integer lowering requires calibrated fixed-point formats "
+                "(a calibrated non-float config)");
+  return *fq->format();
+}
+
+// Encodes the live (quantized) values of a weight tensor for `kind`'s
+// weight block. Pow2 and binary read their codes off the values, which
+// already sit on the quantizer's grid.
+IntWeights encode_weights(PrecisionKind kind, const Tensor& w,
+                          const ValueQuantizer& q) {
+  IntWeights out;
+  const std::size_t n = static_cast<std::size_t>(w.count());
+  auto value = [&](std::size_t i) {
+    return static_cast<double>(w[static_cast<std::int64_t>(i)]);
+  };
+  switch (kind) {
+    case PrecisionKind::kFixed:
+      out.code = WeightCode::kFixed;
+      out.format = fixed_format(q);
+      out.words.resize(n);
+      for (std::size_t i = 0; i < n; ++i)
+        out.words[i] = static_cast<std::int32_t>(out.format.to_raw(value(i)));
+      break;
+    case PrecisionKind::kPow2: {
+      out.code = WeightCode::kPow2;
+      out.words.assign(n, 0);
+      out.sign.assign(n, 0);
+      int min_exp = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (value(i) == 0.0) continue;
+        out.sign[i] = value(i) > 0 ? 1 : -1;
+        const int e =
+            static_cast<int>(std::lround(std::log2(std::fabs(value(i)))));
+        out.words[i] = e;
+        min_exp = std::min(min_exp, e);
+      }
+      out.headroom = -min_exp;
+      break;
+    }
+    case PrecisionKind::kBinary:
+      out.code = WeightCode::kBinary;
+      out.sign.resize(n);
+      for (std::size_t i = 0; i < n; ++i) out.sign[i] = value(i) >= 0 ? 1 : -1;
+      out.scale = n > 0 ? std::fabs(value(0)) : 1.0;
+      break;
+    case PrecisionKind::kFloat:
+      QNN_CHECK_MSG(false, "float has no integer realization");
+  }
+  return out;
+}
+
+int acc_frac_for(const IntWeights& w, int in_frac) {
+  switch (w.code) {
+    case WeightCode::kFixed: return in_frac + w.format.frac_bits();
+    case WeightCode::kPow2: return in_frac + w.headroom;
+    case WeightCode::kBinary: return in_frac;
+  }
+  return in_frac;
+}
+
+}  // namespace
+
+IntPlan lower_int_plan(nn::Network& net, const QuantizedNetwork& qnet) {
+  QNN_CHECK_MSG(!qnet.config().is_float(),
+                "the float config has no integer realization");
+  QNN_CHECK_MSG(qnet.calibrated(), "calibrate the QuantizedNetwork first");
+  IntPlan plan;
+  plan.input = fixed_format(qnet.data_quantizer(0));
+  std::size_t param_index = 0;
+  for (std::size_t li = 0; li < net.num_layers(); ++li) {
+    nn::Layer& layer = net.layer(li);
+    const std::optional<IntStageKind> kind = int_stage_kind(layer);
+    QNN_CHECK_MSG(kind.has_value(),
+                  "layer kind without an integer stage: " << layer.kind());
+    IntStage st;
+    st.kind = *kind;
+    st.layer = li;
+    st.in = fixed_format(qnet.data_quantizer(li));
+    st.out = fixed_format(qnet.data_quantizer(li + 1));
+    if (auto* conv = dynamic_cast<nn::Conv2d*>(&layer)) {
+      st.in_c = conv->in_channels();
+      st.kernel = conv->spec().kernel;
+      st.stride = conv->spec().stride;
+      st.pad = conv->spec().pad;
+      st.outputs = conv->spec().out_channels;
+      st.k = st.in_c * st.kernel * st.kernel;
+    } else if (auto* ip = dynamic_cast<nn::InnerProduct*>(&layer)) {
+      st.outputs = ip->out_features();
+      st.k = ip->in_features();
+    } else if (auto* pool = dynamic_cast<nn::Pool2d*>(&layer)) {
+      st.pool_mode = pool->spec().mode;
+      st.kernel = pool->spec().kernel;
+      st.stride = pool->spec().stride;
+      st.pad = pool->spec().pad;
+    }
+    const auto params = layer.params();
+    if (st.has_weights()) {
+      st.weights = encode_weights(qnet.config().kind, params[0]->value,
+                                  qnet.weight_quantizer(param_index));
+      st.acc_frac = acc_frac_for(st.weights, st.in.frac_bits());
+      if (params.size() > 1 && !params[1]->value.empty()) {
+        const Tensor& b = params[1]->value;
+        const FixedPointFormat& bf =
+            fixed_format(qnet.weight_quantizer(param_index + 1));
+        st.bias.resize(static_cast<std::size_t>(b.count()));
+        for (std::int64_t o = 0; o < b.count(); ++o)
+          st.bias[static_cast<std::size_t>(o)] =
+              shift_raw_rounded(bf.to_raw(static_cast<double>(b[o])),
+                                bf.frac_bits(), st.acc_frac);
+      }
+    }
+    param_index += params.size();
+    plan.stages.push_back(std::move(st));
+  }
+  return plan;
+}
+
+}  // namespace qnn::quant

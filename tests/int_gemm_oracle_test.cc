@@ -169,12 +169,10 @@ void expect_matches_oracle(const PrecisionConfig& cfg, bool expect_int8) {
   QuantizedNetwork qnet(*net, cfg);
   qnet.calibrate(calib);
 
-  // The oracle must be built BEFORE freezing: NfuSimulator's
-  // constructor runs a forward and then restores masters, which would
-  // silently thaw a frozen network.
-  const hw::NfuSimulator sim(*net, qnet, Shape{1, 1, 12, 12});
-
+  // The oracle lowers a frozen network from its live parameter image
+  // and leaves it frozen, engine included.
   qnet.freeze_inference();
+  const hw::NfuSimulator sim(*net, qnet, Shape{1, 1, 12, 12});
   ASSERT_TRUE(qnet.native_int_active()) << cfg.label();
   EXPECT_EQ(qnet.int_engine()->uses_int8(), expect_int8) << cfg.label();
 
@@ -187,7 +185,7 @@ void expect_matches_oracle(const PrecisionConfig& cfg, bool expect_int8) {
 
   // Raw-word check: re-encoding the oracle's grid floats through the
   // final site format must reproduce the engine's words exactly.
-  const IntRawResult raw = qnet.int_engine()->forward_raw(x);
+  const RawTensor raw = qnet.int_engine()->forward_raw(x);
   ASSERT_EQ(static_cast<std::int64_t>(raw.raw.size()), oracle.count());
   for (std::int64_t i = 0; i < oracle.count(); ++i)
     ASSERT_EQ(raw.raw[static_cast<std::size_t>(i)],
@@ -293,7 +291,7 @@ TEST(IntInferenceOracle, WordsStableAcrossSimdAndThreads) {
   const Tensor x = cnn_input(3, 9);
 
   ThreadPool::set_global_threads(1);
-  std::optional<IntRawResult> base;
+  std::optional<RawTensor> base;
   {
     ScopedSimdLevel force(SimdLevel::kScalar);
     base = qnet.int_engine()->forward_raw(x);
@@ -304,7 +302,7 @@ TEST(IntInferenceOracle, WordsStableAcrossSimdAndThreads) {
          {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
       if (!simd_supports(level)) continue;
       ScopedSimdLevel force(level);
-      const IntRawResult got = qnet.int_engine()->forward_raw(x);
+      const RawTensor got = qnet.int_engine()->forward_raw(x);
       EXPECT_EQ(got.raw, base->raw)
           << threads << " threads, " << simd_level_name(level);
     }
