@@ -8,7 +8,9 @@
 // comparison to BENCH_micro.json in the working directory. Each phase's
 // per-rep wall times also feed "phase.<name>.{serial,threads}_us"
 // histograms in the metrics registry, summarized in the JSON under
-// "phases". Run with --trace/--report (bench::Session) for a
+// "phases". The "int_datapath" rows time the native integer forward and
+// its word steps at the scalar and the vector level (report-only). Run
+// with --trace/--report (bench::Session) for a
 // chrome://tracing profile and a RunReport.
 #include <benchmark/benchmark.h>
 
@@ -27,6 +29,7 @@
 #include "nn/zoo.h"
 #include "obs/metrics.h"
 #include "protect/protected_network.h"
+#include "quant/int_datapath.h"
 #include "quant/int_inference.h"
 #include "quant/qnetwork.h"
 #include "tensor/gemm.h"
@@ -455,6 +458,91 @@ std::vector<Crc32Row> time_crc32_rows(obs::Registry& reg) {
   return rows;
 }
 
+// Native integer data path rows (DESIGN.md §15): the frozen LeNet x0.5
+// batch-8 forward at fixed(8,8) and fixed(16,16), and the int8 word
+// steps of that forward (the conv1 im2row pack of every panel, the pool1
+// planes, the input encode), each timed at the scalar reference and at
+// the best vector level on the 1-thread pool, per call. Report-only.
+struct IntDatapathRow {
+  std::string name;
+  double scalar_us = 0;
+  double vector_us = 0;
+};
+
+std::vector<IntDatapathRow> time_int_datapath_rows(obs::Registry& reg) {
+  const SimdLevel vec = simd_support();
+  Rng rng(4);
+  Tensor x(Shape{8, 1, 28, 28});
+  x.fill_uniform(rng, 0, 1);
+  std::vector<IntDatapathRow> rows;
+  const auto time_row = [&](const std::string& name, int calls,
+                            const std::function<void(SimdLevel)>& fn) {
+    IntDatapathRow row{name, 0, 0};
+    for (SimdLevel level : {SimdLevel::kScalar, vec}) {
+      ScopedSimdLevel force(level);
+      const double ms = best_of_ms(
+          5,
+          reg.histogram("phase.int_datapath." + name + "." +
+                            simd_level_name(level) + "_us",
+                        phase_bounds()),
+          [&] {
+            for (int i = 0; i < calls; ++i) fn(level);
+          });
+      (level == SimdLevel::kScalar ? row.scalar_us : row.vector_us) =
+          ms * 1000.0 / calls;
+    }
+    rows.push_back(row);
+  };
+
+  for (int bits : {8, 16}) {
+    auto net = nn::make_lenet({0.5, 5});
+    net->set_training_mode(false);
+    quant::QuantizedNetwork q(*net, quant::fixed_config(bits, bits));
+    q.calibrate(x);
+    q.freeze_inference();
+    if (!q.native_int_active()) continue;
+    time_row("lenet_x0.5_fixed" + std::to_string(bits) + "_fwd_b8", 20,
+             [&](SimdLevel) {
+               benchmark::DoNotOptimize(q.int_engine()->forward_raw(x).raw);
+             });
+  }
+
+  // LeNet x0.5 conv1 (28x28 -> 24x24, 5x5) and pool1 (10 x 24x24 -> 12x12)
+  // over a batch of 8, on random int8 words.
+  const FixedPointFormat in8(8, 7), out8(8, 5);
+  std::vector<std::int8_t> words(8 * 10 * 24 * 24 + 2 * kIntPanel);
+  for (std::int8_t& w : words)
+    w = static_cast<std::int8_t>(rng.uniform_int(0, 255) - 128);
+  const IntPatchGeom patch{1, 5, 1, 28, 28, 24};
+  std::vector<std::int8_t> panel(
+      static_cast<std::size_t>(int_panel_words<std::int8_t>(patch.k())));
+  time_row("int8_pack_conv1_b8", 20, [&](SimdLevel level) {
+    for (std::int64_t sample = 0; sample < 8; ++sample)
+      for (std::int64_t j0 = 0; j0 < 24 * 24; j0 += kIntPanel)
+        quant::pack_patch(level, patch,
+                          words.data() + kIntPanel + sample * 28 * 28, j0,
+                          std::min(kIntPanel, 24 * 24 - j0),
+                          std::int8_t{-128}, panel.data());
+    benchmark::DoNotOptimize(panel.data());
+    benchmark::ClobberMemory();
+  });
+  const IntPoolGeom pool{24, 24, 12, 12, 2, 2, 0};
+  std::vector<std::int8_t> pooled(8 * 10 * 12 * 12);
+  time_row("int8_pool1_b8", 20, [&](SimdLevel level) {
+    quant::pool_planes(level, pool, nn::PoolMode::kMax, in8.frac_bits(), out8,
+                       80, words.data(), pooled.data());
+    benchmark::DoNotOptimize(pooled.data());
+    benchmark::ClobberMemory();
+  });
+  std::vector<std::int8_t> encoded(static_cast<std::size_t>(x.count()));
+  time_row("int8_encode_b8", 20, [&](SimdLevel level) {
+    quant::encode_words(level, x.data(), x.count(), in8, encoded.data());
+    benchmark::DoNotOptimize(encoded.data());
+    benchmark::ClobberMemory();
+  });
+  return rows;
+}
+
 // The native int path's per-stage plan for the 15 native zoo configs
 // (5 full-size nets x fixed16/8/4): word width, kernel tier, proven
 // accumulator bits and any fallback reason, keyed "<net>.fixed<bits>",
@@ -560,6 +648,7 @@ int write_scaling_report(bench::Session& session, double min_speedup) {
   // microkernel dispatch from the scheduler.
   const std::vector<SimdRow> simd_rows = time_simd_rows(reg);
   const std::vector<Crc32Row> crc_rows = time_crc32_rows(reg);
+  const std::vector<IntDatapathRow> int_rows = time_int_datapath_rows(reg);
   ThreadPool::set_global_threads(threads);
   for (std::size_t w = 0; w < workloads.size(); ++w)
     rows[w].parallel_ms =
@@ -627,6 +716,18 @@ int write_scaling_report(bench::Session& session, double min_speedup) {
     crc_arr.push_back(std::move(entry));
   }
   doc.set("crc32", std::move(crc_arr));
+  json::Value int_arr = json::Value::array();
+  for (const IntDatapathRow& row : int_rows) {
+    json::Value entry = json::Value::object();
+    entry.set("name", row.name);
+    entry.set("gated", false);
+    entry.set("level", simd_level_name(simd_support()));
+    entry.set("scalar_us", row.scalar_us);
+    entry.set("vector_us", row.vector_us);
+    entry.set("speedup", row.vector_us > 0 ? row.scalar_us / row.vector_us : 0.0);
+    int_arr.push_back(std::move(entry));
+  }
+  doc.set("int_datapath", std::move(int_arr));
   doc.set("phases", std::move(phases));
   write_file_atomic("BENCH_micro.json", doc.dump() + "\n");
 
@@ -648,6 +749,11 @@ int write_scaling_report(bench::Session& session, double min_speedup) {
   for (const Crc32Row& row : crc_rows)
     std::cout << "  " << row.name << ": table " << row.table_us
               << " us, clmul " << row.clmul_us << " us\n";
+  std::cout << "Native int data path (" << simd_level_name(simd_support())
+            << " vs scalar, 1 thread, per call):\n";
+  for (const IntDatapathRow& row : int_rows)
+    std::cout << "  " << row.name << ": " << row.scalar_us << " us -> "
+              << row.vector_us << " us\n";
   std::cout << "wrote BENCH_micro.json\n";
 
   // --min-speedup gate: every gated (large) workload must clear the

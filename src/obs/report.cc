@@ -49,6 +49,7 @@ json::Value to_json(const quant::IntPathPlan& plan) {
     v.set("acc_bits", s.acc_bits);
     v.set("fused_relu", s.fused_relu);
     v.set("fallback", s.fallback);
+    v.set("epilogue", quant::int_epilogue_name(s.epilogue));
     stages.push_back(std::move(v));
   }
   return stages;

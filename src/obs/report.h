@@ -30,8 +30,8 @@ json::Value to_json(const quant::GuardCounters& g);
 json::Value to_json(const protect::AbftCounters& a);
 json::Value to_json(const protect::ProtectionCounters& p);
 // The native int path's per-stage plan: one object per conv / inner
-// product with layer, kind, word_bits, tier, acc_bits, fused_relu and
-// fallback (the "int_path" RunReport section).
+// product with layer, kind, word_bits, tier, acc_bits, fused_relu,
+// fallback and epilogue (the "int_path" RunReport section).
 json::Value to_json(const quant::IntPathPlan& plan);
 
 class RunReport {

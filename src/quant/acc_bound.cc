@@ -16,6 +16,10 @@ const char* int_tier_name(IntTier tier) {
   return "?";
 }
 
+const char* int_epilogue_name(IntEpilogueWidth width) {
+  return width == IntEpilogueWidth::kI32 ? "i32" : "i64";
+}
+
 int AccBound::bits() const {
   return static_cast<int>(std::bit_width(static_cast<std::uint64_t>(max_abs))) +
          1;
@@ -57,6 +61,17 @@ AccBound bound_accumulator(std::int64_t rows, std::int64_t k,
                            const std::int16_t* w, const FixedPointFormat& in,
                            const std::int64_t* bias_terms) {
   return bound_impl(rows, k, w, in, bias_terms);
+}
+
+IntEpilogueWidth choose_int_epilogue(IntTier tier, const AccBound& bound,
+                                     int requant_shift) {
+  if (tier != IntTier::kDot8 || requant_shift > 30)
+    return IntEpilogueWidth::kI64;
+  const std::int64_t half =
+      requant_shift > 0 ? std::int64_t{1} << (requant_shift - 1) : 0;
+  return bound.max_abs + half <= std::numeric_limits<std::int32_t>::max()
+             ? IntEpilogueWidth::kI32
+             : IntEpilogueWidth::kI64;
 }
 
 IntTier choose_int_tier(int word_bits, const AccBound& bound,

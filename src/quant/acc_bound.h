@@ -50,6 +50,18 @@ AccBound bound_accumulator(std::int64_t rows, std::int64_t k,
                            const std::int16_t* w, const FixedPointFormat& in,
                            const std::int64_t* bias_terms);
 
+// Where a stage's tiles finish: kI32 keeps the accumulator in the int32
+// lanes through the requant (IntEpilogue::i32), kI64 widens first.
+enum class IntEpilogueWidth { kI32, kI64 };
+
+const char* int_epilogue_name(IntEpilogueWidth width);  // "i32" | "i64"
+
+// kI32 when the tier is kDot8, the requant shift is at most 30 and
+// max_abs plus the requant's rounding half (2^(shift-1), 0 for shift <=
+// 0) is below 2^31; kI64 otherwise.
+IntEpilogueWidth choose_int_epilogue(IntTier tier, const AccBound& bound,
+                                     int requant_shift);
+
 // The tier `bound` proves exact for `word_bits`-bit words: kDot8 while
 // the offset accumulator fits int32, kMadd16 unless a weight is -32768
 // (a pair of (-32768)^2 products is the one pair sum beyond int32).
@@ -66,6 +78,7 @@ struct IntStagePlan {
   int acc_bits = 0;         // AccBound::bits()
   bool fused_relu = false;  // the next layer's ReLU runs in the epilogue
   std::string fallback;     // why tier is kExact64; empty otherwise
+  IntEpilogueWidth epilogue = IntEpilogueWidth::kI64;
 };
 
 struct IntPathPlan {

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdlib>
 #include <limits>
 
-#include "fixed/fixed_arith.h"
 #include "fixed/plan_sigmoid.h"
 #include "obs/trace.h"
+#include "quant/int_datapath.h"
 #include "quant/qnetwork.h"
 #include "tensor/int_gemm.h"
 #include "util/check.h"
@@ -43,10 +42,6 @@ bool int_inference_env_enabled() {
 }
 
 namespace {
-
-std::int64_t saturate(std::int64_t raw, const FixedPointFormat& f) {
-  return std::clamp(raw, f.raw_min(), f.raw_max());
-}
 
 // The shift-round-saturate step from `from_frac` onto `f`'s grid.
 IntRequant requant_to(int from_frac, const FixedPointFormat& f) {
@@ -138,6 +133,10 @@ IntStagePlan plan_gemm(GemmStage<WordT>& st, const FixedPointFormat* relu_out,
   plan.acc_bits = bound.bits();
   plan.fused_relu = relu_out != nullptr;
   st.tier = plan.tier;
+  st.epi.requant = requant_to(spec.acc_frac, spec.out);
+  plan.epilogue =
+      choose_int_epilogue(plan.tier, bound, st.epi.requant.shift);
+  st.epi.i32 = plan.epilogue == IntEpilogueWidth::kI32;
 
   if constexpr (GemmStage<WordT>::kOffset) {
     for (std::int64_t o = 0; o < outputs; ++o) {
@@ -155,7 +154,6 @@ IntStagePlan plan_gemm(GemmStage<WordT>& st, const FixedPointFormat* relu_out,
         static_cast<std::size_t>(outputs * int_row_words<WordT>(k)));
     pack_int_rows(outputs, k, w.data(), k, false, st.weights.data());
   }
-  st.epi.requant = requant_to(spec.acc_frac, spec.out);
   st.epi.relu = relu_out != nullptr;
   if (relu_out != nullptr)
     st.epi.relu_requant = requant_to(spec.out.frac_bits(), *relu_out);
@@ -168,7 +166,9 @@ template <typename WordT>
 struct ConvStage final : GemmStage<WordT> {
   // Work items are (sample, panel) pairs; each shard packs one panel at a
   // time into its own scratch slot, gathering from the input image
-  // zero-padded (and, for int8, offset) once per forward.
+  // zero-padded (and, for int8, offset) once per forward. The padded
+  // planes sit between kIntPanel words of slack on each side: the vector
+  // pack reads past a run's lanes.
   std::int64_t items(const Shape& s) const {
     const Shape o = this->spec.out_shape(s);
     return s.n() * int_panels(o.h() * o.w());
@@ -178,7 +178,8 @@ struct ConvStage final : GemmStage<WordT> {
   }
   std::int64_t padded_words(const Shape& s) const {
     const std::int64_t pad = this->spec.pad;
-    return s.n() * this->spec.in_c * (s.h() + 2 * pad) * (s.w() + 2 * pad);
+    return s.n() * this->spec.in_c * (s.h() + 2 * pad) * (s.w() + 2 * pad) +
+           2 * kIntPanel;
   }
   std::int64_t scratch_words(const Shape& s) const override {
     return padded_words(s) +
@@ -192,15 +193,17 @@ struct ConvStage final : GemmStage<WordT> {
     const Shape& s = in.shape;
     QNN_CHECK(s.rank() == 4 && s.c() == sp.in_c);
     const Shape os = sp.out_shape(s);
-    const std::int64_t ow = os.w();
-    const std::int64_t ohw = os.h() * ow;
+    const std::int64_t ohw = os.h() * os.w();
     const std::int64_t panels = int_panels(ohw);
     const std::int64_t panel_words = int_panel_words<WordT>(sp.k);
-    const std::int64_t hp = s.h() + 2 * sp.pad, wp = s.w() + 2 * sp.pad;
-    const std::int64_t plane = sp.in_c * hp * wp;
-    WordT* padded = scratch;
+    const IntPatchGeom geom{sp.in_c, sp.kernel, sp.stride, s.h() + 2 * sp.pad,
+                            s.w() + 2 * sp.pad, os.w()};
+    const std::int64_t plane = sp.in_c * geom.hp * geom.wp;
+    WordT* padded = scratch + kIntPanel;
     scratch += padded_words(s);
-    pad_planes(in, hp, wp, padded);
+    pad_planes(in, geom.hp, geom.wp, padded);
+    const SimdLevel data_level = active_simd_level();
+    const WordT zero = int_pack_word<WordT>(0, GemmStage<WordT>::kOffset);
     const SimdLevel level = this->level();
     IntTileJob job = this->job();
     job.m = sp.outputs;
@@ -217,8 +220,8 @@ struct ConvStage final : GemmStage<WordT> {
             const std::int64_t sample = item / panels;
             const std::int64_t j0 = (item % panels) * kIntPanel;
             part.n = std::min(kIntPanel, ohw - j0);
-            pack_patch(padded + sample * plane, hp, wp, ow, j0, part.n,
-                       panel);
+            pack_patch(data_level, geom, padded + sample * plane, j0, part.n,
+                       zero, panel);
             part.epi.out = out + sample * sp.outputs * ohw + j0;
             int_tiles(level, part);
           }
@@ -245,40 +248,6 @@ struct ConvStage final : GemmStage<WordT> {
                     src[y * s.w() + x], GemmStage<WordT>::kOffset);
           }
         });
-  }
-
-  // im2row straight into one packed panel from the padded planes: column
-  // c is output position j0 + c, K row r = (ci, ky, kx) of its window.
-  // The K tail and columns past the image hold the packed form of 0.
-  void pack_patch(const WordT* img, std::int64_t hp, std::int64_t wp,
-                  std::int64_t ow, std::int64_t j0, std::int64_t cols,
-                  WordT* panel) const {
-    constexpr std::int64_t per = int_group_words<WordT>;
-    const IntStage& sp = this->spec;
-    const WordT zero = int_pack_word<WordT>(0, GemmStage<WordT>::kOffset);
-    // Window origin of each column; columns past the image read the
-    // origin (any in-bounds word) and store zero instead.
-    std::int64_t base[kIntPanel];
-    for (std::int64_t c = 0; c < kIntPanel; ++c) {
-      const std::int64_t pos = j0 + c;
-      base[c] =
-          c < cols ? (pos / ow) * sp.stride * wp + (pos % ow) * sp.stride : 0;
-    }
-    std::int64_t r = 0;
-    for (std::int64_t ci = 0; ci < sp.in_c; ++ci) {
-      for (std::int64_t ky = 0; ky < sp.kernel; ++ky) {
-        for (std::int64_t kx = 0; kx < sp.kernel; ++kx, ++r) {
-          const WordT* src = img + (ci * hp + ky) * wp + kx;
-          WordT* dst = panel + (r / per) * kIntPanel * per + r % per;
-          for (std::int64_t c = 0; c < kIntPanel; ++c)
-            dst[c * per] = c < cols ? src[base[c]] : zero;
-        }
-      }
-    }
-    for (; r < int_row_words<WordT>(sp.k); ++r) {
-      WordT* dst = panel + (r / per) * kIntPanel * per + r % per;
-      for (std::int64_t c = 0; c < kIntPanel; ++c) dst[c * per] = zero;
-    }
   }
 };
 
@@ -313,71 +282,35 @@ struct PoolStage final : Stage<WordT> {
     const IntStage& sp = this->spec;
     const Shape& s = in.shape;
     const Shape os = sp.out_shape(s);
-    const std::int64_t oh = os.h(), ow = os.w();
-    const std::int64_t kernel = sp.kernel, stride = sp.stride, pad = sp.pad;
-    const int in_frac = in.format.frac_bits();
-    const std::int64_t planes = s.n() * s.c();
+    const IntPoolGeom geom{s.h(),     s.w(),     os.h(), os.w(),
+                           sp.kernel, sp.stride, sp.pad};
+    const SimdLevel level = active_simd_level();
     parallel_for_shards(
-        planes, kReductionShards, shard_grain(2 * oh * ow * kernel * kernel),
+        s.n() * s.c(), kReductionShards,
+        shard_grain(2 * geom.oh * geom.ow * sp.kernel * sp.kernel),
         [&](std::size_t, std::int64_t begin, std::int64_t end) {
-          for (std::int64_t pl = begin; pl < end; ++pl) {
-            const WordT* src = in.w + pl * s.h() * s.w();
-            WordT* dst = out + pl * oh * ow;
-            for (std::int64_t y = 0; y < oh; ++y) {
-              const std::int64_t y0 =
-                  std::max<std::int64_t>(0, y * stride - pad);
-              const std::int64_t y1 =
-                  std::min<std::int64_t>(s.h(), y * stride - pad + kernel);
-              for (std::int64_t x = 0; x < ow; ++x) {
-                const std::int64_t x0 =
-                    std::max<std::int64_t>(0, x * stride - pad);
-                const std::int64_t x1 =
-                    std::min<std::int64_t>(s.w(), x * stride - pad + kernel);
-                if (sp.pool_mode == nn::PoolMode::kMax) {
-                  std::int64_t best =
-                      std::numeric_limits<std::int64_t>::min();
-                  for (std::int64_t yy = y0; yy < y1; ++yy)
-                    for (std::int64_t xx = x0; xx < x1; ++xx)
-                      best = std::max<std::int64_t>(
-                          best, src[yy * s.w() + xx]);
-                  dst[y * ow + x] = static_cast<WordT>(saturate(
-                      shift_raw_rounded(best, in_frac,
-                                        this->out_format.frac_bits()),
-                      this->out_format));
-                } else {
-                  std::int64_t acc = 0;
-                  for (std::int64_t yy = y0; yy < y1; ++yy)
-                    for (std::int64_t xx = x0; xx < x1; ++xx)
-                      acc += src[yy * s.w() + xx];
-                  const double count =
-                      static_cast<double>((y1 - y0) * (x1 - x0));
-                  const double value = static_cast<double>(acc) *
-                                       std::ldexp(1.0, -in_frac) / count;
-                  dst[y * ow + x] =
-                      static_cast<WordT>(this->out_format.to_raw(value));
-                }
-              }
-            }
-          }
+          pool_planes(level, geom, sp.pool_mode, in.format.frac_bits(),
+                      this->out_format, end - begin,
+                      in.w + begin * geom.h * geom.w,
+                      out + begin * geom.oh * geom.ow);
         });
   }
 };
 
 // ReLU that does not directly follow a conv / inner product (one that
-// does runs in that stage's epilogue).
+// does runs in that stage's epilogue), and the passthrough: a requant
+// of every word.
 template <typename WordT>
-struct ReluStage final : Stage<WordT> {
+struct RequantStage final : Stage<WordT> {
+  bool relu = false;
   void run(const View<WordT>& in, WordT* out, WordT*) const override {
-    const int in_frac = in.format.frac_bits();
-    const int out_frac = this->out_format.frac_bits();
+    const SimdLevel level = active_simd_level();
     parallel_for_shards(
         in.shape.count(), kReductionShards, shard_grain(2),
         [&](std::size_t, std::int64_t begin, std::int64_t end) {
-          for (std::int64_t i = begin; i < end; ++i) {
-            const std::int64_t v = std::max<std::int64_t>(in.w[i], 0);
-            out[i] = static_cast<WordT>(saturate(
-                shift_raw_rounded(v, in_frac, out_frac), this->out_format));
-          }
+          requant_words(level, in.w + begin, end - begin,
+                        in.format.frac_bits(), this->out_format, relu,
+                        out + begin);
         });
   }
 };
@@ -394,22 +327,6 @@ struct PlanStage final : Stage<WordT> {
             const double y = is_tanh ? plan_tanh(x) : plan_sigmoid(x);
             out[i] = static_cast<WordT>(this->out_format.to_raw(y));
           }
-        });
-  }
-};
-
-template <typename WordT>
-struct PassthroughStage final : Stage<WordT> {
-  void run(const View<WordT>& in, WordT* out, WordT*) const override {
-    const int in_frac = in.format.frac_bits();
-    const int out_frac = this->out_format.frac_bits();
-    parallel_for_shards(
-        in.shape.count(), kReductionShards, shard_grain(2),
-        [&](std::size_t, std::int64_t begin, std::int64_t end) {
-          for (std::int64_t i = begin; i < end; ++i)
-            out[i] = static_cast<WordT>(saturate(
-                shift_raw_rounded(in.w[i], in_frac, out_frac),
-                this->out_format));
         });
   }
 };
@@ -434,10 +351,8 @@ struct Body {
     std::vector<WordT> ping(static_cast<std::size_t>(words));
     std::vector<WordT> pong(static_cast<std::size_t>(words));
     std::vector<WordT> scratch(static_cast<std::size_t>(scratch_words));
-    const float* d = input.data();
-    for (std::int64_t i = 0; i < input.count(); ++i)
-      ping[static_cast<std::size_t>(i)] =
-          static_cast<WordT>(input_format.to_raw(d[i]));
+    encode_words(active_simd_level(), input.data(), input.count(),
+                 input_format, ping.data());
     View<WordT> x{ping.data(), shapes[0], input_format};
     for (std::size_t i = 0; i < stages.size(); ++i) {
       const Stage<WordT>& stage = *stages[i];
@@ -495,17 +410,20 @@ std::unique_ptr<Body<WordT>> build_body(IntPlan& plan, IntPathPlan* report) {
         stage = std::make_unique<PoolStage<WordT>>();
         stage->span_name = "int.pool";
         break;
-      case IntStageKind::kRelu:
-        stage = std::make_unique<ReluStage<WordT>>();
+      case IntStageKind::kRelu: {
+        auto relu = std::make_unique<RequantStage<WordT>>();
+        relu->relu = true;
+        stage = std::move(relu);
         stage->span_name = "int.relu";
         break;
+      }
       case IntStageKind::kSigmoid:
       case IntStageKind::kTanh:
         stage = std::make_unique<PlanStage<WordT>>();
         stage->span_name = "int.plan";
         break;
       default:
-        stage = std::make_unique<PassthroughStage<WordT>>();
+        stage = std::make_unique<RequantStage<WordT>>();
         stage->span_name = "int.passthrough";
     }
     stage->out_format = spec.out;
@@ -529,8 +447,13 @@ std::string IntInferenceEngine::ineligibility_reason(
   if (cfg.kind != PrecisionKind::kFixed)
     return "precision kind is not fixed-point";
   if (!qnet.calibrated()) return "network is not calibrated";
+  // The integer requant rounds half away from zero, which is the
+  // fake-quant grid's rounding only under kNearest.
   if (cfg.rounding == Rounding::kStochastic)
     return "stochastic rounding is nondeterministic";
+  if (cfg.rounding != Rounding::kNearest)
+    return "rounding mode is not round-half-away (nearest): the integer "
+           "requant would change the frozen outputs";
   for (std::size_t s = 0; s < qnet.num_sites(); ++s) {
     const auto* fq =
         dynamic_cast<const FixedQuantizer*>(&qnet.data_quantizer(s));

@@ -15,12 +15,14 @@
 // reference executor hw::NfuSimulator on every supported network.
 //
 // At construction the accumulator-bound pass (quant/acc_bound) picks
-// each conv / inner-product stage's kernel tier from its encoded
-// weights, input format and bias; plan() reports the choice per stage.
+// each conv / inner-product stage's kernel tier and epilogue width from
+// its encoded weights, input format and bias; plan() reports the choice
+// per stage. The steps between the tiles (input encode, requant, pool,
+// im2row pack) run the vector data path of quant/int_datapath.
 //
 // QuantizedNetwork::freeze_inference() builds one of these whenever the
 // config is eligible (fixed-point, <= 16-bit weights and data,
-// deterministic rounding, supported layer kinds) and QNN_INT_INFER is
+// round-half-away rounding, supported layer kinds) and QNN_INT_INFER is
 // not "off"; frozen forwards then run in the integer domain end-to-end,
 // which is how the serve replica tiers (fixed16/fixed8) pick the native
 // path up automatically.
@@ -55,7 +57,7 @@ class IntInferenceEngine {
  public:
   // Empty when the network qualifies for the native path; otherwise a
   // human-readable reason (unsupported kind/layer, too-wide formats,
-  // stochastic rounding, not calibrated, ...).
+  // a rounding mode other than kNearest, not calibrated, ...).
   static std::string ineligibility_reason(const nn::Network& net,
                                           const QuantizedNetwork& qnet);
   static bool eligible(const nn::Network& net,

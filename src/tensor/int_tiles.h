@@ -15,24 +15,118 @@
 //   load(p)           kLanes consecutive groups of a panel
 //   bcast(p)          one group of an A row in every lane
 //   zero(acc), dot<kAUnsigned>(acc, a, b), store(acc, int64_t* out)
+//   kVector           true for the vector ISAs, which also provide
+//   store32(acc8, int32_t* out)  kLanes int32 column sums of an Acc8
 // The tile: kRows rows x one kIntPanel-column panel, accumulated across
-// all K groups in registers, stored once as int64 and finished by the
-// fused requant epilogue straight into the output words.
+// all K groups in registers and finished by the fused requant epilogue
+// straight into the output words: in the int32 lanes when the job's
+// bound allows it (IntEpilogue::i32), else stored once as int64.
+//
+// The second half is the vector data path of IntVecOps (encode,
+// requant, max pool, im2row pack), written over 16-lane GCC vector
+// types that each flagged unit lowers to its own ISA (one zmm per
+// int32 vector under AVX-512, two ymm under AVX2).
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <type_traits>
 
 #include "tensor/microkernel.h"
 
 namespace qnn {
 
-// Vector instantiations; each returns false when the build lacks it.
+// Vector instantiations; each returns false (nullptr) when the build
+// lacks it.
 bool int_tiles_avx2(const IntTileJob& job);
 bool int_tiles_avx512(const IntTileJob& job);
 bool int_tiles_avx512_built();
+const IntVecOps* int_vec_ops_avx2();
+const IntVecOps* int_vec_ops_avx512();
 
 namespace {
+
+// ---------------------------------------------------------------------
+// 16-lane vectors: one lane per panel column.
+typedef std::int8_t VecS8 __attribute__((vector_size(16)));
+typedef std::int16_t VecS16 __attribute__((vector_size(32)));
+typedef std::int32_t VecS32 __attribute__((vector_size(64)));
+typedef std::uint32_t VecU32 __attribute__((vector_size(64)));
+typedef std::int64_t VecS64 __attribute__((vector_size(128)));
+typedef float VecF32 __attribute__((vector_size(64)));
+
+template <typename WordT>
+struct WordLanes;
+template <>
+struct WordLanes<std::int8_t> {
+  using V = VecS8;
+};
+template <>
+struct WordLanes<std::int16_t> {
+  using V = VecS16;
+};
+template <typename WordT>
+using WordVec = typename WordLanes<WordT>::V;
+
+template <typename V, typename T>
+inline V vload(const T* p) {
+  V v{};
+  __builtin_memcpy(&v, p, sizeof v);
+  return v;
+}
+template <typename T, typename V>
+inline void vstore(T* p, const V& v) {
+  __builtin_memcpy(p, &v, sizeof v);
+}
+template <typename V, typename T>
+inline V splat(T x) {
+  using E = std::remove_cv_t<std::remove_reference_t<decltype(V{}[0])>>;
+  return V{} + static_cast<E>(x);
+}
+template <typename V>
+inline V vmax(const V& a, const V& b) {
+  return a > b ? a : b;
+}
+// Stores the first n (< 16) lanes of v.
+template <typename T, typename V>
+inline void vstore_part(T* p, const V& v, std::int64_t n) {
+  T lanes[kIntPanel];
+  vstore(lanes, v);
+  for (std::int64_t i = 0; i < n; ++i) p[i] = lanes[i];
+}
+
+// One shift-round-saturate step (IntRequant) on 16 int32 lanes. The
+// shift is normalized to [-16, 30]: exact for any lane within 16 bits
+// (a larger down-shift rounds it to 0 either way; after the clamp a
+// larger up-shift saturates any nonzero lane either way), and for a
+// wider lane whenever the caller's shift is already at most 30 and
+// |lane| plus the rounding half fits int32.
+struct LaneRequant {
+  int shift = 0;
+  VecS32 lo{}, hi{};
+};
+inline LaneRequant lane_requant(const IntRequant& q) {
+  LaneRequant l;
+  l.shift = q.shift < -16 ? -16 : (q.shift > 30 ? 30 : q.shift);
+  l.lo = VecS32{} + static_cast<std::int32_t>(q.lo);
+  l.hi = VecS32{} + static_cast<std::int32_t>(q.hi);
+  return l;
+}
+inline void requant_lanes(VecS32& v, const LaneRequant& q) {
+  if (q.shift > 0) {
+    // Round half away from zero: round the magnitude, restore the sign.
+    const VecS32 neg = v < 0;
+    const VecS32 mag = ((neg ? -v : v) + (1 << (q.shift - 1))) >> q.shift;
+    v = neg ? -mag : mag;
+  } else if (q.shift < 0) {
+    // An up-shift only grows |v|: saturating first gives the same word.
+    v = v > q.lo ? v : q.lo;
+    v = v < q.hi ? v : q.hi;
+    v = v << -q.shift;
+  }
+  v = v > q.lo ? v : q.lo;
+  v = v < q.hi ? v : q.hi;
+}
 
 inline std::int64_t clamp_word(std::int64_t v, const IntRequant& q) {
   return v < q.lo ? q.lo : (v > q.hi ? q.hi : v);
@@ -80,6 +174,42 @@ inline void finish_rows(const IntEpilogue& e, std::int64_t i0, int rows,
   }
 }
 
+// The register epilogue (IntEpilogue::i32): addends and requant in the
+// int32 lanes, wrapping adds (the bound makes the sum exact), then one
+// narrowing store per row.
+template <typename OutT>
+inline void finish_rows_i32(const IntEpilogue& e, std::int64_t i0, int rows,
+                            std::int64_t j0, std::int64_t cols,
+                            const std::int32_t* tile) {
+  using OutV = WordVec<OutT>;
+  VecU32 col_add{};
+  if (e.col_add != nullptr) {
+    alignas(64) std::int64_t add[kIntPanel] = {};
+    for (std::int64_t c = 0; c < cols; ++c) add[c] = e.col_add[j0 + c];
+    col_add = __builtin_convertvector(vload<VecS64>(add), VecU32);
+  }
+  const LaneRequant q = lane_requant(e.requant);
+  const LaneRequant relu_q = lane_requant(e.relu_requant);
+  for (int r = 0; r < rows; ++r) {
+    const std::uint32_t row_add =
+        e.row_add != nullptr ? static_cast<std::uint32_t>(e.row_add[i0 + r])
+                             : 0u;
+    VecS32 v =
+        (VecS32)(vload<VecU32>(tile + r * kIntPanel) + row_add + col_add);
+    requant_lanes(v, q);
+    if (e.relu) {
+      v = vmax(v, VecS32{});
+      requant_lanes(v, relu_q);
+    }
+    OutT* dst = static_cast<OutT*>(e.out) + (i0 + r) * e.ldo + j0;
+    const OutV words = __builtin_convertvector(v, OutV);
+    if (cols == kIntPanel)
+      vstore(dst, words);
+    else
+      vstore_part(dst, words, cols);
+  }
+}
+
 template <class Isa, IntBody kBody, bool kAUnsigned, int kRows>
 inline void int_tile(const IntTileJob& job, std::int64_t i0,
                      const unsigned char* panel, std::int64_t j0,
@@ -103,6 +233,19 @@ inline void int_tile(const IntTileJob& job, std::int64_t i0,
           Isa::bcast(a + r * row_bytes + g * kIntGroupBytes);
       for (int v = 0; v < kVecs; ++v)
         Isa::template dot<kAUnsigned>(acc[r][v], x, b[v]);
+    }
+  }
+  if constexpr (kBody == IntBody::kS8 && Isa::kVector) {
+    if (job.epi.i32) {
+      alignas(64) std::int32_t tile32[kRows * kIntPanel];
+      for (int r = 0; r < kRows; ++r)
+        for (int v = 0; v < kVecs; ++v)
+          Isa::store32(acc[r][v], tile32 + r * kIntPanel + v * Isa::kLanes);
+      if (job.epi.out_bytes == 1)
+        finish_rows_i32<std::int8_t>(job.epi, i0, kRows, j0, cols, tile32);
+      else
+        finish_rows_i32<std::int16_t>(job.epi, i0, kRows, j0, cols, tile32);
+      return;
     }
   }
   alignas(64) std::int64_t tile[kRows * kIntPanel];
@@ -157,6 +300,202 @@ void run_int_tiles(const IntTileJob& job) {
   } else {
     int_tiles_body<Isa, IntBody::kS8, false>(job);
   }
+}
+
+// ---------------------------------------------------------------------
+// The vector data path (IntWordOps).
+
+template <typename WordT>
+void encode_words_vec(const float* x, std::int64_t n, int frac,
+                      std::int32_t lo, std::int32_t hi, WordT* out) {
+  // 2^frac as a normal float: scaling by it is exact, except where the
+  // product leaves the normal range, and there the word is 0 or
+  // saturated either way.
+  const std::uint32_t bits = static_cast<std::uint32_t>(frac + 127) << 23;
+  float scale = 0;
+  __builtin_memcpy(&scale, &bits, sizeof scale);
+  const VecF32 flo = splat<VecF32>(static_cast<float>(lo));
+  const VecF32 fhi = splat<VecF32>(static_cast<float>(hi));
+  const auto lanes = [&](VecF32 s) {
+    s *= scale;
+    // Clamp to the raw range first (NaN passes both compares), so the
+    // truncating convert stays in range; then NaN -> 0.
+    s = s < flo ? flo : s;
+    s = s > fhi ? fhi : s;
+    s = s == s ? s : VecF32{};
+    VecS32 t = __builtin_convertvector(s, VecS32);
+    const VecF32 f = s - __builtin_convertvector(t, VecF32);  // exact
+    // Round half away from zero; a true compare is -1.
+    t -= f >= 0.5f;
+    t += f <= -0.5f;
+    return __builtin_convertvector(t, WordVec<WordT>);
+  };
+  std::int64_t i = 0;
+  for (; i + kIntPanel <= n; i += kIntPanel)
+    vstore(out + i, lanes(vload<VecF32>(x + i)));
+  if (i < n) {
+    float rest[kIntPanel] = {};
+    for (std::int64_t j = i; j < n; ++j) rest[j - i] = x[j];
+    vstore_part(out + i, lanes(vload<VecF32>(rest)), n - i);
+  }
+}
+
+template <typename WordT>
+void requant_words_vec(const WordT* in, std::int64_t n, const IntRequant& q,
+                       bool relu, WordT* out) {
+  using V = WordVec<WordT>;
+  const LaneRequant l = lane_requant(q);
+  const auto lanes = [&](V w) {
+    VecS32 v = __builtin_convertvector(w, VecS32);
+    if (relu) v = vmax(v, VecS32{});
+    requant_lanes(v, l);
+    return __builtin_convertvector(v, V);
+  };
+  std::int64_t i = 0;
+  for (; i + kIntPanel <= n; i += kIntPanel)
+    vstore(out + i, lanes(vload<V>(in + i)));
+  if (i < n) {
+    WordT rest[kIntPanel] = {};
+    for (std::int64_t j = i; j < n; ++j) rest[j - i] = in[j];
+    vstore_part(out + i, lanes(vload<V>(rest)), n - i);
+  }
+}
+
+// Per output row: the vertical max of the window's input rows into a
+// row buffer whose border holds the minimum word (so the clipped
+// columns never win), then the horizontal window max for 16 outputs at
+// a time. Rows and planes are written in address order, so a full
+// store that runs past a row only touches words written later; only
+// the call's last store is partial.
+template <typename WordT>
+void pool_max_vec(const IntPoolGeom& g, std::int64_t planes, const WordT* in,
+                  WordT* out) {
+  using V = WordVec<WordT>;
+  constexpr WordT kMin = std::numeric_limits<WordT>::min();
+  WordT row[kIntPoolRowWords];
+  for (std::int64_t i = 0; i < kIntPoolRowWords; ++i) row[i] = kMin;
+  const auto window = [&](const WordT* p) {
+    if (g.stride == 1) return vload<V>(p);
+    if (g.stride == 2)
+      return __builtin_shufflevector(vload<V>(p), vload<V>(p + kIntPanel), 0,
+                                     2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22,
+                                     24, 26, 28, 30);
+    WordT lanes[kIntPanel];
+    for (std::int64_t c = 0; c < kIntPanel; ++c) lanes[c] = p[c * g.stride];
+    return vload<V>(lanes);
+  };
+  const WordT* const out_end = out + planes * g.oh * g.ow;
+  for (std::int64_t pl = 0; pl < planes; ++pl) {
+    const WordT* src = in + pl * g.h * g.w;
+    for (std::int64_t y = 0; y < g.oh; ++y) {
+      const std::int64_t top = y * g.stride - g.pad;
+      const std::int64_t y0 = top < 0 ? 0 : top;
+      const std::int64_t y1 = top + g.kernel < g.h ? top + g.kernel : g.h;
+      WordT* r = row + g.pad;
+      const auto column_max = [&](std::int64_t x) {
+        V m = vload<V>(src + y0 * g.w + x);
+        for (std::int64_t yy = y0 + 1; yy < y1; ++yy)
+          m = vmax(m, vload<V>(src + yy * g.w + x));
+        vstore(r + x, m);
+      };
+      std::int64_t x = 0;
+      for (; x + kIntPanel <= g.w; x += kIntPanel) column_max(x);
+      if (x < g.w && g.w >= kIntPanel) {
+        column_max(g.w - kIntPanel);  // overlaps the last full vector
+      } else {
+        for (; x < g.w; ++x) {
+          WordT m = src[y0 * g.w + x];
+          for (std::int64_t yy = y0 + 1; yy < y1; ++yy)
+            m = src[yy * g.w + x] > m ? src[yy * g.w + x] : m;
+          r[x] = m;
+        }
+      }
+      WordT* dst = out + (pl * g.oh + y) * g.ow;
+      for (std::int64_t x0 = 0; x0 < g.ow; x0 += kIntPanel) {
+        V m = splat<V>(kMin);
+        for (std::int64_t kx = 0; kx < g.kernel; ++kx)
+          m = vmax(m, window(row + x0 * g.stride + kx));
+        if (dst + x0 + kIntPanel <= out_end)
+          vstore(dst + x0, m);
+        else
+          vstore_part(dst + x0, m, out_end - dst - x0);
+      }
+    }
+  }
+}
+
+// Stride 1: within one output row the panel's columns read consecutive
+// words, so each K row of the panel is at most ceil(16 / ow) + 1 runs of
+// contiguous words. Each run is one unaligned load blended into the row
+// under its lane mask; groups of K rows are then interleaved into the
+// panel's 4-byte groups.
+template <typename WordT>
+void pack_patch_vec(const IntPatchGeom& g, const WordT* img, std::int64_t j0,
+                    std::int64_t cols, WordT zero, WordT* panel) {
+  using V = WordVec<WordT>;
+  constexpr int kPer = kIntGroupBytes / static_cast<int>(sizeof(WordT));
+  V iota{};
+  for (int c = 0; c < kIntPanel; ++c) iota[c] = static_cast<WordT>(c);
+  std::int64_t run_at[kIntPanel];  // word offset of lane 0 of each run
+  V run_mask[kIntPanel];
+  int runs = 0;
+  for (std::int64_t c = 0; c < cols;) {
+    const std::int64_t y = (j0 + c) / g.ow, x = (j0 + c) % g.ow;
+    const std::int64_t len = cols - c < g.ow - x ? cols - c : g.ow - x;
+    run_at[runs] = y * g.wp + x - c;
+    run_mask[runs] = (iota >= splat<V>(c)) & (iota < splat<V>(c + len));
+    ++runs;
+    c += len;
+  }
+  const V zeros = splat<V>(zero);
+  const std::int64_t k = g.k();
+  std::int64_t ci = 0, ky = 0, kx = 0;
+  const auto next_row = [&](std::int64_t r) {
+    if (r >= k) return zeros;
+    const WordT* src = img + (ci * g.hp + ky) * g.wp + kx;
+    if (++kx == g.kernel) {
+      kx = 0;
+      if (++ky == g.kernel) {
+        ky = 0;
+        ++ci;
+      }
+    }
+    V v = zeros;
+    for (int i = 0; i < runs; ++i)
+      v = run_mask[i] ? vload<V>(src + run_at[i]) : v;
+    return v;
+  };
+  const std::int64_t groups = (k + kPer - 1) / kPer;
+  for (std::int64_t grp = 0; grp < groups; ++grp) {
+    WordT* dst = panel + grp * kIntPanel * kPer;
+    const std::int64_t r = grp * kPer;
+    if constexpr (kPer == 4) {
+      const V r0 = next_row(r), r1 = next_row(r + 1);
+      const V r2 = next_row(r + 2), r3 = next_row(r + 3);
+      const auto pairs = [](V a, V b) {
+        return (VecS16)(__builtin_shufflevector(
+            a, b, 0, 16, 1, 17, 2, 18, 3, 19, 4, 20, 5, 21, 6, 22, 7, 23, 8,
+            24, 9, 25, 10, 26, 11, 27, 12, 28, 13, 29, 14, 30, 15, 31));
+      };
+      const VecS16 lo = pairs(r0, r1), hi = pairs(r2, r3);
+      vstore(dst, __builtin_shufflevector(
+                      lo, hi, 0, 16, 1, 17, 2, 18, 3, 19, 4, 20, 5, 21, 6, 22,
+                      7, 23, 8, 24, 9, 25, 10, 26, 11, 27, 12, 28, 13, 29, 14,
+                      30, 15, 31));
+    } else {
+      const V r0 = next_row(r), r1 = next_row(r + 1);
+      vstore(dst, __builtin_shufflevector(
+                      r0, r1, 0, 16, 1, 17, 2, 18, 3, 19, 4, 20, 5, 21, 6, 22,
+                      7, 23, 8, 24, 9, 25, 10, 26, 11, 27, 12, 28, 13, 29, 14,
+                      30, 15, 31));
+    }
+  }
+}
+
+template <typename WordT>
+constexpr IntWordOps<WordT> vec_word_ops() {
+  return {encode_words_vec<WordT>, requant_words_vec<WordT>,
+          pool_max_vec<WordT>, pack_patch_vec<WordT>};
 }
 
 }  // namespace

@@ -65,6 +65,7 @@ void block_f32_scalar(std::int64_t mb, std::int64_t nb, std::int64_t kb,
 // multiplied in int64 — exact for any words, so it is also the tier a
 // stage falls back to when its accumulator bound fails.
 struct ScalarIsa {
+  static constexpr bool kVector = false;
   static constexpr int kLanes = 1;
   static constexpr int kRows8 = 4;
   static constexpr int kRows16 = 4;
@@ -338,6 +339,14 @@ void int_tiles(SimdLevel level, const IntTileJob& job) {
   if (level == SimdLevel::kAvx512 && int_tiles_avx512(job)) return;
   if (level >= SimdLevel::kAvx2 && int_tiles_avx2(job)) return;
   run_int_tiles<ScalarIsa>(job);
+}
+
+const IntVecOps* int_vec_ops(SimdLevel level) {
+  if (!simd_supports(level)) level = simd_support();
+  if (level == SimdLevel::kAvx512) {
+    if (const IntVecOps* ops = int_vec_ops_avx512()) return ops;
+  }
+  return level >= SimdLevel::kAvx2 ? int_vec_ops_avx2() : nullptr;
 }
 
 }  // namespace qnn

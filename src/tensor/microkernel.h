@@ -140,6 +140,13 @@ struct IntRequant {
 // `requant`; R2, when relu is set, is max(., 0) followed by
 // `relu_requant` — a conv or inner product and the ReLU after it, both
 // roundings kept. Constants are per stage, hoisted out of the tiles.
+//
+// i32 selects the register epilogue of the vector kS8 tiers: the int32
+// lanes take the addends (truncated to int32: the sum is exact modulo
+// 2^32) and the requant in place, then narrow straight to the output
+// words. The caller sets it only when its bound proves every
+// |acc + row_add + col_add| plus R1's rounding half below 2^31 and R1's
+// shift at most 30 (quant/acc_bound); every other tile widens to int64.
 struct IntEpilogue {
   const std::int64_t* row_add = nullptr;  // [m] or nullptr
   const std::int64_t* col_add = nullptr;  // [n] or nullptr
@@ -149,6 +156,7 @@ struct IntEpilogue {
   void* out = nullptr;   // element (0, 0) of the output
   std::int64_t ldo = 0;  // output row stride, in elements
   int out_bytes = 8;     // 1 (int8), 2 (int16) or 8 (int64)
+  bool i32 = false;      // out_bytes 1 or 2 only
 };
 
 struct IntTileJob {
@@ -164,5 +172,62 @@ struct IntTileJob {
 
 // Runs the job at `level`, clamped to what this CPU supports.
 void int_tiles(SimdLevel level, const IntTileJob& job);
+
+// ---------------------------------------------------------------------
+// The vector data path around the tiles: the word-level steps of a
+// native integer forward (quant/int_datapath holds their scalar
+// references and the dispatch). One table per vector level, written
+// once over 16-lane vectors in tensor/int_tiles.h. Every entry returns
+// exactly its scalar reference's words; the preconditions below are
+// the caller's to check.
+
+// A max pool over h x w planes: output (y, x) is the max over the
+// window rows [y*stride - pad, +kernel) and columns [x*stride - pad,
+// +kernel), clipped to the plane. Every window must hold a word, and
+// neither pad + w nor stride * round_up(ow, kIntPanel) + kernel +
+// 2 * kIntPanel may exceed kIntPoolRowWords.
+struct IntPoolGeom {
+  std::int64_t h = 0, w = 0, oh = 0, ow = 0;
+  std::int64_t kernel = 0, stride = 1, pad = 0;
+};
+inline constexpr std::int64_t kIntPoolRowWords = 1024;
+
+// im2row of one conv panel from zero-padded planes (hp x wp each, in_c
+// of them): K row r = (ci, ky, kx) of column c holds the word at
+// ((ci * hp + ky + y * stride) * wp + kx + x * stride) for output
+// position j0 + c = y * ow + x, in the panel layout of int_gemm.h; the
+// K tail and columns past `cols` hold `zero`. The vector entry takes
+// stride 1 only, and reads up to kIntPanel words before and after the
+// planes, which must be readable.
+struct IntPatchGeom {
+  std::int64_t in_c = 0, kernel = 0, stride = 1, hp = 0, wp = 0, ow = 0;
+  std::int64_t k() const { return in_c * kernel * kernel; }  // K rows
+};
+
+template <typename WordT>
+struct IntWordOps {
+  // out[i] = the raw word of x[i] * 2^frac, rounded half away from zero
+  // and saturated to [lo, hi]; NaN gives 0. frac in [-126, 127].
+  void (*encode)(const float* x, std::int64_t n, int frac, std::int32_t lo,
+                 std::int32_t hi, WordT* out);
+  // out[i] = q(relu ? max(in[i], 0) : in[i]); in == out is allowed.
+  void (*requant)(const WordT* in, std::int64_t n, const IntRequant& q,
+                  bool relu, WordT* out);
+  // The window maxima of `planes` consecutive planes (not requantized).
+  void (*pool_max)(const IntPoolGeom& g, std::int64_t planes,
+                   const WordT* in, WordT* out);
+  void (*pack_patch)(const IntPatchGeom& g, const WordT* img,
+                     std::int64_t j0, std::int64_t cols, WordT zero,
+                     WordT* panel);
+};
+
+struct IntVecOps {
+  IntWordOps<std::int8_t> s8;
+  IntWordOps<std::int16_t> s16;
+};
+
+// The table of the best vector level <= `level` this CPU supports, or
+// nullptr when that is the scalar level.
+const IntVecOps* int_vec_ops(SimdLevel level);
 
 }  // namespace qnn

@@ -1,6 +1,12 @@
 // AVX2 instantiation of the integer tile kernels (tensor/int_tiles.h),
 // compiled with -mavx2 -mfma (src/CMakeLists.txt). Without those flags
 // the unit reports itself unbuilt and the scalar tier runs instead.
+//
+// The data path's 64-byte vectors (tensor/int_tiles.h) pass by value
+// only between internal-linkage helpers of this unit, so GCC's note
+// that such calls change ABI under AVX-512 cannot apply here.
+#pragma GCC diagnostic ignored "-Wpsabi"
+
 #include "tensor/int_tiles.h"
 
 #if defined(__AVX2__)
@@ -17,6 +23,7 @@ namespace {
 // int32 bound covers it; store() adds the pairs and restores column
 // order. int16 pairs are one `vpmaddwd`, widened to int64 per column.
 struct Avx2 {
+  static constexpr bool kVector = true;
   static constexpr int kLanes = 8;
   static constexpr int kRows8 = 2;
   static constexpr int kRows16 = 2;
@@ -64,20 +71,29 @@ struct Avx2 {
         acc.hi, _mm256_cvtepi32_epi64(_mm256_extracti128_si256(s, 1)));
   }
 
+  // The eight column sums in order: hadd leaves 64-bit chunks
+  // (c0 c1)(c4 c5)(c2 c3)(c6 c7).
+  static __m256i sums(const Acc8& acc) {
+    return _mm256_permute4x64_epi64(_mm256_hadd_epi32(acc.lo, acc.hi), 0xD8);
+  }
   static void store(const Acc8& acc, std::int64_t* out) {
-    // hadd leaves 64-bit chunks (c0 c1)(c4 c5)(c2 c3)(c6 c7).
-    const __m256i s =
-        _mm256_permute4x64_epi64(_mm256_hadd_epi32(acc.lo, acc.hi), 0xD8);
+    const __m256i s = sums(acc);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
                         _mm256_cvtepi32_epi64(_mm256_castsi256_si128(s)));
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 4),
                         _mm256_cvtepi32_epi64(_mm256_extracti128_si256(s, 1)));
+  }
+  static void store32(const Acc8& acc, std::int32_t* out) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out), sums(acc));
   }
   static void store(const Acc16& acc, std::int64_t* out) {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out), acc.lo);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 4), acc.hi);
   }
 };
+
+constexpr IntVecOps kVecOps{vec_word_ops<std::int8_t>(),
+                            vec_word_ops<std::int16_t>()};
 
 }  // namespace
 
@@ -86,6 +102,8 @@ bool int_tiles_avx2(const IntTileJob& job) {
   return true;
 }
 
+const IntVecOps* int_vec_ops_avx2() { return &kVecOps; }
+
 }  // namespace qnn
 
 #else
@@ -93,6 +111,7 @@ bool int_tiles_avx2(const IntTileJob& job) {
 namespace qnn {
 
 bool int_tiles_avx2(const IntTileJob&) { return false; }
+const IntVecOps* int_vec_ops_avx2() { return nullptr; }
 
 }  // namespace qnn
 

@@ -15,6 +15,7 @@ namespace {
 // int16 pairs run `vpmaddwd`, each int32 pair sum widened to int64
 // (columns 0-7 in lo, 8-15 in hi) before it is added.
 struct Avx512 {
+  static constexpr bool kVector = true;
   static constexpr int kLanes = 16;
   static constexpr int kRows8 = 8;
   static constexpr int kRows16 = 4;
@@ -69,7 +70,13 @@ struct Avx512 {
     _mm512_storeu_si512(out, acc.lo);
     _mm512_storeu_si512(out + 8, acc.hi);
   }
+  static void store32(const Acc8& acc, std::int32_t* out) {
+    _mm512_storeu_si512(out, acc.s);
+  }
 };
+
+constexpr IntVecOps kVecOps{vec_word_ops<std::int8_t>(),
+                            vec_word_ops<std::int16_t>()};
 
 }  // namespace
 
@@ -80,6 +87,8 @@ bool int_tiles_avx512(const IntTileJob& job) {
 
 bool int_tiles_avx512_built() { return true; }
 
+const IntVecOps* int_vec_ops_avx512() { return &kVecOps; }
+
 }  // namespace qnn
 
 #else
@@ -88,6 +97,7 @@ namespace qnn {
 
 bool int_tiles_avx512(const IntTileJob&) { return false; }
 bool int_tiles_avx512_built() { return false; }
+const IntVecOps* int_vec_ops_avx512() { return nullptr; }
 
 }  // namespace qnn
 

@@ -388,6 +388,10 @@ TEST(IntInferenceOracle, PlanProvesFastTiersAndFusesRelu) {
       EXPECT_TRUE(s.fallback.empty()) << s.fallback;
       EXPECT_GT(s.acc_bits, bits);
       EXPECT_EQ(s.fused_relu, i == 2);  // only ip(5) is followed by a ReLU
+      // Small nets keep every int8 accumulator far inside int32.
+      EXPECT_EQ(s.epilogue, bits == 8 ? IntEpilogueWidth::kI32
+                                      : IntEpilogueWidth::kI64)
+          << cfg.label() << " stage " << i;
     }
   }
 }
@@ -576,6 +580,38 @@ TEST(IntInference, IneligibleConfigsFallBackToFloatPath) {
     QuantizedNetwork qnet(*net, fixed_config(8, 8));
     qnet.calibrate(calib);
     EXPECT_EQ(IntInferenceEngine::ineligibility_reason(*net, qnet), "");
+  }
+}
+
+// The integer requant rounds half away from zero. Freezing a config
+// with any other deterministic rounding mode must keep the fake-quant
+// path, so freezing never changes an output.
+TEST(IntInferenceDispatch, NonNearestRoundingStaysOnFakeQuant) {
+  nn::ZooConfig zc;
+  zc.channel_scale = 0.5;
+  zc.init_seed = 7;
+  Tensor x(Shape{16, 1, 28, 28});
+  Rng rng(7);
+  x.fill_uniform(rng, 0, 1);
+  for (Rounding mode :
+       {Rounding::kNearest, Rounding::kNearestEven, Rounding::kFloor}) {
+    auto net = nn::make_lenet(zc);
+    net->set_training_mode(false);
+    PrecisionConfig cfg = fixed_config(8, 8);
+    cfg.rounding = mode;
+    QuantizedNetwork qnet(*net, cfg);
+    qnet.calibrate(x);
+    const Tensor unfrozen = qnet.forward(x);
+    qnet.restore_masters();
+    EXPECT_EQ(IntInferenceEngine::ineligibility_reason(*net, qnet).empty(),
+              mode == Rounding::kNearest);
+    qnet.freeze_inference();
+    EXPECT_EQ(qnet.native_int_active(), mode == Rounding::kNearest);
+    const Tensor frozen = qnet.forward(x);
+    ASSERT_EQ(frozen.count(), unfrozen.count());
+    for (std::int64_t i = 0; i < frozen.count(); ++i)
+      ASSERT_EQ(frozen[i], unfrozen[i])
+          << "rounding " << static_cast<int>(mode) << " elem " << i;
   }
 }
 

@@ -397,7 +397,8 @@ TEST(ObsTrace, BufferStatsBreakDownOccupancyPerThread) {
 
 TEST(ObsReport, IntPathSectionCarriesTheStagePlan) {
   quant::IntPathPlan plan;
-  plan.stages.push_back({3, "conv", 8, quant::IntTier::kDot8, 21, true, ""});
+  plan.stages.push_back({3, "conv", 8, quant::IntTier::kDot8, 21, true, "",
+                         quant::IntEpilogueWidth::kI32});
   plan.stages.push_back({7, "ip", 16, quant::IntTier::kExact64, 40, false,
                          "weight word -32768"});
   obs::RunReport report("t");
@@ -413,6 +414,8 @@ TEST(ObsReport, IntPathSectionCarriesTheStagePlan) {
   EXPECT_EQ(stages.at(1).at("word_bits").as_int(), 16);
   EXPECT_EQ(stages.at(1).at("tier").as_string(), "exact-i64");
   EXPECT_EQ(stages.at(1).at("fallback").as_string(), "weight word -32768");
+  EXPECT_EQ(stages.at(0).at("epilogue").as_string(), "i32");
+  EXPECT_EQ(stages.at(1).at("epilogue").as_string(), "i64");
 }
 
 TEST(ObsReport, DocumentRoundTripsWithSections) {
