@@ -9,7 +9,8 @@
 // per-rep wall times also feed "phase.<name>.{serial,threads}_us"
 // histograms in the metrics registry, summarized in the JSON under
 // "phases". The "int_datapath" rows time the native integer forward and
-// its word steps at the scalar and the vector level (report-only). Run
+// its word steps, the "float_datapath" rows the steps around the float
+// GEMM, each at the scalar and the vector level (report-only). Run
 // with --trace/--report (bench::Session) for a
 // chrome://tracing profile and a RunReport.
 #include <benchmark/benchmark.h>
@@ -25,6 +26,8 @@
 #include "bench_common.h"
 #include "data/synthetic.h"
 #include "exp/sweep.h"
+#include "nn/inner_product.h"
+#include "nn/pool.h"
 #include "nn/trainer.h"
 #include "nn/zoo.h"
 #include "obs/metrics.h"
@@ -138,10 +141,10 @@ BENCHMARK(BM_IntGemm16Avx512)->Arg(256);
 
 void BM_GemmTallK(benchmark::State& state) {
   // Inner-product forward shape: batch rows M too small to fill the
-  // pool, reduction K spanning many chunks — the K-parallel schedule's
-  // target case (DESIGN.md §9). B is stored [N, K] as InnerProduct
-  // stores weights; the hoisted scratch keeps the transpose and the
-  // chunk partials across iterations, as the layer does.
+  // pool, reduction K spanning many chunks (DESIGN.md §9). B is stored
+  // [N, K] as InnerProduct stores weights, so the shape runs as the
+  // transposed product C^T = B * A^T; the hoisted scratch keeps A^T, C^T
+  // and the chunk partials across iterations, as the layer does.
   const std::int64_t m = 8, n = 512, k = state.range(0);
   Rng rng(7);
   Tensor a(Shape{m, k}), b(Shape{n, k}), c(Shape{m, n});
@@ -458,40 +461,93 @@ std::vector<Crc32Row> time_crc32_rows(obs::Registry& reg) {
   return rows;
 }
 
-// Native integer data path rows (DESIGN.md §15): the frozen LeNet x0.5
-// batch-8 forward at fixed(8,8) and fixed(16,16), and the int8 word
-// steps of that forward (the conv1 im2row pack of every panel, the pool1
-// planes, the input encode), each timed at the scalar reference and at
-// the best vector level on the 1-thread pool, per call. Report-only.
-struct IntDatapathRow {
+// Data path rows: one step timed at the scalar reference and at the
+// best vector level on the 1-thread pool, per call, into the
+// "phase.<section>.<name>.<level>_us" histograms. Report-only.
+struct DatapathRow {
   std::string name;
   double scalar_us = 0;
   double vector_us = 0;
 };
 
-std::vector<IntDatapathRow> time_int_datapath_rows(obs::Registry& reg) {
-  const SimdLevel vec = simd_support();
+DatapathRow time_datapath_row(obs::Registry& reg, const std::string& section,
+                              const std::string& name, int calls,
+                              const std::function<void(SimdLevel)>& fn) {
+  DatapathRow row{name, 0, 0};
+  for (SimdLevel level : {SimdLevel::kScalar, simd_support()}) {
+    ScopedSimdLevel force(level);
+    const double ms = best_of_ms(
+        5,
+        reg.histogram("phase." + section + "." + name + "." +
+                          simd_level_name(level) + "_us",
+                      phase_bounds()),
+        [&] {
+          for (int i = 0; i < calls; ++i) fn(level);
+        });
+    (level == SimdLevel::kScalar ? row.scalar_us : row.vector_us) =
+        ms * 1000.0 / calls;
+  }
+  return row;
+}
+
+// Float data path rows (DESIGN.md §9): the three steps around the float
+// GEMM in a batch-8 forward — ALEX++'s ip512 (InnerProduct 4096 -> 512,
+// the transposed product and its narrow panel), ALEX+'s conv2 im2col
+// (64 x 16x16, 5x5, pad 2, per image) and ALEX+'s pool1 (max 3x3 stride
+// 2 over 64 x 32x32 planes).
+std::vector<DatapathRow> time_float_datapath_rows(obs::Registry& reg) {
+  Rng rng(6);
+  std::vector<DatapathRow> rows;
+  const auto time_row = [&](const std::string& name, int calls,
+                            const std::function<void(SimdLevel)>& fn) {
+    rows.push_back(time_datapath_row(reg, "float_datapath", name, calls, fn));
+  };
+
+  nn::InnerProduct ip(4096, 512);
+  Rng init(2);
+  ip.params()[0]->value.fill_uniform(init, -0.05f, 0.05f);
+  Tensor ip_in(Shape{8, 4096});
+  ip_in.fill_uniform(rng, -1, 1);
+  time_row("alexpp_ip512_fwd_b8", 20, [&](SimdLevel) {
+    benchmark::DoNotOptimize(ip.forward(ip_in).data());
+  });
+
+  ConvGeometry g;
+  g.in_c = 64;
+  g.in_h = g.in_w = 16;
+  g.kernel_h = g.kernel_w = 5;
+  g.pad_h = g.pad_w = 2;
+  Tensor image(Shape{8, 64, 16, 16});
+  image.fill_uniform(rng, -1, 1);
+  std::vector<float> cols(static_cast<std::size_t>(g.col_rows() * g.col_cols()));
+  time_row("alexp_conv2_im2col_b8", 10, [&](SimdLevel) {
+    for (std::int64_t sample = 0; sample < 8; ++sample)
+      im2col(g, image.data() + sample * 64 * 16 * 16, cols.data());
+    benchmark::DoNotOptimize(cols.data());
+    benchmark::ClobberMemory();
+  });
+
+  nn::Pool2d pool({nn::PoolMode::kMax, 3, 2, 0});
+  Tensor planes(Shape{8, 64, 32, 32});
+  planes.fill_uniform(rng, -1, 1);
+  time_row("alexp_pool1_b8", 10, [&](SimdLevel) {
+    benchmark::DoNotOptimize(pool.forward(planes).data());
+  });
+  return rows;
+}
+
+// Native integer data path rows (DESIGN.md §15): the frozen LeNet x0.5
+// batch-8 forward at fixed(8,8) and fixed(16,16), and the int8 word
+// steps of that forward (the conv1 im2row pack of every panel, the pool1
+// planes, the input encode).
+std::vector<DatapathRow> time_int_datapath_rows(obs::Registry& reg) {
   Rng rng(4);
   Tensor x(Shape{8, 1, 28, 28});
   x.fill_uniform(rng, 0, 1);
-  std::vector<IntDatapathRow> rows;
+  std::vector<DatapathRow> rows;
   const auto time_row = [&](const std::string& name, int calls,
                             const std::function<void(SimdLevel)>& fn) {
-    IntDatapathRow row{name, 0, 0};
-    for (SimdLevel level : {SimdLevel::kScalar, vec}) {
-      ScopedSimdLevel force(level);
-      const double ms = best_of_ms(
-          5,
-          reg.histogram("phase.int_datapath." + name + "." +
-                            simd_level_name(level) + "_us",
-                        phase_bounds()),
-          [&] {
-            for (int i = 0; i < calls; ++i) fn(level);
-          });
-      (level == SimdLevel::kScalar ? row.scalar_us : row.vector_us) =
-          ms * 1000.0 / calls;
-    }
-    rows.push_back(row);
+    rows.push_back(time_datapath_row(reg, "int_datapath", name, calls, fn));
   };
 
   for (int bits : {8, 16}) {
@@ -566,6 +622,30 @@ json::Value int_path_section() {
     }
   }
   return section;
+}
+
+json::Value datapath_json(const std::vector<DatapathRow>& rows) {
+  json::Value arr = json::Value::array();
+  for (const DatapathRow& row : rows) {
+    json::Value entry = json::Value::object();
+    entry.set("name", row.name);
+    entry.set("gated", false);
+    entry.set("level", simd_level_name(simd_support()));
+    entry.set("scalar_us", row.scalar_us);
+    entry.set("vector_us", row.vector_us);
+    entry.set("speedup",
+              row.vector_us > 0 ? row.scalar_us / row.vector_us : 0.0);
+    arr.push_back(std::move(entry));
+  }
+  return arr;
+}
+
+void print_datapath(const char* title, const std::vector<DatapathRow>& rows) {
+  std::cout << title << " (" << simd_level_name(simd_support())
+            << " vs scalar, 1 thread, per call):\n";
+  for (const DatapathRow& row : rows)
+    std::cout << "  " << row.name << ": " << row.scalar_us << " us -> "
+              << row.vector_us << " us\n";
 }
 
 // Times each workload with a 1-thread pool and with the environment's
@@ -648,7 +728,8 @@ int write_scaling_report(bench::Session& session, double min_speedup) {
   // microkernel dispatch from the scheduler.
   const std::vector<SimdRow> simd_rows = time_simd_rows(reg);
   const std::vector<Crc32Row> crc_rows = time_crc32_rows(reg);
-  const std::vector<IntDatapathRow> int_rows = time_int_datapath_rows(reg);
+  const std::vector<DatapathRow> int_rows = time_int_datapath_rows(reg);
+  const std::vector<DatapathRow> float_rows = time_float_datapath_rows(reg);
   ThreadPool::set_global_threads(threads);
   for (std::size_t w = 0; w < workloads.size(); ++w)
     rows[w].parallel_ms =
@@ -716,18 +797,8 @@ int write_scaling_report(bench::Session& session, double min_speedup) {
     crc_arr.push_back(std::move(entry));
   }
   doc.set("crc32", std::move(crc_arr));
-  json::Value int_arr = json::Value::array();
-  for (const IntDatapathRow& row : int_rows) {
-    json::Value entry = json::Value::object();
-    entry.set("name", row.name);
-    entry.set("gated", false);
-    entry.set("level", simd_level_name(simd_support()));
-    entry.set("scalar_us", row.scalar_us);
-    entry.set("vector_us", row.vector_us);
-    entry.set("speedup", row.vector_us > 0 ? row.scalar_us / row.vector_us : 0.0);
-    int_arr.push_back(std::move(entry));
-  }
-  doc.set("int_datapath", std::move(int_arr));
+  doc.set("int_datapath", datapath_json(int_rows));
+  doc.set("float_datapath", datapath_json(float_rows));
   doc.set("phases", std::move(phases));
   write_file_atomic("BENCH_micro.json", doc.dump() + "\n");
 
@@ -749,11 +820,8 @@ int write_scaling_report(bench::Session& session, double min_speedup) {
   for (const Crc32Row& row : crc_rows)
     std::cout << "  " << row.name << ": table " << row.table_us
               << " us, clmul " << row.clmul_us << " us\n";
-  std::cout << "Native int data path (" << simd_level_name(simd_support())
-            << " vs scalar, 1 thread, per call):\n";
-  for (const IntDatapathRow& row : int_rows)
-    std::cout << "  " << row.name << ": " << row.scalar_us << " us -> "
-              << row.vector_us << " us\n";
+  print_datapath("Native int data path", int_rows);
+  print_datapath("Float data path", float_rows);
   std::cout << "wrote BENCH_micro.json\n";
 
   // --min-speedup gate: every gated (large) workload must clear the

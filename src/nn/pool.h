@@ -1,9 +1,13 @@
 // Max / average 2-D pooling.
 //
 // Output geometry uses Caffe's ceil mode (the paper's nets are Caffe
-// nets): out = ceil((in + 2*pad - k) / stride) + 1, with windows clipped
-// to the padded input and average pooling dividing by the *clipped*
-// window size, matching Caffe's AVE pooling.
+// nets, see pool_out_extent), with windows clipped to the input and
+// average pooling dividing by the *clipped* window size, matching
+// Caffe's AVE pooling. Max pooling scans each window in (row, column)
+// order from its first cell and keeps the first maximum; at the AVX2
+// level, outputs whose windows lie wholly inside the plane run 8 at a
+// time (stride 1 and 2, F32VecOps in tensor/microkernel.h) with the
+// same bytes and argmax.
 #pragma once
 
 #include <vector>
@@ -13,6 +17,14 @@
 namespace qnn::nn {
 
 enum class PoolMode { kMax, kAvg };
+
+// Output extent of one pooled dimension: ceil((in + 2*pad - kernel) /
+// stride) + 1, less the last window when it would start past the input
+// and its padding — whatever the pad (Caffe clips only when pad > 0,
+// which lets kernel < stride make a window that lies wholly outside the
+// image). nn's Pool2d and the integer lowering (quant/int_plan) share it.
+std::int64_t pool_out_extent(std::int64_t in, std::int64_t kernel,
+                             std::int64_t stride, std::int64_t pad);
 
 struct PoolSpec {
   PoolMode mode = PoolMode::kMax;
@@ -37,8 +49,6 @@ class Pool2d final : public Layer {
   const PoolSpec& spec() const { return spec_; }
 
  private:
-  std::int64_t out_extent(std::int64_t in) const;
-
   PoolSpec spec_;
   Shape cached_in_shape_;
   std::vector<std::int64_t> argmax_;  // flat input index per output (max)

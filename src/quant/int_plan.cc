@@ -52,14 +52,10 @@ Shape IntStage::out_shape(const Shape& s) const {
     }
     case IntStageKind::kIp:
       return Shape{s[0], outputs};
-    case IntStageKind::kPool: {
-      auto extent = [&](std::int64_t d) {
-        std::int64_t o = (d + 2 * pad - kernel + stride - 1) / stride + 1;
-        if (pad > 0 && (o - 1) * stride >= d + pad) --o;
-        return o;
-      };
-      return Shape{s.n(), s.c(), extent(s.h()), extent(s.w())};
-    }
+    case IntStageKind::kPool:
+      return Shape{s.n(), s.c(),
+                   nn::pool_out_extent(s.h(), kernel, stride, pad),
+                   nn::pool_out_extent(s.w(), kernel, stride, pad)};
     default:
       return s;
   }

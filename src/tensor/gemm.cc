@@ -281,12 +281,50 @@ const float* transpose_operand(const float* src, std::int64_t rows,
   return dst;
 }
 
+// The shape rule of a trans_b op: materializing B^T moves N*K floats,
+// the transposed product C^T = B_stored * A^T moves A^T in and C^T out
+// (M*K + M*N). A pure function of the shape, so it never depends on the
+// thread count or the SIMD level.
+bool prefers_transposed_product(const GemmOp& op) {
+  return op.trans_b && op.n * op.k > op.m * op.k + op.m * op.n;
+}
+
+// C^T[N,M] = B_stored[N,K] * A^T[K,M], then C = (C^T)^T. Byte-identical
+// to the plain product: each element folds the same K products in the
+// same order (fma(a, b, c) == fma(b, a, c)), the K plan depends on K
+// alone, and the bias — swapped to the other axis — is still one add
+// after the tree. An accumulated C is transposed in first, so it seeds
+// the fold (or meets the tree) exactly as it would have. A^T and C^T
+// share the scratch's transpose buffer.
+void transposed_product(const GemmOp& op, GemmScratch& scratch) {
+  const std::int64_t m = op.m, n = op.n, k = op.k;
+  float* at = scratch.transpose(static_cast<std::size_t>(k * m + n * m));
+  float* ct = at + k * m;
+  transpose_into(at, op.a, k, m);
+  if (op.accumulate) transpose_into(ct, op.c, n, m);
+  GemmOp t = op;
+  t.m = n;
+  t.n = m;
+  t.a = op.b;
+  t.b = at;
+  t.trans_b = false;
+  t.c = ct;
+  t.bias_axis =
+      op.bias_axis == BiasAxis::kRow ? BiasAxis::kCol : BiasAxis::kRow;
+  gemm_impl(t, scratch);
+  transpose_into(op.c, ct, m, n);
+}
+
 }  // namespace
 
 void gemm(const GemmOp& op, GemmScratch* scratch) {
   QNN_CHECK_MSG(!(op.trans_a && op.trans_b),
                 "gemm: at most one operand may be transposed");
   GemmScratch& s = scratch != nullptr ? *scratch : thread_scratch();
+  if (prefers_transposed_product(op)) {
+    transposed_product(op, s);
+    return;
+  }
   GemmOp plain = op;
   if (op.trans_a) plain.a = transpose_operand(op.a, op.m, op.k, s);
   if (op.trans_b) plain.b = transpose_operand(op.b, op.k, op.n, s);

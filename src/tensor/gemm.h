@@ -98,7 +98,8 @@ inline GemmKPlan gemm_k_plan(std::int64_t k) {
 }
 
 // Reusable workspace for the K-sharded partial buffers and the operand
-// transpose a trans_a/trans_b GemmOp materializes. Layers hoist one per
+// transpose a trans_a/trans_b GemmOp materializes (for a transposed
+// product, A^T and C^T together). Layers hoist one per
 // shard so steady-state forwards stop heap-allocating; scratchless calls
 // use a per-thread one. A scratch may not be shared by two gemm calls
 // that can run concurrently (conv holds one per batch shard); buffers
@@ -134,6 +135,15 @@ enum class BiasAxis { kRow, kCol };
 //
 // At most one operand may be transposed (QNN_CHECK): the scratch holds
 // one transpose buffer and no caller needs both.
+//
+// A trans_b op whose B^T would move more floats than A^T and C^T
+// together (N*K > M*K + M*N, a pure function of the shape — the
+// inner-product forward, conv's dW) runs as the transposed product
+// C^T = B_stored * A^T with the bias axis swapped, then transposes the
+// small result into C; accumulate transposes the old C in first. The
+// bytes equal the plain product's: fma(a, b, c) == fma(b, a, c), the K
+// plan depends on K alone, and the bias is still one add after the
+// tree (DESIGN.md §9).
 struct GemmOp {
   std::int64_t m = 0, n = 0, k = 0;
   const float* a = nullptr;

@@ -29,6 +29,17 @@ struct ConvGeometry {
   std::int64_t col_cols() const { return out_h() * out_w(); }
 };
 
+// The outputs x in [0, out) whose tap x * stride + offset lands in
+// [0, in), as [lo, hi) (empty when none does): one range per im2col K
+// row, so the copy loops carry no bounds test. With in = extent -
+// kernel + 1 and offset = -pad it is the set of pooling windows that
+// lie wholly inside the input.
+struct TapRange {
+  std::int64_t lo = 0, hi = 0;
+};
+TapRange tap_range(std::int64_t out, std::int64_t in, std::int64_t stride,
+                   std::int64_t offset);
+
 // `image` is one sample, CHW contiguous; `cols` has room for
 // col_rows() * col_cols() floats. Out-of-bounds taps read as zero.
 void im2col(const ConvGeometry& g, const float* image, float* cols);

@@ -110,6 +110,46 @@ void gemm_block_f32(SimdLevel level, std::int64_t mb, std::int64_t nb,
                     std::int64_t ldc);
 
 // ---------------------------------------------------------------------
+// The float data path around the GEMM (DESIGN.md §9): vector forms of
+// the im2col row copy (tensor/im2col.cc) and the max-pool window scan
+// (nn/pool.cc), whose scalar loops stay the references. Both move and
+// compare floats without arithmetic, so every entry returns exactly its
+// reference's bytes.
+
+// One K row of a stride-1 im2col: out[y * ow + x] = plane[offset + y * w
+// + x] for y in [y0, y1) and x in [x0, x1) — the taps inside the input
+// plane — and 0 for every other (y, x) < (oh, ow).
+struct Im2colRow {
+  std::int64_t w = 0, oh = 0, ow = 0, offset = 0;
+  std::int64_t y0 = 0, y1 = 0, x0 = 0, x1 = 0;
+};
+
+// The interior outputs [y0, y1) x [x0, x1) of one max-pool plane: those
+// whose windows lie wholly inside the plane. Output (y, x) scans the
+// kernel x kernel window at in-plane offset (y * stride - pad) * w +
+// x * stride - pad in (row, column) order, seeded with its first cell,
+// replacing the best on a strict `>` (ties keep the first cell, NaN
+// never wins), and writes the value to out[y * ow + x] and plane_base +
+// the cell's offset to argmax[y * ow + x]. stride is 1 or 2, and every
+// in-plane offset fits in int32.
+struct MaxPoolRect {
+  const float* plane = nullptr;
+  std::int64_t w = 0, ow = 0;
+  std::int64_t kernel = 0, stride = 1, pad = 0;
+  std::int64_t y0 = 0, y1 = 0, x0 = 0, x1 = 0;
+  std::int64_t plane_base = 0;
+};
+
+struct F32VecOps {
+  void (*im2col_row)(const Im2colRow& r, const float* plane, float* out);
+  void (*pool_max)(const MaxPoolRect& r, float* out, std::int64_t* argmax);
+};
+
+// The table of the vector level <= `level` this CPU supports, or nullptr
+// at the scalar level.
+const F32VecOps* f32_vec_ops(SimdLevel level);
+
+// ---------------------------------------------------------------------
 // Integer tile kernels: C[i, j] = sum_p A[i, p] * B[j, p] over packed
 // operands, finished by a fused requantization epilogue.
 //

@@ -139,6 +139,38 @@ TEST(GemmKernelDifferential, ScalarMatchesAvx2AcrossBoundaryShapes) {
   }
 }
 
+// Narrow N, where the 8-row masked panel runs: every width 1-9 and
+// 15-17 (full 8-column groups, sub-lane tails, a 16-column panel plus a
+// tail) over M 1-17 (every 8-row remainder) and the 64-row block edge,
+// at K around the chunk width and at a tall K. trans_b shapes with
+// N*K > M*K + M*N run as the transposed product C^T = B*A^T, so the
+// same panel also computes their narrow M side; every level must give
+// the scalar bytes for every form.
+TEST(GemmKernelDifferential, NarrowPanelsMatchScalarAtEveryLevel) {
+  std::vector<std::int64_t> ms;
+  for (std::int64_t m = 1; m <= 17; ++m) ms.push_back(m);
+  ms.push_back(64);
+  ms.push_back(65);
+  const std::int64_t ns[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17};
+  int transposed = 0;
+  const auto check = [&](std::int64_t m, std::int64_t n, std::int64_t k) {
+    if (n * k > m * k + m * n) ++transposed;
+    const FormOutputs scalar = run_all_forms(SimdLevel::kScalar, m, n, k);
+    for (SimdLevel level : supported_levels()) {
+      if (level == SimdLevel::kScalar) continue;
+      ASSERT_TRUE(scalar == run_all_forms(level, m, n, k))
+          << simd_level_name(level) << " m=" << m << " n=" << n
+          << " k=" << k;
+    }
+  };
+  for (std::int64_t k : {255, 256, 257})
+    for (std::int64_t m : ms)
+      for (std::int64_t n : ns) check(m, n, k);
+  for (std::int64_t m : {1, 8, 17, 65})
+    for (std::int64_t n : {1, 8, 9, 17}) check(m, n, 4096);
+  EXPECT_GT(transposed, 100);
+}
+
 TEST(GemmKernelDifferential, ScalarMatchesAvx2ColdAndWarmScratch) {
   if (!avx2_available()) GTEST_SKIP() << "no AVX2 on this machine";
   const std::int64_t m = 65, n = 257, k = 300;  // K-chunked, odd edges

@@ -190,6 +190,12 @@ TEST(GemmProperty, AllVariantsBitIdenticalAcrossThreadsAndScratch) {
       {130, 48, 700},  // several M blocks and several K chunks
       {3, 33, 257},    // chunk + 1
       {70, 20, 64},    // single-chunk plan: the legacy path
+      // Narrow N; trans_b forms of the first three run as the
+      // transposed product (N*K > M*K + M*N).
+      {8, 9, 4096},
+      {1, 17, 257},
+      {3, 5, 256},
+      {65, 16, 255},
   };
   for (const Problem& p : problems) {
     SCOPED_TRACE("m=" + std::to_string(p.m) + " n=" + std::to_string(p.n) +
@@ -229,49 +235,76 @@ TEST(GemmProperty, AllVariantsBitIdenticalAcrossThreadsAndScratch) {
 }
 
 // The transposed forms must agree byte-for-byte with the plain form on
-// materialized operands — they share gemm_impl, so any divergence is a
-// transpose bug. Either bias is one float add onto the finished tree
-// result (K = 600 is chunked), whatever the operand layout.
+// materialized operands, overwriting and accumulating: trans_a and the
+// wide trans_b shapes share gemm_impl with it, and a trans_b shape with
+// N*K > M*K + M*N runs as C^T = B*A^T, whose per-element folds are the
+// same fused products in the same order. Either bias is one float add
+// onto the finished tree result, whatever the operand layout. Shapes:
+// chunked K with wide N, then narrow N around the chunk width and at a
+// tall K, on both sides of the shape rule.
 TEST(GemmProperty, TransposeVariantsMatchPlainKernelBytes) {
   ThreadGuard guard;
-  const Problem p{13, 41, 600};
-  Rng rng(99);
-  const auto a_t = random_matrix(p.k * p.m, rng);  // [K,M]
-  const auto b_t = random_matrix(p.n * p.k, rng);  // [N,K]
-  std::vector<float> a(static_cast<std::size_t>(p.m * p.k));
-  std::vector<float> b(static_cast<std::size_t>(p.k * p.n));
-  for (std::int64_t q = 0; q < p.k; ++q)
-    for (std::int64_t i = 0; i < p.m; ++i) a[i * p.k + q] = a_t[q * p.m + i];
-  for (std::int64_t j = 0; j < p.n; ++j)
-    for (std::int64_t q = 0; q < p.k; ++q) b[q * p.n + j] = b_t[j * p.k + q];
+  const std::vector<Problem> problems = {
+      {13, 41, 600}, {8, 9, 4096}, {1, 17, 257}, {5, 16, 255},
+      {17, 3, 256},  {2, 8, 256},  {64, 7, 4096}, {9, 9, 300},
+  };
+  for (const Problem& p : problems) {
+    SCOPED_TRACE("m=" + std::to_string(p.m) + " n=" + std::to_string(p.n) +
+                 " k=" + std::to_string(p.k));
+    Rng rng(static_cast<std::uint64_t>(99 + p.m * 7 + p.n * 131 + p.k));
+    const auto a_t = random_matrix(p.k * p.m, rng);  // [K,M]
+    const auto b_t = random_matrix(p.n * p.k, rng);  // [N,K]
+    std::vector<float> a(static_cast<std::size_t>(p.m * p.k));
+    std::vector<float> b(static_cast<std::size_t>(p.k * p.n));
+    for (std::int64_t q = 0; q < p.k; ++q)
+      for (std::int64_t i = 0; i < p.m; ++i) a[i * p.k + q] = a_t[q * p.m + i];
+    for (std::int64_t j = 0; j < p.n; ++j)
+      for (std::int64_t q = 0; q < p.k; ++q) b[q * p.n + j] = b_t[j * p.k + q];
 
-  const std::size_t elems = static_cast<std::size_t>(p.m * p.n);
-  std::vector<float> plain(elems), via_at(elems), via_bt(elems);
-  gemm({.m = p.m, .n = p.n, .k = p.k, .a = a.data(), .b = b.data(),
-        .c = plain.data()});
-  gemm({.m = p.m, .n = p.n, .k = p.k, .a = a_t.data(), .trans_a = true,
-        .b = b.data(), .c = via_at.data()});
-  gemm({.m = p.m, .n = p.n, .k = p.k, .a = a.data(), .b = b_t.data(),
-        .trans_b = true, .c = via_bt.data()});
-  EXPECT_TRUE(bytes_equal(plain, via_at));
-  EXPECT_TRUE(bytes_equal(plain, via_bt));
+    const std::size_t elems = static_cast<std::size_t>(p.m * p.n);
+    const auto old_c = random_matrix(p.m * p.n, rng);
+    for (bool accumulate : {false, true}) {
+      SCOPED_TRACE(accumulate ? "accumulate" : "overwrite");
+      std::vector<float> plain = old_c, via_at = old_c, via_bt = old_c;
+      gemm({.m = p.m, .n = p.n, .k = p.k, .a = a.data(), .b = b.data(),
+            .c = plain.data(), .accumulate = accumulate});
+      gemm({.m = p.m, .n = p.n, .k = p.k, .a = a_t.data(), .trans_a = true,
+            .b = b.data(), .c = via_at.data(), .accumulate = accumulate});
+      gemm({.m = p.m, .n = p.n, .k = p.k, .a = a.data(), .b = b_t.data(),
+            .trans_b = true, .c = via_bt.data(), .accumulate = accumulate});
+      EXPECT_TRUE(bytes_equal(plain, via_at));
+      EXPECT_TRUE(bytes_equal(plain, via_bt));
 
-  const auto row_bias = random_matrix(p.m, rng);
-  const auto col_bias = random_matrix(p.n, rng);
-  std::vector<float> want_row(elems), want_col(elems);
-  for (std::int64_t i = 0; i < p.m; ++i)
-    for (std::int64_t j = 0; j < p.n; ++j) {
-      want_row[i * p.n + j] = plain[i * p.n + j] + row_bias[i];
-      want_col[i * p.n + j] = plain[i * p.n + j] + col_bias[j];
+      const auto row_bias = random_matrix(p.m, rng);
+      const auto col_bias = random_matrix(p.n, rng);
+      std::vector<float> want_row(elems), want_col(elems);
+      for (std::int64_t i = 0; i < p.m; ++i)
+        for (std::int64_t j = 0; j < p.n; ++j) {
+          want_row[i * p.n + j] = plain[i * p.n + j] + row_bias[i];
+          want_col[i * p.n + j] = plain[i * p.n + j] + col_bias[j];
+        }
+      for (bool trans_b : {false, true}) {
+        SCOPED_TRACE(trans_b ? "trans_b" : "trans_a");
+        std::vector<float> row = old_c, col = old_c;
+        GemmOp op{.m = p.m, .n = p.n, .k = p.k, .a = a_t.data(),
+                  .trans_a = true, .b = b.data(), .c = row.data(),
+                  .accumulate = accumulate, .bias = row_bias.data()};
+        if (trans_b) {
+          op.a = a.data();
+          op.trans_a = false;
+          op.b = b_t.data();
+          op.trans_b = true;
+        }
+        gemm(op);
+        op.c = col.data();
+        op.bias = col_bias.data();
+        op.bias_axis = BiasAxis::kCol;
+        gemm(op);
+        EXPECT_TRUE(bytes_equal(want_row, row));
+        EXPECT_TRUE(bytes_equal(want_col, col));
+      }
     }
-  std::vector<float> row(elems), col(elems);
-  gemm({.m = p.m, .n = p.n, .k = p.k, .a = a_t.data(), .trans_a = true,
-        .b = b.data(), .c = row.data(), .bias = row_bias.data()});
-  gemm({.m = p.m, .n = p.n, .k = p.k, .a = a.data(), .b = b_t.data(),
-        .trans_b = true, .c = col.data(), .bias = col_bias.data(),
-        .bias_axis = BiasAxis::kCol});
-  EXPECT_TRUE(bytes_equal(want_row, row));
-  EXPECT_TRUE(bytes_equal(want_col, col));
+  }
 }
 
 // The accumulate contract of gemm.h, against a standalone std::fmaf
@@ -293,9 +326,15 @@ TEST(GemmProperty, AccumulateSeedsSingleChunkFoldAndAddsOldCAfterTree) {
                       b[static_cast<std::size_t>(p * n + j)], acc);
     return acc;
   };
-  const std::int64_t m = 70, n = 19;
-  for (std::int64_t k : {kGemmKChunk, 3 * kGemmKChunk + 5}) {
-    SCOPED_TRACE("k=" + std::to_string(k));
+  // m = 4 puts the trans_b form on the transposed product, m = 70 on
+  // the materialized B^T.
+  const std::int64_t n = 19;
+  const std::int64_t shapes[][2] = {{70, kGemmKChunk},
+                                    {70, 3 * kGemmKChunk + 5},
+                                    {4, kGemmKChunk},
+                                    {4, 3 * kGemmKChunk + 5}};
+  for (const auto& [m, k] : shapes) {
+    SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k));
     const GemmKPlan plan = gemm_k_plan(k);
     Rng rng(static_cast<std::uint64_t>(k));
     const auto a = random_matrix(m * k, rng);
@@ -320,12 +359,21 @@ TEST(GemmProperty, AccumulateSeedsSingleChunkFoldAndAddsOldCAfterTree) {
       }
     ASSERT_FALSE(bytes_equal(seeded, tree_plus_c));
     const std::vector<float>& want = plan.count == 1 ? seeded : tree_plus_c;
+    std::vector<float> b_t(b.size());  // B stored [N,K]
+    for (std::int64_t p = 0; p < k; ++p)
+      for (std::int64_t j = 0; j < n; ++j)
+        b_t[static_cast<std::size_t>(j * k + p)] =
+            b[static_cast<std::size_t>(p * n + j)];
     for (int threads : {1, 4}) {
       ThreadPool::set_global_threads(threads);
       std::vector<float> c = old_c;
       gemm({.m = m, .n = n, .k = k, .a = a.data(), .b = b.data(),
             .c = c.data(), .accumulate = true});
       EXPECT_TRUE(bytes_equal(want, c)) << threads << " threads";
+      std::vector<float> ct = old_c;
+      gemm({.m = m, .n = n, .k = k, .a = a.data(), .b = b_t.data(),
+            .trans_b = true, .c = ct.data(), .accumulate = true});
+      EXPECT_TRUE(bytes_equal(want, ct)) << threads << " threads (trans_b)";
     }
   }
 }

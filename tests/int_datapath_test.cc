@@ -148,10 +148,25 @@ const PoolCase kPoolCases[] = {
     {nn::PoolMode::kMax, 3, 1, 1, 7, 21},   // stride 1, pad 1
     {nn::PoolMode::kMax, 2, 1, 0, 5, 40},   // stride 1, ow = 39
     {nn::PoolMode::kMax, 3, 3, 1, 10, 50},  // stride 3: strided gather
+    {nn::PoolMode::kMax, 1, 2, 0, 4, 36},   // kernel < stride, no pad
     {nn::PoolMode::kAvg, 3, 2, 1, 16, 16},  // ALEX avg pool
     {nn::PoolMode::kAvg, 2, 2, 0, 7, 9},
     {nn::PoolMode::kAvg, 3, 1, 1, 5, 6},
 };
+
+// The integer lowering shares nn's pool extent: a kernel below the
+// stride with no pad drops the window that would start past the image.
+TEST(IntDatapath, PoolOutShapeDropsEmptyWindow) {
+  IntStage stage;
+  stage.kind = IntStageKind::kPool;
+  stage.kernel = 1;
+  stage.stride = 2;
+  stage.pad = 0;
+  EXPECT_EQ(stage.out_shape(Shape{2, 3, 4, 4}), Shape({2, 3, 2, 2}));
+  EXPECT_EQ(stage.out_shape(Shape{1, 1, 5, 4}), Shape({1, 1, 3, 2}));
+  stage.kernel = 3;
+  EXPECT_EQ(stage.out_shape(Shape{1, 1, 32, 32}), Shape({1, 1, 16, 16}));
+}
 
 TEST(IntDatapath, PoolMatchesScalarInt8) {
   for (const PoolCase& pc : kPoolCases) expect_pool_matches<std::int8_t>(pc, 8);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "nn/activation.h"
 #include "nn/conv.h"
 #include "nn/inner_product.h"
@@ -174,6 +176,34 @@ TEST(Pool2d, EdgeWindowsClipToInput) {
   EXPECT_EQ(out.shape(), Shape({1, 1, 2, 2}));
   for (std::int64_t i = 0; i < out.count(); ++i)
     EXPECT_FLOAT_EQ(out[i], 1.0f);  // uniform input stays uniform
+}
+
+TEST(Pool2d, KernelBelowStrideDropsEmptyWindow) {
+  // Kernel 1, stride 2, no pad on 4x4: ceil((4-1)/2)+1 = 3 windows per
+  // side, but the third would start at 4, wholly outside the image, so
+  // the extent clips to 2 whatever the pad.
+  Tensor in(Shape{1, 1, 4, 4},
+            {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16});
+  Pool2d max_pool(PoolSpec{PoolMode::kMax, 1, 2, 0});
+  const Tensor out = max_pool.forward(in);
+  ASSERT_EQ(out.shape(), Shape({1, 1, 2, 2}));
+  EXPECT_FLOAT_EQ(out[0], 1);
+  EXPECT_FLOAT_EQ(out[1], 3);
+  EXPECT_FLOAT_EQ(out[2], 9);
+  EXPECT_FLOAT_EQ(out[3], 11);
+  // The argmax of each output is its one cell: 0, 2, 8, 10.
+  const Tensor gin = max_pool.backward(Tensor(Shape{1, 1, 2, 2}, {1, 2, 3, 4}));
+  for (std::int64_t i = 0; i < gin.count(); ++i) {
+    const float want = i == 0 ? 1 : i == 2 ? 2 : i == 8 ? 3 : i == 10 ? 4 : 0;
+    EXPECT_FLOAT_EQ(gin[i], want) << i;
+  }
+  Pool2d avg_pool(PoolSpec{PoolMode::kAvg, 1, 2, 0});
+  const Tensor avg = avg_pool.forward(in);
+  ASSERT_EQ(avg.shape(), Shape({1, 1, 2, 2}));
+  for (std::int64_t i = 0; i < avg.count(); ++i) {
+    EXPECT_FALSE(std::isnan(avg[i])) << i;
+    EXPECT_FLOAT_EQ(avg[i], out[i]) << i;
+  }
 }
 
 TEST(Pool2d, MaxBackwardRoutesToArgmax) {
