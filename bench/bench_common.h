@@ -5,19 +5,19 @@
 // numbers. Command-line flags (handled by bench::Session):
 //   --trace <path>   write a chrome://tracing / Perfetto JSON profile
 //   --report <path>  write a qnn.run_report/1 telemetry JSON document
-// Environment knobs:
-//   QNN_BENCH_FAST=1   shrink training budgets ~4x (CI smoke)
-//   QNN_BENCH_SCALE=f  multiply train-set sizes by f (default 1)
-//   QNN_TRACE=1        enable span recording without writing a file
+// Environment knobs (util/env; README.md lists every spelling):
+//   QNN_BENCH_FAST=on  shrink training budgets ~4x (CI smoke)
+//   QNN_BENCH_SCALE=f  multiply train-set sizes by f > 0 (default 1)
+//   QNN_TRACE=on       enable span recording without writing a file
 #pragma once
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
 #include "exp/sweep.h"
 #include "obs/report.h"
 #include "obs/trace.h"
+#include "util/env.h"
 #include "util/table.h"
 
 namespace qnn::bench {
@@ -85,16 +85,11 @@ class Session {
   std::string report_path_;
 };
 
-inline bool fast_mode() {
-  const char* v = std::getenv("QNN_BENCH_FAST");
-  return v != nullptr && std::string(v) != "0";
-}
+inline bool fast_mode() { return env::read_switch("QNN_BENCH_FAST", false); }
 
 inline double bench_scale() {
-  const char* v = std::getenv("QNN_BENCH_SCALE");
-  if (v == nullptr) return 1.0;
-  const double f = std::atof(v);
-  return f > 0 ? f : 1.0;
+  return env::read_env("QNN_BENCH_SCALE", "a number > 0", 1.0, "1",
+                       env::parse_positive);
 }
 
 // Per-image energy of the FULL-SIZE (channel_scale = 1) architecture at

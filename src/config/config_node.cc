@@ -229,12 +229,6 @@ ConfigNode& ConfigNode::add_block(const std::string& name) {
   return children_[name].back();
 }
 
-std::vector<std::string> ConfigNode::keys() const {
-  std::vector<std::string> out;
-  for (const auto& [k, v] : values_) out.push_back(k);
-  return out;
-}
-
 ConfigNode parse_config(const std::string& text,
                         const std::string& source_name) {
   ConfigNode root;

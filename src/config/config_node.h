@@ -47,9 +47,6 @@ class ConfigNode {
   void add_value(const std::string& key, std::string value);
   ConfigNode& add_block(const std::string& name);
 
-  // Every scalar key present (sorted) — for validation messages.
-  std::vector<std::string> keys() const;
-
  private:
   std::map<std::string, std::vector<std::string>> values_;
   std::map<std::string, std::vector<ConfigNode>> children_;

@@ -2,36 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "faults/injector.h"
 #include "util/check.h"
 #include "util/rng.h"
 
 namespace qnn::faults {
-
-const char* lane_fault_kind_name(LaneFaultKind k) {
-  switch (k) {
-    case LaneFaultKind::kHangLane:    return "hang_lane";
-    case LaneFaultKind::kCorruptLane: return "corrupt_lane";
-    case LaneFaultKind::kCrashLane:   return "crash_lane";
-  }
-  return "?";
-}
-
-std::string LaneFaultSchedule::to_string() const {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    const LaneFault& f = faults[i];
-    if (i > 0) os << "; ";
-    os << lane_fault_kind_name(f.kind) << "@" << f.at_tick << " lane("
-       << f.tier << "," << f.replica << ")";
-    if (f.kind == LaneFaultKind::kHangLane) os << " +" << f.hang_ticks;
-    if (f.kind == LaneFaultKind::kCorruptLane)
-      os << " flips=" << f.corrupt_flips;
-  }
-  return os.str();
-}
 
 void validate_schedule(const LaneFaultSchedule& schedule) {
   std::int64_t prev = 0;

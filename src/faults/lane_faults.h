@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace qnn::faults {
@@ -36,8 +35,6 @@ enum class LaneFaultKind {
   kCorruptLane,
   kCrashLane,
 };
-
-const char* lane_fault_kind_name(LaneFaultKind k);
 
 struct LaneFault {
   LaneFaultKind kind = LaneFaultKind::kHangLane;
@@ -53,7 +50,6 @@ struct LaneFaultSchedule {
   std::vector<LaneFault> faults;  // nondecreasing at_tick
 
   bool empty() const { return faults.empty(); }
-  std::string to_string() const;
 };
 
 // Validates kind-specific fields and the at_tick sort; throws

@@ -63,7 +63,6 @@ class Dropout final : public Layer {
     set_training(training);
   }
   bool training() const { return training_; }
-  double drop_probability() const { return p_; }
 
  private:
   double p_;

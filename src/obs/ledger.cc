@@ -63,14 +63,4 @@ std::vector<const EnergyCharge*> AttributionLedger::charges_for(
   return out;
 }
 
-json::Value AttributionLedger::to_json() const {
-  json::Value v = json::Value::object();
-  v.set("charges", static_cast<std::int64_t>(charges_.size()));
-  v.set("total_ops", total_ops_);
-  v.set("total_energy_pj", total_pj_);
-  v.set("published_energy_pj", published_pj_);
-  v.set("wasted_energy_pj", wasted_energy_pj());
-  return v;
-}
-
 }  // namespace qnn::obs

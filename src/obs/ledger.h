@@ -21,8 +21,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "util/json.h"
-
 namespace qnn::obs {
 
 // One execution's cost, charged to one request.
@@ -67,9 +65,6 @@ class AttributionLedger {
   double total_energy_pj() const { return total_pj_; }
   double published_energy_pj() const { return published_pj_; }
   double wasted_energy_pj() const { return total_pj_ - published_pj_; }
-
-  // Summary block: charge count, ops, total/published/wasted pJ.
-  json::Value to_json() const;
 
  private:
   std::vector<EnergyCharge> charges_;

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <mutex>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "util/env.h"
 #include "util/fileio.h"
 
 namespace qnn::obs {
@@ -21,10 +23,7 @@ double now_us() {
 }
 
 bool resolve_trace_env() {
-  const char* v = std::getenv("QNN_TRACE");
-  const int enabled =
-      (v != nullptr && std::string(v) != "0" && std::string(v) != "") ? 1
-                                                                      : 0;
+  const int enabled = env::read_switch("QNN_TRACE", false) ? 1 : 0;
   int expected = -1;
   g_trace_state.compare_exchange_strong(expected, enabled,
                                         std::memory_order_relaxed);
@@ -144,21 +143,61 @@ void clear_trace() {
     b->head.store(0, std::memory_order_release);
 }
 
+void ChromeTrace::track(int tid, std::string name) {
+  json::Value meta = json::Value::object();
+  meta.set("name", "thread_name");
+  meta.set("ph", "M");
+  meta.set("pid", 1);
+  meta.set("tid", tid);
+  json::Value args = json::Value::object();
+  args.set("name", std::move(name));
+  meta.set("args", std::move(args));
+  tracks_.push_back(std::move(meta));
+}
+
+void ChromeTrace::span(int tid, std::string name, const char* cat,
+                       json::Value ts, json::Value dur, json::Value args) {
+  json::Value e = json::Value::object();
+  e.set("name", std::move(name));
+  e.set("cat", cat);
+  e.set("ph", "X");
+  e.set("pid", 1);
+  e.set("tid", tid);
+  e.set("ts", std::move(ts));
+  e.set("dur", std::move(dur));
+  if (!args.is_null()) e.set("args", std::move(args));
+  events_.push_back(std::move(e));
+}
+
+void ChromeTrace::instant(int tid, std::string name, const char* cat,
+                          json::Value ts) {
+  json::Value e = json::Value::object();
+  e.set("name", std::move(name));
+  e.set("cat", cat);
+  e.set("ph", "i");
+  e.set("s", "t");  // thread-scoped instant
+  e.set("pid", 1);
+  e.set("tid", tid);
+  e.set("ts", std::move(ts));
+  events_.push_back(std::move(e));
+}
+
+json::Value ChromeTrace::to_json() && {
+  json::Value events = json::Value::array();
+  for (json::Value& e : tracks_) events.push_back(std::move(e));
+  for (json::Value& e : events_) events.push_back(std::move(e));
+  json::Value root = json::Value::object();
+  root.set("displayTimeUnit", "ms");
+  root.set("traceEvents", std::move(events));
+  return root;
+}
+
 json::Value trace_to_json() {
   std::lock_guard<std::mutex> lock(detail::g_buffers_m);
-  json::Value events = json::Value::array();
-  for (const detail::ThreadBuffer* b : detail::buffer_list()) {
-    json::Value meta = json::Value::object();
-    meta.set("name", "thread_name");
-    meta.set("ph", "M");
-    meta.set("pid", 1);
-    meta.set("tid", b->tid);
-    json::Value margs = json::Value::object();
-    margs.set("name", b->tid == 0 ? std::string("main/first-tracer")
+  ChromeTrace doc;
+  for (const detail::ThreadBuffer* b : detail::buffer_list())
+    doc.track(b->tid, b->tid == 0 ? std::string("main/first-tracer")
                                   : "thread-" + std::to_string(b->tid));
-    meta.set("args", std::move(margs));
-    events.push_back(std::move(meta));
-  }
   for (const detail::ThreadBuffer* b : detail::buffer_list()) {
     const std::uint64_t head = b->head.load(std::memory_order_acquire);
     const std::uint64_t cap = b->ring.size();
@@ -167,30 +206,23 @@ json::Value trace_to_json() {
     const std::uint64_t first = head > cap ? head % cap : 0;
     for (std::uint64_t i = 0; i < count; ++i) {
       const detail::TraceEvent& ev = b->ring[(first + i) % cap];
-      json::Value e = json::Value::object();
-      e.set("name", ev.name);
-      e.set("cat", ev.cat);
-      e.set("ph", "X");
-      e.set("pid", 1);
-      e.set("tid", b->tid);
-      e.set("ts", ev.ts_us);
-      e.set("dur", ev.dur_us);
+      json::Value args;
       if (ev.arg >= 0) {
-        json::Value args = json::Value::object();
+        args = json::Value::object();
         args.set("n", ev.arg);
-        e.set("args", std::move(args));
       }
-      events.push_back(std::move(e));
+      doc.span(b->tid, ev.name, ev.cat, ev.ts_us, ev.dur_us, std::move(args));
     }
   }
-  json::Value root = json::Value::object();
-  root.set("displayTimeUnit", "ms");
-  root.set("traceEvents", std::move(events));
-  return root;
+  return std::move(doc).to_json();
 }
 
 void write_chrome_trace(const std::string& path) {
-  write_file_atomic(path, trace_to_json().dump() + "\n");
+  write_chrome_trace(path, trace_to_json());
+}
+
+void write_chrome_trace(const std::string& path, const json::Value& doc) {
+  write_file_atomic(path, doc.dump() + "\n");
 }
 
 }  // namespace qnn::obs

@@ -1,14 +1,14 @@
 // Scoped tracer: begin/end spans recorded into per-thread ring buffers
 // and exported as chrome://tracing / Perfetto JSON (DESIGN.md §11).
 //
-// Tracing is off by default. The QNN_TRACE environment variable (any
-// value other than "0") or set_trace_enabled(true) turns it on. When
-// off, a span costs one relaxed atomic load and a branch — cheap enough
-// to leave QNN_SPAN in every hot path. When on, each span performs two
-// steady_clock reads and one store into the calling thread's ring
-// buffer; no locks, no allocation, and nothing that feeds back into any
-// computation, so traced runs remain bit-identical to untraced runs at
-// every thread count (§9).
+// Tracing is off by default. QNN_TRACE=on|1 (util/env's switch) or
+// set_trace_enabled(true) turns it on. When off, a span costs one
+// relaxed atomic load and a branch — cheap enough to leave QNN_SPAN in
+// every hot path. When on, each span performs two steady_clock reads
+// and one store into the calling thread's ring buffer; no locks, no
+// allocation, and nothing that feeds back into any computation, so
+// traced runs remain bit-identical to untraced runs at every thread
+// count (§9).
 //
 // Span names and categories must be string literals (or pointers that
 // outlive the export) — events store the pointers, not copies.
@@ -72,11 +72,34 @@ std::vector<TraceBufferStats> trace_buffer_stats();
 // must ensure no spans are concurrently completing.
 void clear_trace();
 
-// Chrome trace-event JSON: {"displayTimeUnit":"ms","traceEvents":[...]}
-// with one complete ("ph":"X") event per span plus thread_name metadata.
-// Load in chrome://tracing or https://ui.perfetto.dev.
+// One chrome://tracing / Perfetto document:
+// {"displayTimeUnit":"ms","traceEvents":[...]} holding a thread_name
+// metadata event per named track, then the complete ("X") spans and
+// thread-scoped instants ("i") in the order added, all under pid 1.
+// The span tracer and serve's lane view (serve/request_trace) both
+// build their documents here. `ts`/`dur` are numbers on the trace's
+// microsecond axis, kept as given (double or integer).
+class ChromeTrace {
+ public:
+  void track(int tid, std::string name);
+  // A null `args` leaves the key out.
+  void span(int tid, std::string name, const char* cat, json::Value ts,
+            json::Value dur, json::Value args = json::Value());
+  void instant(int tid, std::string name, const char* cat, json::Value ts);
+  json::Value to_json() &&;
+
+ private:
+  std::vector<json::Value> tracks_;
+  std::vector<json::Value> events_;
+};
+
+// The span tracer's document: one track per recording thread and one
+// span per buffered event. Load in chrome://tracing or
+// https://ui.perfetto.dev.
 json::Value trace_to_json();
+// Writes `doc` (default: trace_to_json()) atomically, newline-ended.
 void write_chrome_trace(const std::string& path);
+void write_chrome_trace(const std::string& path, const json::Value& doc);
 
 // RAII span: records [construction, destruction) on the calling thread.
 // `arg` >= 0 is exported as args.n (layer index, trial number, element

@@ -1,8 +1,6 @@
 #include "quant/int_inference.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <limits>
 
 #include "fixed/plan_sigmoid.h"
@@ -11,36 +9,9 @@
 #include "quant/qnetwork.h"
 #include "tensor/int_gemm.h"
 #include "util/check.h"
-#include "util/logging.h"
 #include "util/thread_pool.h"
 
 namespace qnn::quant {
-
-std::optional<bool> parse_int_infer_env(const std::string& value,
-                                        bool* invalid) {
-  if (invalid != nullptr) *invalid = false;
-  if (value == "on" || value == "1") return true;
-  if (value == "off" || value == "0") return false;
-  if (value.empty() || value == "auto") return std::nullopt;
-  if (invalid != nullptr) *invalid = true;
-  return std::nullopt;
-}
-
-bool int_inference_env_enabled() {
-  const char* v = std::getenv("QNN_INT_INFER");
-  if (v == nullptr) return true;
-  bool invalid = false;
-  const std::optional<bool> choice = parse_int_infer_env(v, &invalid);
-  if (invalid) {
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true))
-      QNN_LOG(Warn) << "ignoring QNN_INT_INFER=\"" << v
-                    << "\" (want on|off|auto); using auto=on";
-    return true;
-  }
-  return choice.value_or(true);
-}
-
 namespace {
 
 // The shift-round-saturate step from `from_frac` onto `f`'s grid.

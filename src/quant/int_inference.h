@@ -22,14 +22,12 @@
 //
 // QuantizedNetwork::freeze_inference() builds one of these whenever the
 // config is eligible (fixed-point, <= 16-bit weights and data,
-// round-half-away rounding, supported layer kinds) and QNN_INT_INFER is
-// not "off"; frozen forwards then run in the integer domain end-to-end,
-// which is how the serve replica tiers (fixed16/fixed8) pick the native
-// path up automatically.
+// round-half-away rounding, supported layer kinds); frozen forwards then
+// run in the integer domain end-to-end, which is how the serve replica
+// tiers (fixed16/fixed8) pick the native path up automatically.
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "nn/network.h"
@@ -40,18 +38,6 @@
 namespace qnn::quant {
 
 class QuantizedNetwork;
-
-// One QNN_INT_INFER spelling: "on"/"1" -> true, "off"/"0" -> false,
-// "auto"/"" -> nullopt (auto resolves to ON for eligible configs).
-// Invalid spellings return nullopt and set *invalid. Hardened like
-// ThreadPool::env_threads(); exposed for the dispatch unit tests.
-std::optional<bool> parse_int_infer_env(const std::string& value,
-                                        bool* invalid = nullptr);
-
-// Reads QNN_INT_INFER from the environment on every call (freeze-time
-// only, so tests can setenv between freezes). Unset/auto/on -> true,
-// off -> false, garbage -> warn once, then true.
-bool int_inference_env_enabled();
 
 class IntInferenceEngine {
  public:

@@ -148,10 +148,9 @@ void QuantizedNetwork::freeze_inference() {
   quantize_params();
   frozen_ = true;
   // Native integer path (quant/int_inference): built from the live
-  // quantized parameter image when the config qualifies and the env
-  // doesn't opt out. Hook-free frozen forwards then run int end-to-end.
-  if (int_inference_env_enabled() &&
-      IntInferenceEngine::eligible(net_, *this))
+  // quantized parameter image when the config qualifies. Hook-free
+  // frozen forwards then run int end-to-end.
+  if (IntInferenceEngine::eligible(net_, *this))
     int_engine_ = std::make_unique<IntInferenceEngine>(net_, *this);
 }
 

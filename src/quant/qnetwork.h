@@ -138,8 +138,7 @@ class QuantizedNetwork final : public nn::Model {
   // True when freeze_inference() installed the native integer engine
   // (quant/int_inference): frozen hook-free forwards then execute
   // conv/inner_product through the int8/int16 GEMM kernels instead of
-  // the fake-quantized float path. Built whenever the config is
-  // eligible and QNN_INT_INFER (read at freeze time) is not "off".
+  // the fake-quantized float path. Built whenever the config is eligible.
   bool native_int_active() const { return int_engine_ != nullptr; }
   const IntInferenceEngine* int_engine() const { return int_engine_.get(); }
 
@@ -172,16 +171,11 @@ class QuantizedNetwork final : public nn::Model {
   void clear_forward_hooks() { hooks_ = ForwardHooks{}; }
 
   // Guard-rail counters, accumulated across every forward since the last
-  // reset_guards(): per activation site, per parameter tensor, and their
-  // sum. Saturation is counted against each quantizer's clip limit on
-  // the value *before* it is clipped to the grid.
+  // reset_guards(), per activation site and per parameter tensor;
+  // total_guards() is their sum. Saturation is counted against each
+  // quantizer's clip limit on the value *before* it is clipped to the
+  // grid.
   void reset_guards();
-  const GuardCounters& site_guards(std::size_t site) const {
-    return site_guards_.at(site);
-  }
-  const GuardCounters& param_guards(std::size_t param_index) const {
-    return param_guards_.at(param_index);
-  }
   GuardCounters total_guards() const;
 
   // Introspection for tests/reports.

@@ -1,4 +1,4 @@
-#include "serve/trace.h"
+#include "serve/arrivals.h"
 
 #include <cmath>
 #include <utility>

@@ -83,12 +83,6 @@ int HealthLattice::schedulable_count() const {
   return n;
 }
 
-int HealthLattice::alive_count() const {
-  int n = 0;
-  for (const LaneHealth& l : lanes_) n += l.state != LaneState::kDead;
-  return n;
-}
-
 void HealthLattice::transition(Tick now, int lane, LaneState to,
                                HealthReason reason) {
   LaneHealth& l = lanes_.at(static_cast<std::size_t>(lane));
@@ -140,15 +134,6 @@ void HealthLattice::on_crash(Tick now, int lane) {
 void HealthLattice::on_fail_stop(Tick now, int lane) {
   if (state(lane) == LaneState::kDead) return;
   transition(now, lane, LaneState::kDead, HealthReason::kFailStop);
-}
-
-Tick HealthLattice::next_rescrub_tick() const {
-  Tick next = kNoTick;
-  for (const LaneHealth& l : lanes_) {
-    if (l.state != LaneState::kQuarantined) continue;
-    if (next == kNoTick || l.rescrub_due < next) next = l.rescrub_due;
-  }
-  return next;
 }
 
 Tick HealthLattice::rescrub_due(int lane) const {

@@ -86,8 +86,6 @@ class HealthLattice {
   // Healthy and suspect lanes accept work; quarantined/dead do not.
   bool schedulable(int lane) const;
   int schedulable_count() const;
-  // Lanes that are not dead (quarantined lanes will return).
-  int alive_count() const;
 
   // Watchdog strike: healthy -> suspect, suspect -> (strikes ==
   // suspect_strikes) quarantined. No-op on quarantined/dead lanes.
@@ -100,9 +98,7 @@ class HealthLattice {
   // Fail-stop policy: any fault retires the lane without repair.
   void on_fail_stop(Tick now, int lane);
 
-  // Earliest tick a quarantined lane's rescrub comes due, or kNoTick.
   static constexpr Tick kNoTick = -1;
-  Tick next_rescrub_tick() const;
   // This lane's rescrub due tick, or kNoTick when not quarantined.
   Tick rescrub_due(int lane) const;
   // Quarantined lanes whose rescrub is due at `now`, in lane order.

@@ -126,9 +126,8 @@ struct Response {
   std::vector<float> output;
 
   Tick latency() const { return completion - arrival; }
-  // Stage breakdown: queue+batch wait, retry/pending wait, execution.
+  // Stage breakdown: queue+batch wait, execution.
   Tick queue_wait() const { return batch_close - arrival; }
-  Tick dispatch_wait() const { return dispatch - batch_close; }
   Tick execute_ticks() const { return completion - dispatch; }
 };
 

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "obs/trace.h"
 #include "util/check.h"
 #include "util/fileio.h"
 
@@ -111,59 +112,21 @@ void write_request_events_jsonl(const std::string& path,
   write_file_atomic(path, request_events_to_jsonl(events));
 }
 
-namespace {
-
-json::Value thread_meta(int tid, const std::string& name) {
-  json::Value meta = json::Value::object();
-  meta.set("name", "thread_name");
-  meta.set("ph", "M");
-  meta.set("pid", 1);
-  meta.set("tid", tid);
-  json::Value args = json::Value::object();
-  args.set("name", name);
-  meta.set("args", std::move(args));
-  return meta;
-}
-
-json::Value instant(int tid, Tick tick, const std::string& name) {
-  json::Value e = json::Value::object();
-  e.set("name", name);
-  e.set("cat", "serve");
-  e.set("ph", "i");
-  e.set("s", "t");  // thread-scoped instant
-  e.set("pid", 1);
-  e.set("tid", tid);
-  e.set("ts", tick);
-  return e;
-}
-
-}  // namespace
-
 json::Value lane_trace_to_json(const std::vector<LaneExecution>& executions,
                                const std::vector<HealthTransition>& health_log,
                                const std::vector<RequestEvent>& events,
                                const std::vector<std::string>& lane_names) {
-  json::Value out_events = json::Value::array();
+  obs::ChromeTrace doc;
   const int frontend_tid = static_cast<int>(lane_names.size());
-  for (std::size_t i = 0; i < lane_names.size(); ++i) {
-    out_events.push_back(
-        thread_meta(static_cast<int>(i),
-                    "lane " + std::to_string(i) + " (" + lane_names[i] + ")"));
-  }
-  out_events.push_back(thread_meta(frontend_tid, "frontend/admission"));
+  for (std::size_t i = 0; i < lane_names.size(); ++i)
+    doc.track(static_cast<int>(i),
+              "lane " + std::to_string(i) + " (" + lane_names[i] + ")");
+  doc.track(frontend_tid, "frontend/admission");
 
   // One complete span per execution, named by its outcome, with the
   // batch composition and attributed energy in args. Virtual ticks map
   // onto the trace's microsecond axis 1:1.
   for (const LaneExecution& ex : executions) {
-    json::Value e = json::Value::object();
-    e.set("name", std::string("exec:") + lane_outcome_name(ex.outcome));
-    e.set("cat", "serve");
-    e.set("ph", "X");
-    e.set("pid", 1);
-    e.set("tid", ex.lane);
-    e.set("ts", ex.dispatch);
-    e.set("dur", ex.completion - ex.dispatch);
     json::Value args = json::Value::object();
     args.set("tier", static_cast<std::int64_t>(ex.tier));
     args.set("replica", static_cast<std::int64_t>(ex.replica));
@@ -174,17 +137,17 @@ json::Value lane_trace_to_json(const std::vector<LaneExecution>& executions,
     json::Value ids = json::Value::array();
     for (const std::int64_t id : ex.request_ids) ids.push_back(id);
     args.set("requests", std::move(ids));
-    e.set("args", std::move(args));
-    out_events.push_back(std::move(e));
+    doc.span(ex.lane, std::string("exec:") + lane_outcome_name(ex.outcome),
+             "serve", ex.dispatch, ex.completion - ex.dispatch,
+             std::move(args));
   }
 
   // Health transitions as instants on the lane that took them.
-  for (const HealthTransition& t : health_log) {
-    out_events.push_back(
-        instant(t.lane, t.tick,
+  for (const HealthTransition& t : health_log)
+    doc.instant(t.lane,
                 std::string("health:") + lane_state_name(t.to) + " (" +
-                    health_reason_name(t.reason) + ")"));
-  }
+                    health_reason_name(t.reason) + ")",
+                "serve", t.tick);
 
   // Admission-boundary outcomes on the frontend track: the events that
   // end a request anywhere other than a published execution, plus batch
@@ -195,17 +158,12 @@ json::Value lane_trace_to_json(const std::vector<LaneExecution>& executions,
                           e.kind == RequestEventKind::kFail ||
                           e.kind == RequestEventKind::kBatchClose;
     if (!frontend) continue;
-    json::Value ev =
-        instant(frontend_tid, e.tick,
+    doc.instant(frontend_tid,
                 std::string(request_event_name(e.kind)) + ":" +
-                    std::to_string(e.request_id));
-    out_events.push_back(std::move(ev));
+                    std::to_string(e.request_id),
+                "serve", e.tick);
   }
-
-  json::Value root = json::Value::object();
-  root.set("displayTimeUnit", "ms");
-  root.set("traceEvents", std::move(out_events));
-  return root;
+  return std::move(doc).to_json();
 }
 
 void write_lane_chrome_trace(const std::string& path,
@@ -213,10 +171,8 @@ void write_lane_chrome_trace(const std::string& path,
                              const std::vector<HealthTransition>& health_log,
                              const std::vector<RequestEvent>& events,
                              const std::vector<std::string>& lane_names) {
-  write_file_atomic(path, lane_trace_to_json(executions, health_log, events,
-                                             lane_names)
-                              .dump() +
-                              "\n");
+  obs::write_chrome_trace(
+      path, lane_trace_to_json(executions, health_log, events, lane_names));
 }
 
 }  // namespace qnn::serve

@@ -38,6 +38,7 @@
 
 #include "faults/lane_faults.h"
 #include "obs/ledger.h"
+#include "serve/arrivals.h"
 #include "serve/batcher.h"
 #include "serve/controller.h"
 #include "serve/executors.h"
@@ -46,7 +47,6 @@
 #include "serve/request.h"
 #include "serve/request_trace.h"
 #include "serve/tiers.h"
-#include "serve/trace.h"
 #include "util/json.h"
 
 namespace qnn::serve {

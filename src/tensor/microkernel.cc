@@ -5,8 +5,10 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 #include "tensor/int_tiles.h"
+#include "util/env.h"
 #include "util/logging.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -463,33 +465,18 @@ SimdLevel simd_support() {
 
 bool simd_supports(SimdLevel level) { return level <= simd_support(); }
 
-std::optional<SimdLevel> parse_simd_env(const std::string& value,
-                                        bool* invalid) {
-  if (invalid != nullptr) *invalid = false;
-  if (value == "off" || value == "scalar") return SimdLevel::kScalar;
-  if (value == "avx2") return SimdLevel::kAvx2;
-  if (value == "avx512") return SimdLevel::kAvx512;
-  if (value.empty() || value == "auto") return std::nullopt;
-  if (invalid != nullptr) *invalid = true;
-  return std::nullopt;
-}
-
 SimdLevel resolve_simd_level() {
-  const char* v = std::getenv("QNN_SIMD");
-  if (v == nullptr) return simd_support();
-  bool invalid = false;
-  const std::optional<SimdLevel> choice = parse_simd_env(v, &invalid);
-  if (invalid) {
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true))
-      QNN_LOG(Warn) << "ignoring QNN_SIMD=\"" << v
-                    << "\" (want off|scalar|avx2|avx512|auto); using auto="
-                    << simd_level_name(simd_support());
-    return simd_support();
-  }
-  if (!choice.has_value()) return simd_support();  // auto
+  static const env::Spelling<SimdLevel> kSpellings[] = {
+      {"off", SimdLevel::kScalar},
+      {"scalar", SimdLevel::kScalar},
+      {"avx2", SimdLevel::kAvx2},
+      {"avx512", SimdLevel::kAvx512}};
+  const SimdLevel have = simd_support();
+  const SimdLevel want =
+      env::read_env("QNN_SIMD", kSpellings, have,
+                    std::string("auto=") + simd_level_name(have));
   static std::atomic<bool> warned{false};
-  return clamp_to_support(*choice, "QNN_SIMD=", warned);
+  return clamp_to_support(want, "QNN_SIMD=", warned);
 }
 
 SimdLevel active_simd_level() {

@@ -26,8 +26,8 @@
 // it is the fallback tier when a bound fails.
 //
 // Dispatch: the active level resolves once from QNN_SIMD ("off"/
-// "scalar", "avx2", "avx512", "auto"/unset; anything else warns and
-// falls back to auto, like QNN_THREADS) clamped to what CPUID reports,
+// "scalar", "avx2", "avx512", "auto"/unset; anything else warns once and
+// falls back to auto, through util/env) clamped to what CPUID reports,
 // and can be forced programmatically for tests and benchmarks
 // (ScopedSimdLevel; a force beyond the CPU warns once and clamps too).
 #pragma once
@@ -35,7 +35,6 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
-#include <string>
 
 namespace qnn {
 
@@ -60,16 +59,10 @@ SimdLevel simd_support();
 // True when `level` can run here: level <= simd_support().
 bool simd_supports(SimdLevel level);
 
-// One QNN_SIMD spelling, hardened like ThreadPool::env_threads():
-// "off"/"scalar" -> kScalar, "avx2" -> kAvx2, "avx512" -> kAvx512,
-// "auto"/"" -> nullopt (meaning: use simd_support()). Invalid spellings
-// also return nullopt but set *invalid. Exposed for the dispatch tests.
-std::optional<SimdLevel> parse_simd_env(const std::string& value,
-                                        bool* invalid = nullptr);
-
-// Resolves QNN_SIMD against simd_support() (reads the environment on
-// every call; warns once per process on garbage or an unsupported
-// request, then clamps).
+// Resolves QNN_SIMD (util/env: "off"/"scalar", "avx2", "avx512";
+// unset, empty or "auto" mean simd_support()) against simd_support().
+// Reads the environment on every call; an unsupported request warns
+// once per process and clamps.
 SimdLevel resolve_simd_level();
 
 // The level the kernels actually run at: a programmatic force when one

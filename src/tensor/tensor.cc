@@ -56,8 +56,4 @@ void Tensor::fill_uniform(Rng& rng, float lo, float hi) {
   for (float& v : data_) v = static_cast<float>(rng.uniform(lo, hi));
 }
 
-void Tensor::fill_normal(Rng& rng, float mean, float stddev) {
-  for (float& v : data_) v = static_cast<float>(rng.normal(mean, stddev));
-}
-
 }  // namespace qnn

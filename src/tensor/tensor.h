@@ -76,9 +76,8 @@ class Tensor {
   double sum() const;
   double mean() const;
 
-  // Fills with draws from the given distributions.
+  // Fills with uniform draws from [lo, hi).
   void fill_uniform(Rng& rng, float lo, float hi);
-  void fill_normal(Rng& rng, float mean, float stddev);
 
  private:
   std::int64_t offset(std::int64_t n, std::int64_t c, std::int64_t h,

@@ -32,9 +32,6 @@ class Value {
 
   Kind kind() const { return kind_; }
   bool is_null() const { return kind_ == Kind::kNull; }
-  bool is_number() const {
-    return kind_ == Kind::kInt || kind_ == Kind::kDouble;
-  }
 
   // Typed accessors; each throws CheckError on a kind mismatch.
   bool as_bool() const;

@@ -4,9 +4,11 @@
 #include <cctype>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <ctime>
+#include <optional>
+
+#include "util/env.h"
 
 namespace qnn {
 namespace {
@@ -17,27 +19,34 @@ const char* basename_of(const char* path) {
   return slash != nullptr ? slash + 1 : path;
 }
 
-LogLevel initial_threshold() {
-  if (const char* v = std::getenv("QNN_LOG_LEVEL")) {
-    LogLevel parsed;
-    if (parse_log_level(v, &parsed)) return parsed;
-  }
-  return LogLevel::kInfo;
-}
-
-std::atomic<LogLevel>& threshold_slot() {
-  static std::atomic<LogLevel> threshold{initial_threshold()};
-  return threshold;
-}
+// -1 until the first log_threshold() reads QNN_LOG_LEVEL.
+std::atomic<int> g_threshold{-1};
 
 }  // namespace
 
+LogLevel env_log_threshold() {
+  return env::read_env("QNN_LOG_LEVEL",
+                       "debug|info|warn|warning|error|0-3, any case",
+                       LogLevel::kInfo, "info", parse_log_level);
+}
+
 LogLevel log_threshold() {
-  return threshold_slot().load(std::memory_order_relaxed);
+  int t = g_threshold.load(std::memory_order_relaxed);
+  if (t < 0) {
+    // A warning about QNN_LOG_LEVEL itself logs through here before the
+    // store below; util/env's warn-once flag keeps that inner read
+    // quiet, so the recursion ends one level down.
+    int unresolved = -1;
+    g_threshold.compare_exchange_strong(
+        unresolved, static_cast<int>(env_log_threshold()),
+        std::memory_order_relaxed);
+    t = g_threshold.load(std::memory_order_relaxed);
+  }
+  return static_cast<LogLevel>(t);
 }
 
 void set_log_threshold(LogLevel level) {
-  threshold_slot().store(level, std::memory_order_relaxed);
+  g_threshold.store(static_cast<int>(level), std::memory_order_relaxed);
 }
 
 const char* log_level_name(LogLevel level) {
@@ -50,24 +59,20 @@ const char* log_level_name(LogLevel level) {
   return "?";
 }
 
-bool parse_log_level(const std::string& name, LogLevel* out) {
+std::optional<LogLevel> parse_log_level(const std::string& name) {
+  static const env::Spelling<LogLevel> kNames[] = {
+      {"debug", LogLevel::kDebug}, {"0", LogLevel::kDebug},
+      {"info", LogLevel::kInfo},   {"1", LogLevel::kInfo},
+      {"warn", LogLevel::kWarn},   {"warning", LogLevel::kWarn},
+      {"2", LogLevel::kWarn},      {"error", LogLevel::kError},
+      {"3", LogLevel::kError}};
   std::string lower;
-  lower.reserve(name.size());
   for (const char c : name)
     lower.push_back(
         static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  if (lower == "debug" || lower == "0") {
-    *out = LogLevel::kDebug;
-  } else if (lower == "info" || lower == "1") {
-    *out = LogLevel::kInfo;
-  } else if (lower == "warn" || lower == "warning" || lower == "2") {
-    *out = LogLevel::kWarn;
-  } else if (lower == "error" || lower == "3") {
-    *out = LogLevel::kError;
-  } else {
-    return false;
-  }
-  return true;
+  for (const auto& [text, level] : kNames)
+    if (lower == text) return level;
+  return std::nullopt;
 }
 
 int log_thread_id() {

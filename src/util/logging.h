@@ -9,10 +9,12 @@
 //
 // The threshold defaults to Info and can be overridden at startup with
 // the QNN_LOG_LEVEL environment variable ("debug"/"info"/"warn"/"error"
-// or 0-3; case-insensitive), read once on first use. set_log_threshold
-// takes precedence afterwards.
+// or 0-3; case-insensitive; read through util/env, so garbage warns
+// once), read once on first use. set_log_threshold takes precedence
+// afterwards.
 #pragma once
 
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -22,13 +24,16 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 
 // Global threshold: messages below it are dropped.
 LogLevel log_threshold();
+// The threshold QNN_LOG_LEVEL asks for, read now (log_threshold()
+// starts from it).
+LogLevel env_log_threshold();
 void set_log_threshold(LogLevel level);
 
 const char* log_level_name(LogLevel level);
 
-// Parses a QNN_LOG_LEVEL-style spelling ("warn", "WARN", "2", ...).
-// Returns false (leaving *out untouched) on anything unrecognized.
-bool parse_log_level(const std::string& name, LogLevel* out);
+// Parses a QNN_LOG_LEVEL spelling ("warn", "WARN", "2", ...); nullopt
+// on anything unrecognized.
+std::optional<LogLevel> parse_log_level(const std::string& name);
 
 // Small dense id of the calling thread (the "tN" in log prefixes),
 // assigned on first use.

@@ -26,8 +26,6 @@ class Table {
   // Renders with 2-space column gaps and a rule under the header.
   std::string to_string() const;
 
-  std::size_t num_rows() const { return rows_.size(); }
-
  private:
   struct Row {
     bool separator = false;

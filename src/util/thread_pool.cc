@@ -1,15 +1,14 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <memory>
+#include <string>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
-#include "util/logging.h"
+#include "util/env.h"
 
 namespace qnn {
 namespace {
@@ -266,19 +265,12 @@ void ThreadPool::run_raw(std::int64_t count, RawFn invoke, void* arg) {
 
 int ThreadPool::env_threads() {
   const int fallback = hardware_threads();
-  const char* v = std::getenv("QNN_THREADS");
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const long n = std::strtol(v, &end, 10);
-  if (errno == ERANGE || end == v || *end != '\0' || n < 1 ||
-      n > kMaxEnvThreads) {
-    QNN_LOG(Warn) << "ignoring QNN_THREADS=\"" << v
-                  << "\" (want an integer in [1, " << kMaxEnvThreads
-                  << "]); using hardware_concurrency=" << fallback;
-    return fallback;
-  }
-  return static_cast<int>(n);
+  return static_cast<int>(env::read_env<long>(
+      "QNN_THREADS", "an integer in [1, " + std::to_string(kMaxEnvThreads) + "]",
+      fallback, "hardware_concurrency=" + std::to_string(fallback),
+      [](const std::string& v) {
+        return env::parse_integer(v, 1, kMaxEnvThreads);
+      }));
 }
 
 ThreadPool& ThreadPool::global() {

@@ -20,19 +20,12 @@
 #include "quant/qnetwork.h"
 #include "tensor/gemm.h"
 #include "tensor/microkernel.h"
+#include "test_env.h"
 #include "util/fileio.h"
 #include "util/thread_pool.h"
 
 namespace qnn {
 namespace {
-
-// Restores the global pool to its environment size no matter how a test
-// exits.
-struct ThreadGuard {
-  ~ThreadGuard() {
-    ThreadPool::set_global_threads(ThreadPool::env_threads());
-  }
-};
 
 std::vector<float> random_matrix(std::int64_t count, std::uint64_t seed) {
   std::mt19937_64 rng(seed);

@@ -16,21 +16,13 @@
 #include "nn/pool.h"
 #include "tensor/im2col.h"
 #include "tensor/microkernel.h"
+#include "test_env.h"
+#include "testing/gemm_forms.h"
 
 namespace qnn {
 namespace {
 
-std::vector<SimdLevel> supported_levels() {
-  std::vector<SimdLevel> levels;
-  for (SimdLevel l : {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512})
-    if (simd_supports(l)) levels.push_back(l);
-  return levels;
-}
-
-bool bytes_equal(const std::vector<float>& x, const std::vector<float>& y) {
-  return x.size() == y.size() &&
-         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
-}
+using testing::bytes_equal;
 
 // ---------------------------------------------------------------------
 // im2col.

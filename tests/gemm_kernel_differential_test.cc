@@ -5,11 +5,10 @@
 // tensor/gemm.h makes this a structural property, and these tests pin
 // it. The integer tile kernels must produce identical words at the
 // scalar, AVX2 and AVX-512 levels. Also covers the QNN_SIMD
-// runtime-dispatch parsing, clamping and override machinery.
+// runtime-dispatch clamping and override machinery.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <random>
@@ -19,6 +18,7 @@
 #include "tensor/gemm.h"
 #include "tensor/int_gemm.h"
 #include "tensor/microkernel.h"
+#include "test_env.h"
 #include "testing/gemm_forms.h"
 #include "util/thread_pool.h"
 
@@ -27,52 +27,6 @@ namespace {
 
 bool avx2_available() { return simd_supports(SimdLevel::kAvx2); }
 bool avx512_available() { return simd_supports(SimdLevel::kAvx512); }
-
-// Every level this CPU can run, scalar first.
-std::vector<SimdLevel> supported_levels() {
-  std::vector<SimdLevel> levels;
-  for (SimdLevel l : {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512})
-    if (simd_supports(l)) levels.push_back(l);
-  return levels;
-}
-
-// Restores the global pool to its environment size no matter how a test
-// exits.
-struct ThreadGuard {
-  ~ThreadGuard() {
-    ThreadPool::set_global_threads(ThreadPool::env_threads());
-  }
-};
-
-// Saves and restores one environment variable across a test body.
-class ScopedEnv {
- public:
-  explicit ScopedEnv(const char* name) : name_(name) {
-    const char* v = std::getenv(name);
-    if (v != nullptr) saved_ = v;
-  }
-  ~ScopedEnv() {
-    if (saved_.has_value()) {
-      ::setenv(name_, saved_->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-    refresh_simd_env();
-  }
-
-  void set(const std::string& value) {
-    ::setenv(name_, value.c_str(), 1);
-    refresh_simd_env();
-  }
-  void unset() {
-    ::unsetenv(name_);
-    refresh_simd_env();
-  }
-
- private:
-  const char* name_;
-  std::optional<std::string> saved_;
-};
 
 std::vector<float> random_vec(std::int64_t count, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
@@ -359,28 +313,8 @@ TEST(GemmKernelDifferential, IntKernelsExactAtExtremes) {
 }
 
 // ---------------------------------------------------------------------
-// QNN_SIMD parsing + dispatch override machinery (satellite: hardened
-// like ThreadPool::env_threads()).
-
-TEST(SimdDispatch, ParseSimdEnvSpellings) {
-  bool invalid = false;
-  EXPECT_EQ(parse_simd_env("off", &invalid), SimdLevel::kScalar);
-  EXPECT_FALSE(invalid);
-  EXPECT_EQ(parse_simd_env("scalar", &invalid), SimdLevel::kScalar);
-  EXPECT_FALSE(invalid);
-  EXPECT_EQ(parse_simd_env("avx2", &invalid), SimdLevel::kAvx2);
-  EXPECT_FALSE(invalid);
-  EXPECT_EQ(parse_simd_env("avx512", &invalid), SimdLevel::kAvx512);
-  EXPECT_FALSE(invalid);
-  EXPECT_EQ(parse_simd_env("auto", &invalid), std::nullopt);
-  EXPECT_FALSE(invalid);
-  EXPECT_EQ(parse_simd_env("", &invalid), std::nullopt);
-  EXPECT_FALSE(invalid);
-  EXPECT_EQ(parse_simd_env("bogus", &invalid), std::nullopt);
-  EXPECT_TRUE(invalid);
-  EXPECT_EQ(parse_simd_env("AVX2", &invalid), std::nullopt);
-  EXPECT_TRUE(invalid);  // spellings are case-sensitive, like QNN_THREADS
-}
+// QNN_SIMD dispatch and the override machinery (the spellings are in
+// env_test).
 
 TEST(SimdDispatch, EnvControlsActiveLevel) {
   ScopedEnv env("QNN_SIMD");
@@ -461,8 +395,11 @@ TEST(SimdDispatch, SupportLevelNameRoundTrips) {
   const SimdLevel s = simd_support();
   EXPECT_TRUE(s == SimdLevel::kScalar || s == SimdLevel::kAvx2 ||
               s == SimdLevel::kAvx512);
-  for (SimdLevel l : supported_levels())
-    EXPECT_EQ(parse_simd_env(simd_level_name(l)).value_or(l), l);
+  ScopedEnv env("QNN_SIMD");
+  for (SimdLevel l : supported_levels()) {
+    env.set(simd_level_name(l));
+    EXPECT_EQ(active_simd_level(), l);
+  }
 }
 
 }  // namespace

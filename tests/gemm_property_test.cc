@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "tensor/gemm.h"
+#include "test_env.h"
 #include "testing/gemm_forms.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -35,12 +36,6 @@ namespace qnn {
 namespace {
 
 using testing::bytes_equal;
-
-struct ThreadGuard {
-  ~ThreadGuard() {
-    ThreadPool::set_global_threads(ThreadPool::env_threads());
-  }
-};
 
 std::vector<float> random_matrix(std::int64_t elems, Rng& rng) {
   std::vector<float> v(static_cast<std::size_t>(elems));

@@ -4,12 +4,11 @@
 // accelerator simulator computes, at every precision tier, radix
 // extreme, SIMD level and thread count. Also covers the int GEMM drivers
 // against a naive int64 reference, the accumulator-bound pass and its
-// kernel-tier plan, the fused requant epilogue, and the QNN_INT_INFER
-// gate.
+// kernel-tier plan, the fused requant epilogue, and which configs
+// freeze onto the native path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <optional>
 #include <random>
 #include <string>
@@ -28,36 +27,11 @@
 #include "quant/qnetwork.h"
 #include "tensor/int_gemm.h"
 #include "tensor/microkernel.h"
+#include "test_env.h"
 #include "util/thread_pool.h"
 
 namespace qnn::quant {
 namespace {
-
-struct ThreadGuard {
-  ~ThreadGuard() {
-    ThreadPool::set_global_threads(ThreadPool::env_threads());
-  }
-};
-
-class ScopedEnv {
- public:
-  explicit ScopedEnv(const char* name) : name_(name) {
-    const char* v = std::getenv(name);
-    if (v != nullptr) saved_ = v;
-  }
-  ~ScopedEnv() {
-    if (saved_.has_value()) {
-      ::setenv(name_, saved_->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  void set(const std::string& value) { ::setenv(name_, value.c_str(), 1); }
-
- private:
-  const char* name_;
-  std::optional<std::string> saved_;
-};
 
 // ---------------------------------------------------------------------
 // int_gemm_bt vs a naive int64 reference.
@@ -496,40 +470,18 @@ TEST(IntTiles, FusedEpilogueMatchesShiftRoundSaturate) {
 }
 
 // ---------------------------------------------------------------------
-// Eligibility + the QNN_INT_INFER gate.
+// Eligibility: an eligible config always freezes onto the native path.
 
-TEST(IntInference, EnvParsingIsHardened) {
-  bool invalid = false;
-  EXPECT_EQ(parse_int_infer_env("on", &invalid), true);
-  EXPECT_FALSE(invalid);
-  EXPECT_EQ(parse_int_infer_env("1", &invalid), true);
-  EXPECT_EQ(parse_int_infer_env("off", &invalid), false);
-  EXPECT_EQ(parse_int_infer_env("0", &invalid), false);
-  EXPECT_FALSE(invalid);
-  EXPECT_EQ(parse_int_infer_env("auto", &invalid), std::nullopt);
-  EXPECT_FALSE(invalid);
-  EXPECT_EQ(parse_int_infer_env("", &invalid), std::nullopt);
-  EXPECT_FALSE(invalid);
-  EXPECT_EQ(parse_int_infer_env("yes-please", &invalid), std::nullopt);
-  EXPECT_TRUE(invalid);
-}
-
-TEST(IntInference, EnvOffDisablesNativePath) {
-  ScopedEnv env("QNN_INT_INFER");
+TEST(IntInference, FakeQuantForwardTracksFrozenNative) {
   auto net = lenet_scale_cnn();
   const Tensor calib = cnn_input(4, 5);
   QuantizedNetwork qnet(*net, fixed_config(8, 8));
   qnet.calibrate(calib);
 
-  env.set("off");
-  qnet.freeze_inference();
-  EXPECT_FALSE(qnet.native_int_active());
+  // Unfrozen: every forward fake-quantizes on the float path.
   const Tensor x = cnn_input(2, 9);
   const Tensor float_path = qnet.forward(x);
 
-  // Re-freeze with the gate open: the env is re-read at freeze time.
-  qnet.thaw_inference();
-  env.set("on");
   qnet.freeze_inference();
   EXPECT_TRUE(qnet.native_int_active());
   const Tensor int_path = qnet.forward(x);

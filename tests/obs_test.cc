@@ -16,6 +16,7 @@
 #include "obs/trace.h"
 #include "quant/guards.h"
 #include "tensor/microkernel.h"
+#include "test_env.h"
 #include "util/check.h"
 #include "util/crc32.h"
 #include "util/json.h"
@@ -23,20 +24,6 @@
 
 namespace qnn {
 namespace {
-
-struct ThreadGuard {
-  ~ThreadGuard() {
-    ThreadPool::set_global_threads(ThreadPool::env_threads());
-  }
-};
-
-// Leaves the tracer the way tests expect to find it: disabled and empty.
-struct TraceGuard {
-  ~TraceGuard() {
-    obs::set_trace_enabled(false);
-    obs::clear_trace();
-  }
-};
 
 // --- metrics registry --------------------------------------------------
 

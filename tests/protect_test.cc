@@ -18,6 +18,7 @@
 #include "protect/envelope.h"
 #include "protect/protected_network.h"
 #include "tensor/gemm.h"
+#include "test_env.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 
@@ -113,11 +114,7 @@ TEST(Abft, TallKRecoveryReusesChunkPlanAndRestoresExactBytes) {
   // chunk boundaries and merge tree as the original pass and lands on
   // identical bytes. k = 700 spans three chunks (256/256/188); verify at
   // every pool size, since recovery must also be schedule-independent.
-  struct ThreadGuard {
-    ~ThreadGuard() {
-      ThreadPool::set_global_threads(ThreadPool::env_threads());
-    }
-  } guard;
+  ThreadGuard guard;
   const GemmProblem p(150, 33, 700);
   std::vector<float> plain(p.m * p.n);
   gemm(p.op(plain.data()));

@@ -16,20 +16,14 @@
 #include "nn/inner_product.h"
 #include "nn/network.h"
 #include "obs/trace.h"
+#include "serve/arrivals.h"
 #include "serve/server.h"
 #include "serve/tiers.h"
-#include "serve/trace.h"
+#include "test_env.h"
 #include "util/thread_pool.h"
 
 namespace qnn::serve {
 namespace {
-
-struct TraceGuard {
-  ~TraceGuard() {
-    obs::set_trace_enabled(false);
-    obs::clear_trace();
-  }
-};
 
 std::unique_ptr<nn::Network> det_net() {
   auto net = std::make_unique<nn::Network>("serve_det");

@@ -23,23 +23,20 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "faults/lane_faults.h"
-#include "nn/activation.h"
-#include "nn/inner_product.h"
-#include "nn/network.h"
 #include "obs/ledger.h"
+#include "serve/arrivals.h"
 #include "serve/health.h"
 #include "serve/request_trace.h"
 #include "serve/server.h"
 #include "serve/slo.h"
 #include "serve/tiers.h"
-#include "serve/trace.h"
+#include "testing/serve_chaos.h"
 #include "util/fileio.h"
 #include "util/json.h"
 #include "util/thread_pool.h"
@@ -47,90 +44,10 @@
 namespace qnn::serve {
 namespace {
 
-std::unique_ptr<nn::Network> trace_net() {
-  auto net = std::make_unique<nn::Network>("serve_request_trace");
-  net->add<nn::InnerProduct>(6, 12);
-  net->add<nn::Relu>();
-  net->add<nn::InnerProduct>(12, 3);
-  Rng rng(17);
-  net->init_weights(rng);
-  return net;
-}
-
-std::vector<TierSpec> trace_tiers() {
-  auto net = trace_net();
-  std::vector<TierSpec> tiers = default_tier_lattice();
-  derive_tier_costs(*net, Shape{1, 6}, &tiers);
-  return tiers;
-}
-
-ArrivalTrace arrivals(const std::vector<TierSpec>& tiers, double rate,
-                      std::int64_t n, Tick deadline_mult = 20) {
-  OpenLoopSpec spec;
-  spec.num_requests = n;
-  spec.mean_interarrival_ticks =
-      static_cast<double>(tiers[0].ticks_per_image) / rate;
-  spec.relative_deadline_ticks = deadline_mult * tiers[0].ticks_per_image;
-  spec.seed = 42;
-  return make_open_loop_trace(spec, {6});
-}
-
 ServerConfig traced_config(const std::vector<TierSpec>& tiers,
                            const faults::LaneFaultSchedule* chaos,
                            bool trace_requests = true) {
-  ServerConfig cfg;
-  cfg.queue_capacity = 16;
-  cfg.batcher.max_batch = 4;
-  cfg.batcher.batch_window = tiers[0].ticks_per_image;
-  cfg.controller.high_depth_fraction = 0.5;
-  cfg.controller.low_depth_fraction = 0.125;
-  cfg.controller.dwell_ticks = 2 * tiers[0].ticks_per_image;
-  cfg.chaos = chaos;
-  cfg.trace_requests = trace_requests;
-  return cfg;
-}
-
-// Fresh pool + server per run so no replica state leaks between runs.
-ServeResult run_once(const ArrivalTrace& trace, const ServerConfig& cfg,
-                     int replicas_per_tier = 2) {
-  auto net = trace_net();
-  std::vector<TierSpec> tiers = trace_tiers();
-  Tensor calib(Shape{16, 6});
-  Rng rng(9);
-  calib.fill_uniform(rng, 0, 1);
-  ReplicaPool pool(*net, calib, tiers, replicas_per_tier);
-  Server server(pool, cfg);
-  return server.run_trace(trace);
-}
-
-// Hang + corrupt + crash against a 2-replica pool (mirrors the chaos
-// suite's mixed schedule so the traced log covers all fault kinds).
-faults::LaneFaultSchedule mixed_schedule(const std::vector<TierSpec>& tiers) {
-  const Tick t0 = tiers[0].ticks_per_image;
-  faults::LaneFaultSchedule s;
-  faults::LaneFault hang;
-  hang.kind = faults::LaneFaultKind::kHangLane;
-  hang.tier = 0;
-  hang.replica = 0;
-  hang.at_tick = 0;
-  hang.hang_ticks = 100 * t0;
-  s.faults.push_back(hang);
-  faults::LaneFault corrupt;
-  corrupt.kind = faults::LaneFaultKind::kCorruptLane;
-  corrupt.tier = 0;
-  corrupt.replica = 1;
-  corrupt.at_tick = 2 * t0;
-  corrupt.corrupt_flips = 16;
-  corrupt.seed = 77;
-  s.faults.push_back(corrupt);
-  faults::LaneFault crash;
-  crash.kind = faults::LaneFaultKind::kCrashLane;
-  crash.tier = 1;
-  crash.replica = 0;
-  crash.at_tick = 4 * t0;
-  s.faults.push_back(crash);
-  faults::validate_schedule(s);
-  return s;
+  return chaos_config(tiers, chaos, trace_requests);
 }
 
 void expect_ledger_identical(const obs::AttributionLedger& a,
@@ -168,9 +85,9 @@ std::int64_t first_event(const std::vector<RequestEvent>& events,
 // --- determinism --------------------------------------------------------
 
 TEST(TraceDeterminism, JsonlLedgerAndExecutionsIdenticalAt148Threads) {
-  const std::vector<TierSpec> tiers = trace_tiers();
+  const std::vector<TierSpec> tiers = chaos_tiers();
   const faults::LaneFaultSchedule schedule = mixed_schedule(tiers);
-  const ArrivalTrace trace = arrivals(tiers, 2.5, 80);
+  const ArrivalTrace trace = chaos_trace(tiers, 2.5, 80);
   const ServerConfig cfg = traced_config(tiers, &schedule);
 
   ScopedGlobalThreads one(1);
@@ -201,9 +118,9 @@ TEST(TraceDeterminism, JsonlLedgerAndExecutionsIdenticalAt148Threads) {
 }
 
 TEST(TraceDeterminism, TracingOnEqualsOffForReplayAndAttribution) {
-  const std::vector<TierSpec> tiers = trace_tiers();
+  const std::vector<TierSpec> tiers = chaos_tiers();
   const faults::LaneFaultSchedule schedule = mixed_schedule(tiers);
-  const ArrivalTrace trace = arrivals(tiers, 2.5, 60);
+  const ArrivalTrace trace = chaos_trace(tiers, 2.5, 60);
   const ServeResult off =
       run_once(trace, traced_config(tiers, &schedule, /*trace=*/false));
   const ServeResult on =
@@ -234,7 +151,7 @@ TEST(TraceDeterminism, TracingOnEqualsOffForReplayAndAttribution) {
 // --- causality ----------------------------------------------------------
 
 TEST(TraceCausality, HangShowsWatchdogRetryAndSiblingHopInOrder) {
-  const std::vector<TierSpec> tiers = trace_tiers();
+  const std::vector<TierSpec> tiers = chaos_tiers();
   faults::LaneFaultSchedule s;
   faults::LaneFault hang;
   hang.kind = faults::LaneFaultKind::kHangLane;
@@ -244,7 +161,7 @@ TEST(TraceCausality, HangShowsWatchdogRetryAndSiblingHopInOrder) {
   hang.hang_ticks = 100 * tiers[0].ticks_per_image;
   s.faults.push_back(hang);
 
-  const ArrivalTrace trace = arrivals(tiers, 1.0, 30);
+  const ArrivalTrace trace = chaos_trace(tiers, 1.0, 30);
   const ServeResult r = run_once(trace, traced_config(tiers, &s));
   ASSERT_EQ(r.stats.hung_batches, 1);
 
@@ -291,7 +208,7 @@ TEST(TraceCausality, HangShowsWatchdogRetryAndSiblingHopInOrder) {
 }
 
 TEST(TraceCausality, WholeTierLossShowsRedirectHopAfterCrash) {
-  const std::vector<TierSpec> tiers = trace_tiers();
+  const std::vector<TierSpec> tiers = chaos_tiers();
   faults::LaneFaultSchedule s;
   for (int rep = 0; rep < 2; ++rep) {
     faults::LaneFault crash;
@@ -301,7 +218,7 @@ TEST(TraceCausality, WholeTierLossShowsRedirectHopAfterCrash) {
     crash.at_tick = 0;
     s.faults.push_back(crash);
   }
-  const ArrivalTrace trace = arrivals(tiers, 1.0, 30);
+  const ArrivalTrace trace = chaos_trace(tiers, 1.0, 30);
   const ServeResult r = run_once(trace, traced_config(tiers, &s));
   ASSERT_GT(r.stats.redirected, 0);
 
@@ -345,9 +262,9 @@ TEST(TraceCausality, WholeTierLossShowsRedirectHopAfterCrash) {
 }
 
 TEST(TraceCausality, EventCountsMatchConservationCounters) {
-  const std::vector<TierSpec> tiers = trace_tiers();
+  const std::vector<TierSpec> tiers = chaos_tiers();
   const faults::LaneFaultSchedule schedule = mixed_schedule(tiers);
-  const ArrivalTrace trace = arrivals(tiers, 2.5, 80);
+  const ArrivalTrace trace = chaos_trace(tiers, 2.5, 80);
   const ServeResult r = run_once(trace, traced_config(tiers, &schedule));
 
   std::int64_t arrivals_n = 0, admits = 0, rejects = 0, completes = 0,
@@ -377,9 +294,9 @@ TEST(TraceCausality, EventCountsMatchConservationCounters) {
 // --- attribution --------------------------------------------------------
 
 TEST(TraceAttribution, LedgerReconcilesWithStatsAndResponses) {
-  const std::vector<TierSpec> tiers = trace_tiers();
+  const std::vector<TierSpec> tiers = chaos_tiers();
   const faults::LaneFaultSchedule schedule = mixed_schedule(tiers);
-  const ArrivalTrace trace = arrivals(tiers, 2.0, 60);
+  const ArrivalTrace trace = chaos_trace(tiers, 2.0, 60);
   const ServeResult r = run_once(trace, traced_config(tiers, &schedule));
 
   // pJ ledger vs uJ stats aggregate: same executions, same model.
@@ -405,9 +322,9 @@ TEST(TraceAttribution, LedgerReconcilesWithStatsAndResponses) {
 }
 
 TEST(TraceAttribution, SloSummaryIsConservedAndCoversServedTiers) {
-  const std::vector<TierSpec> tiers = trace_tiers();
+  const std::vector<TierSpec> tiers = chaos_tiers();
   const faults::LaneFaultSchedule schedule = mixed_schedule(tiers);
-  const ArrivalTrace trace = arrivals(tiers, 2.0, 60);
+  const ArrivalTrace trace = chaos_trace(tiers, 2.0, 60);
   const ServeResult r = run_once(trace, traced_config(tiers, &schedule));
   const SloSummary slo = make_slo_summary(r, tiers);
 
@@ -438,9 +355,9 @@ TEST(TraceAttribution, SloSummaryIsConservedAndCoversServedTiers) {
 // --- exporters ----------------------------------------------------------
 
 TEST(TraceExport, JsonlParsesAndChromeTraceHasOneTrackPerLane) {
-  const std::vector<TierSpec> tiers = trace_tiers();
+  const std::vector<TierSpec> tiers = chaos_tiers();
   const faults::LaneFaultSchedule schedule = mixed_schedule(tiers);
-  const ArrivalTrace trace = arrivals(tiers, 2.0, 40);
+  const ArrivalTrace trace = chaos_trace(tiers, 2.0, 40);
   const ServeResult r = run_once(trace, traced_config(tiers, &schedule));
 
   const std::string jsonl_path = "trace_test_requests.jsonl";
@@ -487,6 +404,48 @@ TEST(TraceExport, JsonlParsesAndChromeTraceHasOneTrackPerLane) {
 
   std::remove(jsonl_path.c_str());
   std::remove(chrome_path.c_str());
+}
+
+// The lane view's exact bytes for a small chaos run: a hang, a corrupt
+// result and a crash over eight arrivals. Virtual ticks make the
+// document a pure function of the run, so any change to the exporter or
+// the shared chrome-trace writer shows here byte for byte.
+TEST(TraceExport, LaneTraceGoldenBytes) {
+  const std::vector<TierSpec> tiers = chaos_tiers();
+  const faults::LaneFaultSchedule schedule = mixed_schedule(tiers);
+  const ArrivalTrace trace = chaos_trace(tiers, 2.0, 8);
+  const ServeResult r = run_once(trace, traced_config(tiers, &schedule));
+  const std::string got = lane_trace_to_json(r.lane_executions, r.health_log,
+                                             r.request_events, r.lane_names)
+                              .dump();
+  const std::string want =
+      R"J({"displayTimeUnit":"ms","traceEvents":[)J"
+      R"J({"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"lane 0 (float/r0)"}})J"
+      R"J(,{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"lane 1 (float/r1)"}})J"
+      R"J(,{"name":"thread_name","ph":"M","pid":1,"tid":2,"args":{"name":"lane 2 (fixed16/r0)"}})J"
+      R"J(,{"name":"thread_name","ph":"M","pid":1,"tid":3,"args":{"name":"lane 3 (fixed16/r1)"}})J"
+      R"J(,{"name":"thread_name","ph":"M","pid":1,"tid":4,"args":{"name":"lane 4 (fixed8/r0)"}})J"
+      R"J(,{"name":"thread_name","ph":"M","pid":1,"tid":5,"args":{"name":"lane 5 (fixed8/r1)"}})J"
+      R"J(,{"name":"thread_name","ph":"M","pid":1,"tid":6,"args":{"name":"frontend/admission"}})J"
+      R"J(,{"name":"exec:doomed","cat":"serve","ph":"X","pid":1,"tid":0,"ts":4,"dur":625,"args":{"tier":0,"replica":0,"attempt":1,"batch_n":4,"energy_pj":138825.86956799999,"outcome":"doomed","requests":[0,1,2,3]}})J"
+      R"J(,{"name":"exec:discarded_corrupt","cat":"serve","ph":"X","pid":1,"tid":1,"ts":14,"dur":19,"args":{"tier":0,"replica":1,"attempt":1,"batch_n":3,"energy_pj":104119.40217599999,"outcome":"discarded_corrupt","requests":[4,5,6]}})J"
+      R"J(,{"name":"exec:published","cat":"serve","ph":"X","pid":1,"tid":1,"ts":33,"dur":19,"args":{"tier":0,"replica":1,"attempt":2,"batch_n":3,"energy_pj":104119.40217599999,"outcome":"published","requests":[4,5,6]}})J"
+      R"J(,{"name":"exec:published","cat":"serve","ph":"X","pid":1,"tid":1,"ts":52,"dur":7,"args":{"tier":0,"replica":1,"attempt":1,"batch_n":1,"energy_pj":34706.467391999999,"outcome":"published","requests":[7]}})J"
+      R"J(,{"name":"exec:published","cat":"serve","ph":"X","pid":1,"tid":1,"ts":104,"dur":25,"args":{"tier":0,"replica":1,"attempt":2,"batch_n":4,"energy_pj":138825.86956799999,"outcome":"published","requests":[0,1,2,3]}})J"
+      R"J(,{"name":"health:dead (crash)","cat":"serve","ph":"i","s":"t","pid":1,"tid":2,"ts":24})J"
+      R"J(,{"name":"health:quarantined (corrupt_detected)","cat":"serve","ph":"i","s":"t","pid":1,"tid":1,"ts":33})J"
+      R"J(,{"name":"health:healthy (rescrubbed)","cat":"serve","ph":"i","s":"t","pid":1,"tid":1,"ts":33})J"
+      R"J(,{"name":"health:suspect (hang_strike)","cat":"serve","ph":"i","s":"t","pid":1,"tid":0,"ts":104})J"
+      R"J(,{"name":"batch_close:0","cat":"serve","ph":"i","s":"t","pid":1,"tid":6,"ts":4})J"
+      R"J(,{"name":"batch_close:1","cat":"serve","ph":"i","s":"t","pid":1,"tid":6,"ts":4})J"
+      R"J(,{"name":"batch_close:2","cat":"serve","ph":"i","s":"t","pid":1,"tid":6,"ts":4})J"
+      R"J(,{"name":"batch_close:3","cat":"serve","ph":"i","s":"t","pid":1,"tid":6,"ts":4})J"
+      R"J(,{"name":"batch_close:4","cat":"serve","ph":"i","s":"t","pid":1,"tid":6,"ts":14})J"
+      R"J(,{"name":"batch_close:5","cat":"serve","ph":"i","s":"t","pid":1,"tid":6,"ts":14})J"
+      R"J(,{"name":"batch_close:6","cat":"serve","ph":"i","s":"t","pid":1,"tid":6,"ts":14})J"
+      R"J(,{"name":"batch_close:7","cat":"serve","ph":"i","s":"t","pid":1,"tid":6,"ts":23})J"
+      R"J(]})J";
+  EXPECT_EQ(got, want);
 }
 
 }  // namespace

@@ -15,12 +15,12 @@
 #include "nn/activation.h"
 #include "nn/inner_product.h"
 #include "nn/network.h"
+#include "serve/arrivals.h"
 #include "serve/batcher.h"
 #include "serve/controller.h"
 #include "serve/queue.h"
 #include "serve/server.h"
 #include "serve/tiers.h"
-#include "serve/trace.h"
 #include "util/check.h"
 
 namespace qnn::serve {

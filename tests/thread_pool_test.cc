@@ -7,13 +7,14 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "test_env.h"
 
 namespace qnn {
 namespace {
@@ -318,64 +319,43 @@ TEST(ThreadPool, SpinOnlyWhenPoolFitsHardware) {
   EXPECT_EQ(oversub.spin_iterations(), 0);
 }
 
-class EnvThreadsTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    const char* prev = std::getenv("QNN_THREADS");
-    if (prev != nullptr) saved_ = prev;
-    had_ = prev != nullptr;
-  }
-  void TearDown() override {
-    if (had_) {
-      setenv("QNN_THREADS", saved_.c_str(), 1);
-    } else {
-      unsetenv("QNN_THREADS");
-    }
-  }
-  static int fallback() {
-    return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  }
-  bool had_ = false;
-  std::string saved_;
-};
-
-TEST_F(EnvThreadsTest, ParsesValidValues) {
-  setenv("QNN_THREADS", "3", 1);
-  EXPECT_EQ(ThreadPool::env_threads(), 3);
-  setenv("QNN_THREADS", "1", 1);
-  EXPECT_EQ(ThreadPool::env_threads(), 1);
-  unsetenv("QNN_THREADS");
-  EXPECT_EQ(ThreadPool::env_threads(), fallback());
+// QNN_THREADS's range edges; env_test tabulates every variable.
+int env_threads_for(const char* value) {
+  ScopedEnv env("QNN_THREADS");
+  env.set(value);
+  return ThreadPool::env_threads();
 }
 
-TEST_F(EnvThreadsTest, RejectsZero) {
-  setenv("QNN_THREADS", "0", 1);
-  EXPECT_EQ(ThreadPool::env_threads(), fallback());
+int fallback_threads() {
+  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
 }
 
-TEST_F(EnvThreadsTest, RejectsNegative) {
-  setenv("QNN_THREADS", "-3", 1);
-  EXPECT_EQ(ThreadPool::env_threads(), fallback());
+TEST(EnvThreadsTest, ParsesValidValues) {
+  EXPECT_EQ(env_threads_for("3"), 3);
+  EXPECT_EQ(env_threads_for("1"), 1);
+  ScopedEnv env("QNN_THREADS");
+  env.unset();
+  EXPECT_EQ(ThreadPool::env_threads(), fallback_threads());
 }
 
-TEST_F(EnvThreadsTest, RejectsGarbage) {
-  setenv("QNN_THREADS", "abc", 1);
-  EXPECT_EQ(ThreadPool::env_threads(), fallback());
-  setenv("QNN_THREADS", "", 1);
-  EXPECT_EQ(ThreadPool::env_threads(), fallback());
-  setenv("QNN_THREADS", "4x", 1);
-  EXPECT_EQ(ThreadPool::env_threads(), fallback());
+TEST(EnvThreadsTest, RejectsZero) {
+  EXPECT_EQ(env_threads_for("0"), fallback_threads());
 }
 
-TEST_F(EnvThreadsTest, RejectsExponentAndOverflow) {
+TEST(EnvThreadsTest, RejectsNegative) {
+  EXPECT_EQ(env_threads_for("-3"), fallback_threads());
+}
+
+TEST(EnvThreadsTest, RejectsGarbage) {
+  for (const char* v : {"abc", "", "4x"})
+    EXPECT_EQ(env_threads_for(v), fallback_threads()) << v;
+}
+
+TEST(EnvThreadsTest, RejectsExponentAndOverflow) {
   // "1e9" is not an integer (trailing junk), and huge plain integers
   // exceed kMaxEnvThreads; neither may be silently truncated atoi-style.
-  setenv("QNN_THREADS", "1e9", 1);
-  EXPECT_EQ(ThreadPool::env_threads(), fallback());
-  setenv("QNN_THREADS", "1000000000", 1);
-  EXPECT_EQ(ThreadPool::env_threads(), fallback());
-  setenv("QNN_THREADS", "99999999999999999999", 1);
-  EXPECT_EQ(ThreadPool::env_threads(), fallback());
+  for (const char* v : {"1e9", "1000000000", "99999999999999999999"})
+    EXPECT_EQ(env_threads_for(v), fallback_threads()) << v;
 }
 
 TEST(ThreadPool, ParallelForShardsMatchesPlan) {

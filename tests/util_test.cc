@@ -54,27 +54,14 @@ TEST(Logging, LevelNames) {
 }
 
 TEST(Logging, ParseLogLevelAcceptsNamesAndDigits) {
-  LogLevel lvl = LogLevel::kInfo;
-  EXPECT_TRUE(parse_log_level("debug", &lvl));
-  EXPECT_EQ(lvl, LogLevel::kDebug);
-  EXPECT_TRUE(parse_log_level("WARN", &lvl));
-  EXPECT_EQ(lvl, LogLevel::kWarn);
-  EXPECT_TRUE(parse_log_level("Warning", &lvl));
-  EXPECT_EQ(lvl, LogLevel::kWarn);
-  EXPECT_TRUE(parse_log_level("error", &lvl));
-  EXPECT_EQ(lvl, LogLevel::kError);
-  EXPECT_TRUE(parse_log_level("0", &lvl));
-  EXPECT_EQ(lvl, LogLevel::kDebug);
-  EXPECT_TRUE(parse_log_level("3", &lvl));
-  EXPECT_EQ(lvl, LogLevel::kError);
-
-  // Unrecognized spellings leave *out untouched.
-  lvl = LogLevel::kInfo;
-  EXPECT_FALSE(parse_log_level("", &lvl));
-  EXPECT_FALSE(parse_log_level("verbose", &lvl));
-  EXPECT_FALSE(parse_log_level("4", &lvl));
-  EXPECT_FALSE(parse_log_level("1x", &lvl));
-  EXPECT_EQ(lvl, LogLevel::kInfo);
+  EXPECT_EQ(parse_log_level("debug"), LogLevel::kDebug);
+  EXPECT_EQ(parse_log_level("WARN"), LogLevel::kWarn);
+  EXPECT_EQ(parse_log_level("Warning"), LogLevel::kWarn);
+  EXPECT_EQ(parse_log_level("error"), LogLevel::kError);
+  EXPECT_EQ(parse_log_level("0"), LogLevel::kDebug);
+  EXPECT_EQ(parse_log_level("3"), LogLevel::kError);
+  for (const char* bad : {"", "verbose", "4", "1x"})
+    EXPECT_EQ(parse_log_level(bad), std::nullopt) << bad;
 }
 
 TEST(Logging, PrefixCarriesLevelThreadAndSourceSite) {
