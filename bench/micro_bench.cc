@@ -599,10 +599,11 @@ std::vector<DatapathRow> time_int_datapath_rows(obs::Registry& reg) {
   return rows;
 }
 
-// The native int path's per-stage plan for the 15 native zoo configs
-// (5 full-size nets x fixed16/8/4): word width, kernel tier, proven
-// accumulator bits and any fallback reason, keyed "<net>.fixed<bits>",
-// for the RunReport's "int_path" section.
+// The native int path's per-stage plan for the 20 native zoo configs
+// (5 full-size nets x fixed16/8/4 and binary): word width, kernel tier,
+// int32 K block, proven accumulator bits and any fallback reason, keyed
+// "<net>.fixed<bits>" and "<net>.binary", for the RunReport's
+// "int_path" section.
 json::Value int_path_section() {
   json::Value section = json::Value::object();
   for (const char* name : {"lenet", "convnet", "alex", "alex+", "alex++"}) {
@@ -610,14 +611,19 @@ json::Value int_path_section() {
     Tensor calib(Shape{8, sample[1], sample[2], sample[3]});
     Rng rng(3);
     calib.fill_uniform(rng, 0, 1);
-    for (int bits : {16, 8, 4}) {
+    for (const auto& [key, pc] :
+         {std::pair<const char*, quant::PrecisionConfig>{
+              "fixed16", quant::fixed_config(16, 16)},
+          {"fixed8", quant::fixed_config(8, 8)},
+          {"fixed4", quant::fixed_config(4, 4)},
+          {"binary", quant::binary_config(16)}}) {
       auto net = nn::make_network(name, {});
       net->set_training_mode(false);
-      quant::QuantizedNetwork q(*net, quant::fixed_config(bits, bits));
+      quant::QuantizedNetwork q(*net, pc);
       q.calibrate(calib);
       q.freeze_inference();
       if (q.native_int_active())
-        section.set(std::string(name) + ".fixed" + std::to_string(bits),
+        section.set(std::string(name) + "." + key,
                     obs::to_json(q.int_engine()->plan()));
     }
   }

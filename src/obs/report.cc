@@ -50,6 +50,7 @@ json::Value to_json(const quant::IntPathPlan& plan) {
     v.set("fused_relu", s.fused_relu);
     v.set("fallback", s.fallback);
     v.set("epilogue", quant::int_epilogue_name(s.epilogue));
+    v.set("k_block", s.k_block);
     stages.push_back(std::move(v));
   }
   return stages;

@@ -31,7 +31,7 @@ json::Value to_json(const protect::AbftCounters& a);
 json::Value to_json(const protect::ProtectionCounters& p);
 // The native int path's per-stage plan: one object per conv / inner
 // product with layer, kind, word_bits, tier, acc_bits, fused_relu,
-// fallback and epilogue (the "int_path" RunReport section).
+// fallback, epilogue and k_block (the "int_path" RunReport section).
 json::Value to_json(const quant::IntPathPlan& plan);
 
 class RunReport {

@@ -8,6 +8,13 @@
 // concrete-ml tracks per-layer accumulator bitwidth and Moons et al.
 // treat it as an energy knob. A stage whose bound fails keeps the exact
 // int64 scalar tier and records why; it never leaves the native path.
+//
+// The int16 tier accumulates pair sums in int32 lanes over aligned
+// blocks of K and widens to int64 once per block. The block is the
+// longest one whose bound max|a| * sum|w| (bias excluded: it joins in
+// the epilogue) fits int32 for every row of the stage, so fixed16
+// stages, whose weight words fill their 16-bit range, get short blocks
+// and binary stages (sum|w| = K) accumulate the whole K in int32.
 #pragma once
 
 #include <cstddef>
@@ -20,9 +27,9 @@
 namespace qnn::quant {
 
 enum class IntTier {
-  kDot8,     // int8: u8 x s8 quads into int32 lanes (vpdpbusd)
-  kMadd16,   // int16: madd pair sums into int32, widened to int64
-  kExact64,  // scalar int64 accumulation: exact for any words
+  kDot8,           // int8: u8 x s8 quads into int32 lanes (vpdpbusd)
+  kMadd16Blocked,  // int16: madd pair sums into int32 over K blocks
+  kExact64,        // scalar int64 accumulation: exact for any words
 };
 
 const char* int_tier_name(IntTier tier);
@@ -36,6 +43,11 @@ struct AccBound {
   std::int64_t max_offset = 0;
   // Some weight equals the word type's minimum (-128 / -32768).
   bool has_min_word = false;
+  // int16 words: K pairs (2-word groups) per row, and the longest
+  // aligned block of pairs the int32 lanes hold (int32_block_pairs);
+  // k_block == k_pairs when the whole K is one block.
+  std::int64_t k_pairs = 0;
+  std::int64_t k_block = 0;
 
   // Bits of a two's-complement register that holds +-max_abs.
   int bits() const;
@@ -50,22 +62,36 @@ AccBound bound_accumulator(std::int64_t rows, std::int64_t k,
                            const std::int16_t* w, const FixedPointFormat& in,
                            const std::int64_t* bias_terms);
 
+// The longest block length B, in K pairs, such that for every one of
+// `rows` rows of `k` int16 words and every aligned block [jB, (j+1)B)
+// of its pairs, a_abs * sum |w| over the block's words is at most
+// INT32_MAX: the int32 lanes then hold every partial sum of the block.
+// Blocks need not nest, so every B is tried: the whole K first, then
+// every length against each row until it fails (at most
+// rows * pairs * ln(pairs) steps; a fixed16 row leaves one or two
+// lengths live). 0 when not even one pair fits.
+std::int64_t int32_block_pairs(std::int64_t rows, std::int64_t k,
+                               const std::int16_t* w, std::int64_t a_abs);
+
 // Where a stage's tiles finish: kI32 keeps the accumulator in the int32
 // lanes through the requant (IntEpilogue::i32), kI64 widens first.
 enum class IntEpilogueWidth { kI32, kI64 };
 
 const char* int_epilogue_name(IntEpilogueWidth width);  // "i32" | "i64"
 
-// kI32 when the tier is kDot8, the requant shift is at most 30 and
+// kI32 when the int32 lanes hold the whole K (the kDot8 tier, or
+// kMadd16Blocked with one block), the requant shift is at most 30 and
 // max_abs plus the requant's rounding half (2^(shift-1), 0 for shift <=
-// 0) is below 2^31; kI64 otherwise.
+// 0) is below 2^31; kI64 otherwise. (A binary stage's double step adds
+// nothing in int32, so it takes kI32 whenever the whole K is one block.)
 IntEpilogueWidth choose_int_epilogue(IntTier tier, const AccBound& bound,
                                      int requant_shift);
 
 // The tier `bound` proves exact for `word_bits`-bit words: kDot8 while
-// the offset accumulator fits int32, kMadd16 unless a weight is -32768
-// (a pair of (-32768)^2 products is the one pair sum beyond int32).
-// Otherwise kExact64, with the reason in *reason.
+// the offset accumulator fits int32; kMadd16Blocked when no weight is
+// -32768 and at least one pair fits int32 (then every pair does: the
+// largest pair bound, 2^15 * 2 * 32767, is below 2^31). Otherwise
+// kExact64, with the reason in *reason.
 IntTier choose_int_tier(int word_bits, const AccBound& bound,
                         std::string* reason);
 
@@ -79,6 +105,9 @@ struct IntStagePlan {
   bool fused_relu = false;  // the next layer's ReLU runs in the epilogue
   std::string fallback;     // why tier is kExact64; empty otherwise
   IntEpilogueWidth epilogue = IntEpilogueWidth::kI64;
+  // kMadd16Blocked: K pairs per int32 block; the whole K (ceil(K / 2))
+  // when one block holds it. 0 for the other tiers.
+  std::int64_t k_block = 0;
 };
 
 struct IntPathPlan {

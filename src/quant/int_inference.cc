@@ -1,6 +1,7 @@
 #include "quant/int_inference.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "fixed/plan_sigmoid.h"
@@ -56,6 +57,7 @@ struct GemmStage : Stage<WordT> {
   std::vector<WordT> weights;
   std::vector<std::int64_t> addend;
   IntTier tier = IntTier::kExact64;
+  std::int64_t k_block = 1;  // K pairs per int32 block (int16 words)
   IntEpilogue epi;
 
   // A stage whose bound failed runs the exact scalar tier.
@@ -67,6 +69,7 @@ struct GemmStage : Stage<WordT> {
     IntTileJob j;
     j.body = int_body<WordT>;
     j.groups = int_groups<WordT>(this->spec.k);
+    j.k_block = k_block;
     j.epi = epi;
     j.epi.out_bytes = sizeof(WordT);
     return j;
@@ -75,18 +78,25 @@ struct GemmStage : Stage<WordT> {
 
 // The accumulator-bound pass for one stage: bound |acc| from the
 // encoded weights, the input site's raw range and the aligned bias,
-// take the tier the bound proves exact, fold bias and offset correction
-// into the addend, and pack the weights (as B panels when they are the
-// column operand, as A rows otherwise). The plan's words and bias are
-// released: only the packed form stays.
+// take the tier and int32 block the bound proves exact, fold bias and
+// offset correction into the addend, and pack the weights (as B panels
+// when they are the column operand, as A rows otherwise). Binary
+// weights become +-1 words (the sign-mux) and their epilogue the scaled
+// step, with the per-tensor scale on the sum and the bias in the
+// addend. The plan's words and bias are released: only the packed form
+// stays.
 template <typename WordT>
 IntStagePlan plan_gemm(GemmStage<WordT>& st, const FixedPointFormat* relu_out,
                        bool weights_as_panels) {
   IntStage& spec = st.spec;
   const std::int64_t outputs = spec.outputs, k = spec.k;
-  std::vector<WordT> w(spec.weights.words.size());
+  const bool binary = spec.weights.code == WeightCode::kBinary;
+  const double binary_scale = spec.weights.scale;
+  std::vector<WordT> w(binary ? spec.weights.sign.size()
+                              : spec.weights.words.size());
   for (std::size_t i = 0; i < w.size(); ++i) {
-    const std::int32_t raw = spec.weights.words[i];
+    const std::int32_t raw =
+        binary ? spec.weights.sign[i] : spec.weights.words[i];
     QNN_DCHECK(raw >= std::numeric_limits<WordT>::min() &&
                raw <= std::numeric_limits<WordT>::max());
     w[i] = static_cast<WordT>(raw);
@@ -104,9 +114,23 @@ IntStagePlan plan_gemm(GemmStage<WordT>& st, const FixedPointFormat* relu_out,
   plan.acc_bits = bound.bits();
   plan.fused_relu = relu_out != nullptr;
   st.tier = plan.tier;
+  const bool blocked = plan.tier == IntTier::kMadd16Blocked;
+  plan.k_block = blocked ? bound.k_block : 0;
+  st.k_block = blocked ? bound.k_block : int_groups<WordT>(k);
   st.epi.requant = requant_to(spec.acc_frac, spec.out);
-  plan.epilogue =
-      choose_int_epilogue(plan.tier, bound, st.epi.requant.shift);
+  if (binary) {
+    // hw/nfu_sim's requantize_sum: (sum * scale + bias) * 2^-acc_frac
+    // onto the output grid.
+    st.epi.scaled = IntScaledRequant{true, binary_scale,
+                                     std::ldexp(1.0, -spec.acc_frac),
+                                     std::ldexp(1.0, spec.out.frac_bits())};
+    plan.epilogue = blocked && bound.k_block == bound.k_pairs
+                        ? IntEpilogueWidth::kI32
+                        : IntEpilogueWidth::kI64;
+  } else {
+    plan.epilogue =
+        choose_int_epilogue(plan.tier, bound, st.epi.requant.shift);
+  }
   st.epi.i32 = plan.epilogue == IntEpilogueWidth::kI32;
 
   if constexpr (GemmStage<WordT>::kOffset) {
@@ -415,8 +439,14 @@ struct IntInferenceEngine::Impl {
 std::string IntInferenceEngine::ineligibility_reason(
     const nn::Network& net, const QuantizedNetwork& qnet) {
   const PrecisionConfig& cfg = qnet.config();
-  if (cfg.kind != PrecisionKind::kFixed)
-    return "precision kind is not fixed-point";
+  if (cfg.kind == PrecisionKind::kFloat)
+    return "float config: no integer realization";
+  // Zoo pow2 stages use weight exponents spanning up to 21 binades
+  // (ROADMAP): more than one int16 word holds.
+  if (cfg.kind == PrecisionKind::kPow2)
+    return "power-of-two weights: no native tier (used exponent span "
+           "exceeds the int16 word)";
+  const bool binary = cfg.kind == PrecisionKind::kBinary;
   if (!qnet.calibrated()) return "network is not calibrated";
   // The integer requant rounds half away from zero, which is the
   // fake-quant grid's rounding only under kNearest.
@@ -440,8 +470,14 @@ std::string IntInferenceEngine::ineligibility_reason(
     if (!int_stage_kind(layer).has_value())
       return std::string("unsupported layer kind: ") + layer.kind();
     for (nn::Param* p : layer.params()) {
-      const auto* fq = dynamic_cast<const FixedQuantizer*>(
-          &qnet.weight_quantizer(param_index));
+      const ValueQuantizer& q = qnet.weight_quantizer(param_index);
+      if (binary && p->name == "w") {
+        if (dynamic_cast<const BinaryQuantizer*>(&q) == nullptr)
+          return "binary config with a weight not on a BinaryQuantizer";
+        ++param_index;
+        continue;
+      }
+      const auto* fq = dynamic_cast<const FixedQuantizer*>(&q);
       if (fq == nullptr || !fq->format().has_value())
         return "parameter without a calibrated fixed-point format";
       // Weights become kernel operands; biases stay int64, any width.
@@ -459,11 +495,14 @@ IntInferenceEngine::IntInferenceEngine(nn::Network& net,
   const std::string reason = ineligibility_reason(net, qnet);
   QNN_CHECK_MSG(reason.empty(), "IntInferenceEngine: " << reason);
 
+  // Binary data is 16-bit fixed point (paper §IV-A4): sign-mux stages
+  // run the int16 body.
   IntPlan plan = lower_int_plan(net, qnet);
   bool fits8 = plan.input.total_bits() <= 8;
   for (const IntStage& s : plan.stages)
     fits8 = fits8 && s.out.total_bits() <= 8 &&
-            (!s.has_weights() || s.weights.format.total_bits() <= 8);
+            (!s.has_weights() || (s.weights.code == WeightCode::kFixed &&
+                                  s.weights.format.total_bits() <= 8));
   if (fits8) {
     impl_->b8 = build_body<std::int8_t>(plan, &impl_->plan);
   } else {

@@ -3,28 +3,34 @@
 //
 // The fake-quantized float path constrains values to fixed-point grids
 // but still *computes* in float32. This engine executes the IntPlan of a
-// calibrated fixed-point QuantizedNetwork the way the accelerator would:
+// calibrated fixed-point or binary QuantizedNetwork the way the
+// accelerator would:
 // the plan's weight words are packed once into int8/int16 panels (the
 // plan itself is not kept), activations live as raw two's-complement
 // words, conv and inner product run through the packed integer tile
 // kernels (tensor/int_gemm) with exact accumulation, and every layer
 // boundary requantizes into the site's calibrated format with the
 // shift-round-saturate step, fused into the kernel's epilogue (together
-// with a ReLU that directly follows). The contract, pinned by
+// with a ReLU that directly follows). Binary weights are +-1 int16
+// words (the sign-mux), and their epilogue evaluates the reference's
+// double requant, the per-tensor scale on the sum and the bias outside
+// it. The contract, pinned by
 // tests/int_gemm_oracle_test.cc, is word-for-word equality with the
 // reference executor hw::NfuSimulator on every supported network.
 //
 // At construction the accumulator-bound pass (quant/acc_bound) picks
-// each conv / inner-product stage's kernel tier and epilogue width from
-// its encoded weights, input format and bias; plan() reports the choice
-// per stage. The steps between the tiles (input encode, requant, pool,
+// each conv / inner-product stage's kernel tier, int32 K block and
+// epilogue width from its encoded weights, input format and bias;
+// plan() reports the choice per stage. The steps between the tiles (input encode, requant, pool,
 // im2row pack) run the vector data path of quant/int_datapath.
 //
 // QuantizedNetwork::freeze_inference() builds one of these whenever the
-// config is eligible (fixed-point, <= 16-bit weights and data,
-// round-half-away rounding, supported layer kinds); frozen forwards then
-// run in the integer domain end-to-end, which is how the serve replica
-// tiers (fixed16/fixed8) pick the native path up automatically.
+// config is eligible (fixed-point with <= 16-bit weights, or binary;
+// <= 16-bit data, round-half-away rounding, supported layer kinds);
+// frozen forwards then run in the integer domain end-to-end, which is
+// how the serve replica tiers (fixed16/fixed8) pick the native path up
+// automatically. Pow2 is not eligible: its used exponent spans exceed
+// one int16 word.
 #pragma once
 
 #include <memory>
@@ -42,8 +48,9 @@ class QuantizedNetwork;
 class IntInferenceEngine {
  public:
   // Empty when the network qualifies for the native path; otherwise a
-  // human-readable reason (unsupported kind/layer, too-wide formats,
-  // a rounding mode other than kNearest, not calibrated, ...).
+  // human-readable reason (float or pow2 kind, unsupported layer,
+  // too-wide formats, a rounding mode other than kNearest, not
+  // calibrated, ...).
   static std::string ineligibility_reason(const nn::Network& net,
                                           const QuantizedNetwork& qnet);
   static bool eligible(const nn::Network& net,
@@ -72,8 +79,9 @@ class IntInferenceEngine {
   // runs on int8 words; false -> int16.
   bool uses_int8() const;
 
-  // Per conv / inner-product stage: word width, kernel tier, proven
-  // accumulator bits, fused ReLU, and the fallback reason if any.
+  // Per conv / inner-product stage: word width, kernel tier, int32 K
+  // block, proven accumulator bits, fused ReLU, and the fallback reason
+  // if any.
   const IntPathPlan& plan() const;
 
  private:

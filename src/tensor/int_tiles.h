@@ -15,12 +15,19 @@
 //   load(p)           kLanes consecutive groups of a panel
 //   bcast(p)          one group of an A row in every lane
 //   zero(acc), dot<kAUnsigned>(acc, a, b), store(acc, int64_t* out)
-//   kVector           true for the vector ISAs, which also provide
-//   store32(acc8, int32_t* out)  kLanes int32 column sums of an Acc8
-// The tile: kRows rows x one kIntPanel-column panel, accumulated across
-// all K groups in registers and finished by the fused requant epilogue
-// straight into the output words: in the int32 lanes when the job's
-// bound allows it (IntEpilogue::i32), else stored once as int64.
+//   kVector           true for the vector ISAs, whose Acc8 and Acc16
+//                     hold int32 column sums, and which also provide
+//   store32(acc, int32_t* out)   kLanes int32 column sums
+//   Wide16            int64 sums of kLanes columns, with zero(wide),
+//                     widen_add(wide, acc16) and store(wide, out)
+//   kRowsWide16       register-block rows of a blocked kS16 tile
+// The tile: kRows rows x one kIntPanel-column panel, accumulated in
+// registers and finished by the fused requant epilogue straight into
+// the output words: in the int32 lanes when the job's bound allows it
+// (IntEpilogue::i32), else stored once as int64. A kS16 tile at a
+// vector level accumulates each block of k_block K pairs in its int32
+// lanes and widens the block into the Wide16 sums; when one block
+// covers K, the int32 lanes hold the whole sum and no Wide16 exists.
 //
 // The second half is the vector data path of IntVecOps (encode,
 // requant, max pool, im2row pack), written over 16-lane GCC vector
@@ -54,6 +61,7 @@ typedef std::int32_t VecS32 __attribute__((vector_size(64)));
 typedef std::uint32_t VecU32 __attribute__((vector_size(64)));
 typedef std::int64_t VecS64 __attribute__((vector_size(128)));
 typedef float VecF32 __attribute__((vector_size(64)));
+typedef double VecF64 __attribute__((vector_size(128)));
 
 template <typename WordT>
 struct WordLanes;
@@ -152,6 +160,46 @@ inline void requant_row(std::int64_t* v, const IntRequant& q) {
   for (int c = 0; c < kIntPanel; ++c) v[c] = clamp_word(v[c], q);
 }
 
+// The scaled R1 (IntScaledRequant) of one accumulator: the reference
+// executor's double operations in its order, then the clamp and a round
+// half away from zero. Clamping first gives the reference's
+// round-then-saturate word (the bounds are integers), and t + f is
+// exact for a clamped x, so the rounding is exact too. NaN gives 0, as
+// FixedPointFormat::to_raw does.
+inline std::int64_t scaled_word(std::int64_t acc, std::int64_t add,
+                                const IntScaledRequant& s,
+                                const IntRequant& q) {
+  double x = static_cast<double>(acc) * s.scale;
+  x = (x + static_cast<double>(add)) * s.post;
+  x *= s.grid;
+  const double lo = static_cast<double>(q.lo), hi = static_cast<double>(q.hi);
+  x = x == x ? x : 0.0;
+  x = x < lo ? lo : (x > hi ? hi : x);
+  const std::int64_t t = static_cast<std::int64_t>(x);
+  const double f = x - static_cast<double>(t);
+  return t + (f >= 0.5 ? 1 : 0) - (f <= -0.5 ? 1 : 0);
+}
+
+// The same step on 16 int32 accumulator lanes in place, with their
+// addends.
+inline void scaled_lanes(VecS32& v, const VecS64& add,
+                         const IntScaledRequant& s, const IntRequant& q) {
+  VecF64 x = __builtin_convertvector(v, VecF64) * s.scale;
+  x = (x + __builtin_convertvector(add, VecF64)) * s.post;
+  x *= s.grid;
+  const VecF64 lo = splat<VecF64>(static_cast<double>(q.lo));
+  const VecF64 hi = splat<VecF64>(static_cast<double>(q.hi));
+  x = x == x ? x : VecF64{};
+  x = x < lo ? lo : x;
+  x = x > hi ? hi : x;
+  VecS32 t = __builtin_convertvector(x, VecS32);
+  const VecF64 f = x - __builtin_convertvector(t, VecF64);
+  // A true compare is -1.
+  t -= __builtin_convertvector(f >= 0.5, VecS32);
+  t += __builtin_convertvector(f <= -0.5, VecS32);
+  v = t;
+}
+
 template <typename OutT>
 inline void finish_rows(const IntEpilogue& e, std::int64_t i0, int rows,
                         std::int64_t j0, std::int64_t cols,
@@ -162,9 +210,15 @@ inline void finish_rows(const IntEpilogue& e, std::int64_t i0, int rows,
   for (int r = 0; r < rows; ++r) {
     const std::int64_t row_add = e.row_add != nullptr ? e.row_add[i0 + r] : 0;
     alignas(64) std::int64_t v[kIntPanel];
-    for (int c = 0; c < kIntPanel; ++c)
-      v[c] = tile[r * kIntPanel + c] + row_add + col_add[c];
-    requant_row(v, e.requant);
+    if (e.scaled.on) {
+      for (int c = 0; c < kIntPanel; ++c)
+        v[c] = scaled_word(tile[r * kIntPanel + c], row_add + col_add[c],
+                           e.scaled, e.requant);
+    } else {
+      for (int c = 0; c < kIntPanel; ++c)
+        v[c] = tile[r * kIntPanel + c] + row_add + col_add[c];
+      requant_row(v, e.requant);
+    }
     if (e.relu) {
       for (int c = 0; c < kIntPanel; ++c) v[c] = v[c] > 0 ? v[c] : 0;
       requant_row(v, e.relu_requant);
@@ -182,21 +236,26 @@ inline void finish_rows_i32(const IntEpilogue& e, std::int64_t i0, int rows,
                             std::int64_t j0, std::int64_t cols,
                             const std::int32_t* tile) {
   using OutV = WordVec<OutT>;
-  VecU32 col_add{};
+  VecS64 col_add{};
   if (e.col_add != nullptr) {
     alignas(64) std::int64_t add[kIntPanel] = {};
     for (std::int64_t c = 0; c < cols; ++c) add[c] = e.col_add[j0 + c];
-    col_add = __builtin_convertvector(vload<VecS64>(add), VecU32);
+    col_add = vload<VecS64>(add);
   }
+  const VecU32 col_add32 = __builtin_convertvector(col_add, VecU32);
   const LaneRequant q = lane_requant(e.requant);
   const LaneRequant relu_q = lane_requant(e.relu_requant);
   for (int r = 0; r < rows; ++r) {
-    const std::uint32_t row_add =
-        e.row_add != nullptr ? static_cast<std::uint32_t>(e.row_add[i0 + r])
-                             : 0u;
-    VecS32 v =
-        (VecS32)(vload<VecU32>(tile + r * kIntPanel) + row_add + col_add);
-    requant_lanes(v, q);
+    const std::int64_t row_add = e.row_add != nullptr ? e.row_add[i0 + r] : 0;
+    VecS32 v;
+    if (e.scaled.on) {
+      v = vload<VecS32>(tile + r * kIntPanel);
+      scaled_lanes(v, col_add + row_add, e.scaled, e.requant);
+    } else {
+      v = (VecS32)(vload<VecU32>(tile + r * kIntPanel) +
+                   static_cast<std::uint32_t>(row_add) + col_add32);
+      requant_lanes(v, q);
+    }
     if (e.relu) {
       v = vmax(v, VecS32{});
       requant_lanes(v, relu_q);
@@ -210,7 +269,7 @@ inline void finish_rows_i32(const IntEpilogue& e, std::int64_t i0, int rows,
   }
 }
 
-template <class Isa, IntBody kBody, bool kAUnsigned, int kRows>
+template <class Isa, IntBody kBody, bool kAUnsigned, bool kBlocked, int kRows>
 inline void int_tile(const IntTileJob& job, std::int64_t i0,
                      const unsigned char* panel, std::int64_t j0,
                      std::int64_t cols) {
@@ -218,40 +277,61 @@ inline void int_tile(const IntTileJob& job, std::int64_t i0,
   using Acc = std::conditional_t<kBody == IntBody::kS8, typename Isa::Acc8,
                                  typename Isa::Acc16>;
   Acc acc[kRows][kVecs];
-  for (int r = 0; r < kRows; ++r)
-    for (int v = 0; v < kVecs; ++v) Isa::zero(acc[r][v]);
   const std::int64_t row_bytes = job.groups * kIntGroupBytes;
   const unsigned char* a =
       static_cast<const unsigned char*>(job.a) + i0 * row_bytes;
-  for (std::int64_t g = 0; g < job.groups; ++g) {
-    const unsigned char* bp = panel + g * kIntPanel * kIntGroupBytes;
-    typename Isa::V b[kVecs];
-    for (int v = 0; v < kVecs; ++v)
-      b[v] = Isa::load(bp + v * Isa::kLanes * kIntGroupBytes);
-    for (int r = 0; r < kRows; ++r) {
-      const typename Isa::V x =
-          Isa::bcast(a + r * row_bytes + g * kIntGroupBytes);
+  // Zeroes acc, then accumulates K groups [g0, g1) into it.
+  const auto accumulate = [&](std::int64_t g0, std::int64_t g1) {
+    for (int r = 0; r < kRows; ++r)
+      for (int v = 0; v < kVecs; ++v) Isa::zero(acc[r][v]);
+    for (std::int64_t g = g0; g < g1; ++g) {
+      const unsigned char* bp = panel + g * kIntPanel * kIntGroupBytes;
+      typename Isa::V b[kVecs];
       for (int v = 0; v < kVecs; ++v)
-        Isa::template dot<kAUnsigned>(acc[r][v], x, b[v]);
-    }
-  }
-  if constexpr (kBody == IntBody::kS8 && Isa::kVector) {
-    if (job.epi.i32) {
-      alignas(64) std::int32_t tile32[kRows * kIntPanel];
-      for (int r = 0; r < kRows; ++r)
+        b[v] = Isa::load(bp + v * Isa::kLanes * kIntGroupBytes);
+      for (int r = 0; r < kRows; ++r) {
+        const typename Isa::V x =
+            Isa::bcast(a + r * row_bytes + g * kIntGroupBytes);
         for (int v = 0; v < kVecs; ++v)
-          Isa::store32(acc[r][v], tile32 + r * kIntPanel + v * Isa::kLanes);
-      if (job.epi.out_bytes == 1)
-        finish_rows_i32<std::int8_t>(job.epi, i0, kRows, j0, cols, tile32);
-      else
-        finish_rows_i32<std::int16_t>(job.epi, i0, kRows, j0, cols, tile32);
-      return;
+          Isa::template dot<kAUnsigned>(acc[r][v], x, b[v]);
+      }
     }
-  }
+  };
   alignas(64) std::int64_t tile[kRows * kIntPanel];
-  for (int r = 0; r < kRows; ++r)
-    for (int v = 0; v < kVecs; ++v)
-      Isa::store(acc[r][v], tile + r * kIntPanel + v * Isa::kLanes);
+  if constexpr (kBlocked) {
+    // Block by block: the int32 lanes hold one block's partial sums, and
+    // each block widens into the int64 sums once.
+    typename Isa::Wide16 wide[kRows][kVecs];
+    for (int r = 0; r < kRows; ++r)
+      for (int v = 0; v < kVecs; ++v) Isa::zero(wide[r][v]);
+    for (std::int64_t g0 = 0; g0 < job.groups; g0 += job.k_block) {
+      accumulate(g0, job.groups - g0 < job.k_block ? job.groups
+                                                   : g0 + job.k_block);
+      for (int r = 0; r < kRows; ++r)
+        for (int v = 0; v < kVecs; ++v) Isa::widen_add(wide[r][v], acc[r][v]);
+    }
+    for (int r = 0; r < kRows; ++r)
+      for (int v = 0; v < kVecs; ++v)
+        Isa::store(wide[r][v], tile + r * kIntPanel + v * Isa::kLanes);
+  } else {
+    accumulate(0, job.groups);
+    if constexpr (Isa::kVector) {
+      if (job.epi.i32) {
+        alignas(64) std::int32_t tile32[kRows * kIntPanel];
+        for (int r = 0; r < kRows; ++r)
+          for (int v = 0; v < kVecs; ++v)
+            Isa::store32(acc[r][v], tile32 + r * kIntPanel + v * Isa::kLanes);
+        if (job.epi.out_bytes == 1)
+          finish_rows_i32<std::int8_t>(job.epi, i0, kRows, j0, cols, tile32);
+        else
+          finish_rows_i32<std::int16_t>(job.epi, i0, kRows, j0, cols, tile32);
+        return;
+      }
+    }
+    for (int r = 0; r < kRows; ++r)
+      for (int v = 0; v < kVecs; ++v)
+        Isa::store(acc[r][v], tile + r * kIntPanel + v * Isa::kLanes);
+  }
   switch (job.epi.out_bytes) {
     case 1: finish_rows<std::int8_t>(job.epi, i0, kRows, j0, cols, tile); break;
     case 2: finish_rows<std::int16_t>(job.epi, i0, kRows, j0, cols, tile); break;
@@ -259,46 +339,63 @@ inline void int_tile(const IntTileJob& job, std::int64_t i0,
   }
 }
 
+template <class Isa, IntBody kBody, bool kBlocked>
+constexpr int tile_rows() {
+  if constexpr (kBlocked) return Isa::kRowsWide16;
+  else if constexpr (kBody == IntBody::kS8) return Isa::kRows8;
+  else return Isa::kRows16;
+}
+
 // Panels outer (one panel stays in L1 while every row block streams
 // past it), full register blocks of rows inner, then the row remainder
 // in halving blocks.
-template <class Isa, IntBody kBody, bool kAUnsigned>
+template <class Isa, IntBody kBody, bool kAUnsigned, bool kBlocked>
 void int_tiles_body(const IntTileJob& job) {
-  constexpr int kRows = kBody == IntBody::kS8 ? Isa::kRows8 : Isa::kRows16;
+  constexpr int kRows = tile_rows<Isa, kBody, kBlocked>();
   const std::int64_t panel_bytes = job.groups * kIntPanel * kIntGroupBytes;
   const unsigned char* panel = static_cast<const unsigned char*>(job.b);
   for (std::int64_t j0 = 0; j0 < job.n; j0 += kIntPanel, panel += panel_bytes) {
     const std::int64_t cols = job.n - j0 < kIntPanel ? job.n - j0 : kIntPanel;
     std::int64_t i = 0;
     for (; i + kRows <= job.m; i += kRows)
-      int_tile<Isa, kBody, kAUnsigned, kRows>(job, i, panel, j0, cols);
+      int_tile<Isa, kBody, kAUnsigned, kBlocked, kRows>(job, i, panel, j0,
+                                                        cols);
     if constexpr (kRows > 4) {
       if (job.m - i >= 4) {
-        int_tile<Isa, kBody, kAUnsigned, 4>(job, i, panel, j0, cols);
+        int_tile<Isa, kBody, kAUnsigned, kBlocked, 4>(job, i, panel, j0, cols);
         i += 4;
       }
     }
     if constexpr (kRows > 2) {
       if (job.m - i >= 2) {
-        int_tile<Isa, kBody, kAUnsigned, 2>(job, i, panel, j0, cols);
+        int_tile<Isa, kBody, kAUnsigned, kBlocked, 2>(job, i, panel, j0, cols);
         i += 2;
       }
     }
     if constexpr (kRows > 1) {
       if (job.m - i >= 1)
-        int_tile<Isa, kBody, kAUnsigned, 1>(job, i, panel, j0, cols);
+        int_tile<Isa, kBody, kAUnsigned, kBlocked, 1>(job, i, panel, j0, cols);
     }
   }
 }
 
+// A kS16 job whose K spans more than one block takes the blocked tiles
+// at the vector levels; the scalar tier accumulates in int64 and has no
+// blocks.
 template <class Isa>
 void run_int_tiles(const IntTileJob& job) {
   if (job.body == IntBody::kS16) {
-    int_tiles_body<Isa, IntBody::kS16, false>(job);
+    if constexpr (Isa::kVector) {
+      if (job.k_block < job.groups) {
+        int_tiles_body<Isa, IntBody::kS16, false, true>(job);
+        return;
+      }
+    }
+    int_tiles_body<Isa, IntBody::kS16, false, false>(job);
   } else if (job.a_unsigned) {
-    int_tiles_body<Isa, IntBody::kS8, true>(job);
+    int_tiles_body<Isa, IntBody::kS8, true, false>(job);
   } else {
-    int_tiles_body<Isa, IntBody::kS8, false>(job);
+    int_tiles_body<Isa, IntBody::kS8, false, false>(job);
   }
 }
 

@@ -66,7 +66,8 @@ void block_f32_scalar(std::int64_t mb, std::int64_t nb, std::int64_t kb,
 // Scalar tier of the integer tile family (tensor/int_tiles.h): one
 // column per "vector", each little-endian 4-byte group unpacked and
 // multiplied in int64 — exact for any words, so it is also the tier a
-// stage falls back to when its accumulator bound fails.
+// stage falls back to when its accumulator bound fails, and it has no
+// int32 blocks (run_int_tiles runs its int16 K whole).
 struct ScalarIsa {
   static constexpr bool kVector = false;
   static constexpr int kLanes = 1;

@@ -20,10 +20,13 @@
 // at ANY lane, level or thread order — provided the accumulator bound
 // the caller proved holds (quant/acc_bound): int8 runs u8 x s8 quads
 // (`vpdpbusd`) into int32 lanes, exact while 255 * sum|w| < 2^31; int16
-// runs `vpmaddwd` pair sums widened to int64, which is safe without a
-// -32768 weight because only (-32768)^2 + (-32768)^2 leaves int32. The
-// scalar instantiation accumulates in int64 and is exact for any words:
-// it is the fallback tier when a bound fails.
+// accumulates `vpmaddwd` pair sums in int32 lanes (`vpdpwssd` at the
+// AVX-512 level) over blocks of IntTileJob::k_block K pairs and widens
+// to int64 once per block, exact while max|a| * sum|w| over every block
+// fits int32. A one-pair block needs only that no weight is -32768
+// (only (-32768)^2 + (-32768)^2 leaves int32). The scalar instantiation
+// accumulates in int64 and is exact for any words: it is the reference
+// and the fallback tier when a bound fails.
 //
 // Dispatch: the active level resolves once from QNN_SIMD ("off"/
 // "scalar", "avx2", "avx512", "auto"/unset; anything else warns once and
@@ -174,16 +177,37 @@ struct IntRequant {
 // `relu_requant` — a conv or inner product and the ReLU after it, both
 // roundings kept. Constants are per stage, hoisted out of the tiles.
 //
-// i32 selects the register epilogue of the vector kS8 tiers: the int32
-// lanes take the addends (truncated to int32: the sum is exact modulo
-// 2^32) and the requant in place, then narrow straight to the output
-// words. The caller sets it only when its bound proves every
-// |acc + row_add + col_add| plus R1's rounding half below 2^31 and R1's
-// shift at most 30 (quant/acc_bound); every other tile widens to int64.
+// A binary (sign-mux) stage replaces R1 by the reference executor's
+// double step (hw/nfu_sim requantize_sum), with add = row_add[i] +
+// col_add[j] as the aligned bias the scale does not multiply:
+//   x = (double(acc) * scale + double(add)) * post * grid,
+// each operation rounded on its own (no fused multiply-add; the units
+// that compile it, and the reference, build with -ffp-contract=off),
+// then clamped to [requant.lo, requant.hi] and rounded half away from
+// zero. post is 2^-acc_frac and grid is 2^frac of the output, the exact
+// reciprocal of its step: x / 2^-f and x * 2^f are the same correctly
+// rounded value.
+struct IntScaledRequant {
+  bool on = false;
+  double scale = 1.0;
+  double post = 1.0;
+  double grid = 1.0;
+};
+
+// i32 selects the register epilogue of the vector tiers, for a job
+// whose int32 lanes hold the whole K (kS8, or kS16 with k_block >=
+// groups): the int32 lanes take the addends (truncated to int32: the
+// sum is exact modulo 2^32) and the requant in place, then narrow
+// straight to the output words. The caller sets it only when its bound
+// proves every |acc + row_add + col_add| plus R1's rounding half below
+// 2^31 and R1's shift at most 30, or R1 is the scaled step, which reads
+// the int32 lanes as doubles (quant/acc_bound); every other tile widens
+// to int64.
 struct IntEpilogue {
   const std::int64_t* row_add = nullptr;  // [m] or nullptr
   const std::int64_t* col_add = nullptr;  // [n] or nullptr
   IntRequant requant;
+  IntScaledRequant scaled;  // R1 for binary stages: requant.lo/hi clamp
   bool relu = false;
   IntRequant relu_requant;
   void* out = nullptr;   // element (0, 0) of the output
@@ -198,6 +222,9 @@ struct IntTileJob {
   std::int64_t m = 0;       // output rows (rows of A)
   std::int64_t n = 0;       // output columns (covered by B's panels)
   std::int64_t groups = 0;  // K groups per row
+  // kS16: K groups (pairs) per int32 accumulation block, >= 1; the
+  // whole K is one block when k_block >= groups.
+  std::int64_t k_block = 1;
   const void* a = nullptr;
   const void* b = nullptr;  // first panel
   IntEpilogue epi;

@@ -21,17 +21,22 @@ namespace {
 // accumulate in lo, columns 4-7 in hi, two int32 lanes per column.
 // Each lane is a sub-sum of the int8 tier's accumulator, so the same
 // int32 bound covers it; store() adds the pairs and restores column
-// order. int16 pairs are one `vpmaddwd`, widened to int64 per column.
+// order. int16 pairs are one `vpmaddwd` added into one int32 lane per
+// column (`vpaddd`), widened to int64 once per K block.
 struct Avx2 {
   static constexpr bool kVector = true;
   static constexpr int kLanes = 8;
   static constexpr int kRows8 = 2;
-  static constexpr int kRows16 = 2;
+  static constexpr int kRows16 = 4;
+  static constexpr int kRowsWide16 = 2;
   using V = __m256i;
   struct Acc8 {
     __m256i lo, hi;
   };
   struct Acc16 {
+    __m256i s;
+  };
+  struct Wide16 {
     __m256i lo, hi;
   };
 
@@ -44,7 +49,8 @@ struct Avx2 {
     return _mm256_set1_epi32(group);
   }
   static void zero(Acc8& acc) { acc.lo = acc.hi = _mm256_setzero_si256(); }
-  static void zero(Acc16& acc) { acc.lo = acc.hi = _mm256_setzero_si256(); }
+  static void zero(Acc16& acc) { acc.s = _mm256_setzero_si256(); }
+  static void zero(Wide16& w) { w.lo = w.hi = _mm256_setzero_si256(); }
 
   template <bool kUnsigned>
   static __m256i widen(__m128i bytes) {
@@ -64,11 +70,13 @@ struct Avx2 {
   }
   template <bool>
   static void dot(Acc16& acc, V a, V b) {
-    const __m256i s = _mm256_madd_epi16(a, b);
-    acc.lo = _mm256_add_epi64(
-        acc.lo, _mm256_cvtepi32_epi64(_mm256_castsi256_si128(s)));
-    acc.hi = _mm256_add_epi64(
-        acc.hi, _mm256_cvtepi32_epi64(_mm256_extracti128_si256(s, 1)));
+    acc.s = _mm256_add_epi32(acc.s, _mm256_madd_epi16(a, b));
+  }
+  static void widen_add(Wide16& w, const Acc16& acc) {
+    w.lo = _mm256_add_epi64(
+        w.lo, _mm256_cvtepi32_epi64(_mm256_castsi256_si128(acc.s)));
+    w.hi = _mm256_add_epi64(
+        w.hi, _mm256_cvtepi32_epi64(_mm256_extracti128_si256(acc.s, 1)));
   }
 
   // The eight column sums in order: hadd leaves 64-bit chunks
@@ -77,18 +85,23 @@ struct Avx2 {
     return _mm256_permute4x64_epi64(_mm256_hadd_epi32(acc.lo, acc.hi), 0xD8);
   }
   static void store(const Acc8& acc, std::int64_t* out) {
-    const __m256i s = sums(acc);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
-                        _mm256_cvtepi32_epi64(_mm256_castsi256_si128(s)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 4),
-                        _mm256_cvtepi32_epi64(_mm256_extracti128_si256(s, 1)));
+    store(Acc16{sums(acc)}, out);
   }
   static void store32(const Acc8& acc, std::int32_t* out) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out), sums(acc));
+    store32(Acc16{sums(acc)}, out);
   }
   static void store(const Acc16& acc, std::int64_t* out) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out), acc.lo);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 4), acc.hi);
+    Wide16 w;
+    zero(w);
+    widen_add(w, acc);
+    store(w, out);
+  }
+  static void store32(const Acc16& acc, std::int32_t* out) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out), acc.s);
+  }
+  static void store(const Wide16& w, std::int64_t* out) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out), w.lo);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 4), w.hi);
   }
 };
 

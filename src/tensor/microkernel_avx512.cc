@@ -12,18 +12,23 @@ namespace {
 
 // One zmm is one whole panel row: 16 columns x one 4-byte K group. int8
 // quads run `vpdpbusd` (u8 x s8, four products into each int32 lane);
-// int16 pairs run `vpmaddwd`, each int32 pair sum widened to int64
-// (columns 0-7 in lo, 8-15 in hi) before it is added.
+// int16 pairs run `vpdpwssd` (two s16 x s16 products into each int32
+// lane), widened to int64 (columns 0-7 in lo, 8-15 in hi) once per K
+// block.
 struct Avx512 {
   static constexpr bool kVector = true;
   static constexpr int kLanes = 16;
   static constexpr int kRows8 = 8;
-  static constexpr int kRows16 = 4;
+  static constexpr int kRows16 = 8;
+  static constexpr int kRowsWide16 = 4;
   using V = __m512i;
   struct Acc8 {
     __m512i s;
   };
   struct Acc16 {
+    __m512i s;
+  };
+  struct Wide16 {
     __m512i lo, hi;
   };
 
@@ -34,7 +39,8 @@ struct Avx512 {
     return _mm512_set1_epi32(group);
   }
   static void zero(Acc8& acc) { acc.s = _mm512_setzero_si512(); }
-  static void zero(Acc16& acc) { acc.lo = acc.hi = _mm512_setzero_si512(); }
+  static void zero(Acc16& acc) { acc.s = _mm512_setzero_si512(); }
+  static void zero(Wide16& w) { w.lo = w.hi = _mm512_setzero_si512(); }
 
   template <bool kAUnsigned>
   static void dot(Acc8& acc, V a, V b) {
@@ -43,9 +49,11 @@ struct Avx512 {
   }
   template <bool>
   static void dot(Acc16& acc, V a, V b) {
-    const __m512i s = _mm512_madd_epi16(a, b);
-    acc.lo = _mm512_add_epi64(acc.lo, widen_lo(s));
-    acc.hi = _mm512_add_epi64(acc.hi, widen_hi(s));
+    acc.s = _mm512_dpwssd_epi32(acc.s, a, b);
+  }
+  static void widen_add(Wide16& w, const Acc16& acc) {
+    w.lo = _mm512_add_epi64(w.lo, widen_lo(acc.s));
+    w.hi = _mm512_add_epi64(w.hi, widen_hi(acc.s));
   }
 
   // int32 lanes 0-7 / 8-15 sign-extended to int64. The full-mask maskz
@@ -67,10 +75,17 @@ struct Avx512 {
     _mm512_storeu_si512(out + 8, widen_hi(acc.s));
   }
   static void store(const Acc16& acc, std::int64_t* out) {
-    _mm512_storeu_si512(out, acc.lo);
-    _mm512_storeu_si512(out + 8, acc.hi);
+    _mm512_storeu_si512(out, widen_lo(acc.s));
+    _mm512_storeu_si512(out + 8, widen_hi(acc.s));
+  }
+  static void store(const Wide16& w, std::int64_t* out) {
+    _mm512_storeu_si512(out, w.lo);
+    _mm512_storeu_si512(out + 8, w.hi);
   }
   static void store32(const Acc8& acc, std::int32_t* out) {
+    _mm512_storeu_si512(out, acc.s);
+  }
+  static void store32(const Acc16& acc, std::int32_t* out) {
     _mm512_storeu_si512(out, acc.s);
   }
 };

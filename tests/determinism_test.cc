@@ -618,24 +618,30 @@ TEST(Determinism, SweepCheckpointBytesMatchSerial) {
 TEST(Determinism, FrozenIntForwardBitIdenticalAcrossThreadCounts) {
   ThreadGuard guard;
   EvalFixture f;
-  quant::QuantizedNetwork qnet(*f.net, quant::fixed_config(8, 8));
-  qnet.calibrate(f.split.train.images);
-  qnet.freeze_inference();
-  ASSERT_TRUE(qnet.native_int_active());
+  for (const quant::PrecisionConfig& cfg :
+       {quant::fixed_config(8, 8), quant::fixed_config(16, 16),
+        quant::binary_config(16)}) {
+    SCOPED_TRACE(cfg.label());
+    nn::Network net = f.net->clone();
+    quant::QuantizedNetwork qnet(net, cfg);
+    qnet.calibrate(f.split.train.images);
+    qnet.freeze_inference();
+    ASSERT_TRUE(qnet.native_int_active());
 
-  ThreadPool::set_global_threads(1);
-  const Tensor base = qnet.forward(f.split.test.images);
-  for (int threads : {4, 8}) {
-    ThreadPool::set_global_threads(threads);
-    for (SimdLevel level : {SimdLevel::kScalar, simd_support()}) {
-      ScopedSimdLevel force(level);
-      const Tensor got = qnet.forward(f.split.test.images);
-      ASSERT_EQ(got.count(), base.count());
-      EXPECT_EQ(std::memcmp(got.data(), base.data(),
-                            static_cast<std::size_t>(base.count()) *
-                                sizeof(float)),
-                0)
-          << threads << " threads, " << simd_level_name(level);
+    ThreadPool::set_global_threads(1);
+    const Tensor base = qnet.forward(f.split.test.images);
+    for (int threads : {4, 8}) {
+      ThreadPool::set_global_threads(threads);
+      for (SimdLevel level : {SimdLevel::kScalar, simd_support()}) {
+        ScopedSimdLevel force(level);
+        const Tensor got = qnet.forward(f.split.test.images);
+        ASSERT_EQ(got.count(), base.count());
+        EXPECT_EQ(std::memcmp(got.data(), base.data(),
+                              static_cast<std::size_t>(base.count()) *
+                                  sizeof(float)),
+                  0)
+            << threads << " threads, " << simd_level_name(level);
+      }
     }
   }
 }

@@ -291,14 +291,22 @@ TEST(IntDatapath, EpilogueWidthFollowsTheInt32Edge) {
               IntEpilogueWidth::kI64)
         << shift;
   }
-  // Only the int8 tier has int32 lanes, and a shift past 30 never fits.
+  // Only lanes that hold the whole K (the int8 tier, or the int16 tier
+  // in one block) finish in int32, and a shift past 30 never fits.
   AccBound small;
   small.max_abs = 1000;
   EXPECT_EQ(choose_int_epilogue(IntTier::kDot8, small, 30),
             IntEpilogueWidth::kI32);
   EXPECT_EQ(choose_int_epilogue(IntTier::kDot8, small, 31),
             IntEpilogueWidth::kI64);
-  EXPECT_EQ(choose_int_epilogue(IntTier::kMadd16, small, 4),
+  EXPECT_EQ(choose_int_epilogue(IntTier::kMadd16Blocked, small, 4),
+            IntEpilogueWidth::kI64);
+  small.k_pairs = 3;
+  small.k_block = 3;
+  EXPECT_EQ(choose_int_epilogue(IntTier::kMadd16Blocked, small, 4),
+            IntEpilogueWidth::kI32);
+  small.k_block = 2;
+  EXPECT_EQ(choose_int_epilogue(IntTier::kMadd16Blocked, small, 4),
             IntEpilogueWidth::kI64);
   EXPECT_EQ(choose_int_epilogue(IntTier::kExact64, small, 4),
             IntEpilogueWidth::kI64);

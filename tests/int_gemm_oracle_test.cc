@@ -330,7 +330,7 @@ TEST(AccBound, Int16TierRejectsOnlyTheMinimumWeightWord) {
   EXPECT_EQ(b.max_abs, std::int64_t{32768} * (32767 + 32767 + 5));
   EXPECT_EQ(b.bits(), 33);
   std::string reason;
-  EXPECT_EQ(choose_int_tier(16, b, &reason), IntTier::kMadd16);
+  EXPECT_EQ(choose_int_tier(16, b, &reason), IntTier::kMadd16Blocked);
   const std::vector<std::int16_t> bad = {-32768, 1};
   b = bound_accumulator(1, 2, bad.data(), in, nullptr);
   EXPECT_TRUE(b.has_min_word);
@@ -338,12 +338,93 @@ TEST(AccBound, Int16TierRejectsOnlyTheMinimumWeightWord) {
   EXPECT_NE(reason.find("-32768"), std::string::npos) << reason;
 }
 
+// The longest aligned block of `pairs` whose every block keeps a_abs *
+// sum|w| within int32, by trying every length on every row.
+std::int64_t brute_force_block(std::int64_t rows, std::int64_t k,
+                               const std::vector<std::int16_t>& w,
+                               std::int64_t a_abs) {
+  const std::int64_t pairs = (k + 1) / 2;
+  for (std::int64_t b = pairs; b >= 1; --b) {
+    bool fits = true;
+    for (std::int64_t r = 0; r < rows && fits; ++r)
+      for (std::int64_t q0 = 0; q0 < pairs && fits; q0 += b) {
+        std::int64_t sum = 0;
+        for (std::int64_t p = 2 * q0; p < std::min(2 * (q0 + b), k); ++p)
+          sum += std::abs(static_cast<std::int64_t>(
+              w[static_cast<std::size_t>(r * k + p)]));
+        fits = a_abs * sum <= std::numeric_limits<std::int32_t>::max();
+      }
+    if (fits) return b;
+  }
+  return 0;
+}
+
+TEST(AccBound, Int32BlockAcceptsExactlyInt32MaxAndShortensPastIt) {
+  constexpr std::int64_t kMax32 = std::numeric_limits<std::int32_t>::max();
+  // One row of int16 words whose |w| sums to exactly INT32_MAX: with
+  // |a| <= 1 the whole K is one block.
+  std::vector<std::int16_t> w;
+  for (std::int64_t left = kMax32; left > 0;) {
+    const std::int64_t v = std::min<std::int64_t>(left, 32767);
+    w.push_back(static_cast<std::int16_t>(w.size() % 2 == 0 ? v : -v));
+    left -= v;
+  }
+  const std::size_t partial = w.size() - 1;  // the one word below 32767
+  ASSERT_LT(std::abs(w[partial]), 32767);
+  const std::int64_t k = static_cast<std::int64_t>(w.size());
+  const std::int64_t pairs = (k + 1) / 2;
+  EXPECT_EQ(int32_block_pairs(1, k, w.data(), 1), pairs);
+
+  // One more unit of |w| and the whole K no longer fits.
+  w[partial] = static_cast<std::int16_t>(w[partial] < 0 ? w[partial] - 1
+                                                        : w[partial] + 1);
+  const std::int64_t shorter = int32_block_pairs(1, k, w.data(), 1);
+  EXPECT_LT(shorter, pairs);
+  EXPECT_GE(shorter, 1);
+  EXPECT_EQ(shorter, brute_force_block(1, k, w, 1));
+
+  // The same words through a 16-bit input format: |a| <= 2^15 leaves
+  // 65535 of |w| per block, two full words.
+  const AccBound b =
+      bound_accumulator(1, k, w.data(), FixedPointFormat(16, 8), nullptr);
+  EXPECT_EQ(b.k_pairs, pairs);
+  EXPECT_EQ(b.k_block, 1);
+  std::string reason;
+  EXPECT_EQ(choose_int_tier(16, b, &reason), IntTier::kMadd16Blocked);
+  EXPECT_TRUE(reason.empty()) << reason;
+
+  // A -32768 weight takes the exact int64 tier whatever the blocks.
+  w[0] = -32768;
+  const AccBound min_word =
+      bound_accumulator(1, k, w.data(), FixedPointFormat(16, 8), nullptr);
+  EXPECT_EQ(choose_int_tier(16, min_word, &reason), IntTier::kExact64);
+  EXPECT_NE(reason.find("-32768"), std::string::npos) << reason;
+}
+
+// Aligned blocks need not nest, so the chooser must try every length:
+// it matches the brute force on random rows, odd K included.
+TEST(AccBound, Int32BlockMatchesBruteForce) {
+  std::mt19937_64 rng(77);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::int64_t rows = 1 + static_cast<std::int64_t>(rng() % 4);
+    const std::int64_t k = 1 + static_cast<std::int64_t>(rng() % 41);
+    const std::int64_t a_abs = std::int64_t{1} << (rng() % 16);
+    const int span = 1 << (rng() % 16);
+    std::uniform_int_distribution<int> dist(-span + 1, span - 1);
+    std::vector<std::int16_t> w(static_cast<std::size_t>(rows * k));
+    for (std::int16_t& v : w) v = static_cast<std::int16_t>(dist(rng));
+    EXPECT_EQ(int32_block_pairs(rows, k, w.data(), a_abs),
+              brute_force_block(rows, k, w, a_abs))
+        << "trial " << trial << " k=" << k << " a_abs=" << a_abs;
+  }
+}
+
 TEST(IntInferenceOracle, PlanProvesFastTiersAndFusesRelu) {
   for (const auto& [cfg, bits, tier] :
        {std::tuple<PrecisionConfig, int, IntTier>{fixed_config(8, 8), 8,
                                                   IntTier::kDot8},
         {fixed_config(4, 4), 8, IntTier::kDot8},
-        {fixed_config(16, 16), 16, IntTier::kMadd16}}) {
+        {fixed_config(16, 16), 16, IntTier::kMadd16Blocked}}) {
     auto net = lenet_scale_cnn();
     QuantizedNetwork qnet(*net, cfg);
     qnet.calibrate(cnn_input(4, 5));
@@ -394,7 +475,7 @@ TEST(IntInferenceOracle, MinWordWeightFallsBackExactlyAndMatchesNfu) {
   EXPECT_EQ(plan.stages[0].tier, IntTier::kExact64);
   EXPECT_NE(plan.stages[0].fallback.find("-32768"), std::string::npos);
   for (std::size_t i = 1; i < plan.stages.size(); ++i)
-    EXPECT_EQ(plan.stages[i].tier, IntTier::kMadd16) << i;
+    EXPECT_EQ(plan.stages[i].tier, IntTier::kMadd16Blocked) << i;
 
   const Tensor x = cnn_input(3, 9);
   const Tensor oracle = sim.forward(x);
@@ -407,6 +488,62 @@ TEST(IntInferenceOracle, MinWordWeightFallsBackExactlyAndMatchesNfu) {
     for (std::int64_t i = 0; i < got.count(); ++i)
       ASSERT_EQ(got[i], oracle[i]) << simd_level_name(level) << " elem " << i;
   }
+}
+
+// Native binary (+-1 sign-mux words, the scaled double epilogue)
+// against the NFU oracle word for word: the five zoo nets at reduced
+// channel scale, both scale modes, every SIMD level, 1 and 4 threads.
+// Every stage proves its whole K in int32 and finishes in the int32
+// lanes; the nets cover conv with a fused ReLU and inner products with
+// a per-column bias.
+TEST(IntInferenceOracle, BinaryZooMatchesNfuWordForWord) {
+  ThreadGuard guard;
+  bool conv_relu = false, ip = false;
+  for (const char* name : {"lenet", "convnet", "alex", "alex+", "alex++"}) {
+    nn::ZooConfig zc;
+    zc.channel_scale = 0.125;
+    zc.init_seed = 21;
+    const Shape sample = nn::input_shape_for(name);
+    Tensor calib(Shape{4, sample[1], sample[2], sample[3]});
+    Tensor x(Shape{2, sample[1], sample[2], sample[3]});
+    Rng rng(23);
+    calib.fill_uniform(rng, 0, 1);
+    x.fill_uniform(rng, -0.5, 1.5);
+    for (BinaryScaleMode mode :
+         {BinaryScaleMode::kPlusMinusOne, BinaryScaleMode::kMeanAbs}) {
+      SCOPED_TRACE(std::string(name) + " mode " +
+                   std::to_string(static_cast<int>(mode)));
+      auto net = nn::make_network(name, zc);
+      net->set_training_mode(false);
+      QuantizedNetwork qnet(*net, binary_config(16, mode));
+      qnet.calibrate(calib);
+      qnet.freeze_inference();
+      const hw::NfuSimulator sim(*net, qnet, sample);
+      ASSERT_TRUE(qnet.native_int_active());
+      EXPECT_FALSE(qnet.int_engine()->uses_int8());
+
+      for (const IntStagePlan& st : qnet.int_engine()->plan().stages) {
+        EXPECT_EQ(st.tier, IntTier::kMadd16Blocked) << st.layer;
+        EXPECT_EQ(st.epilogue, IntEpilogueWidth::kI32) << st.layer;
+        EXPECT_GT(st.k_block, 0) << st.layer;
+        conv_relu = conv_relu || (st.kind == "conv" && st.fused_relu);
+        ip = ip || st.kind == "ip";
+      }
+
+      const RawTensor want = sim.forward_raw(x);
+      for (int threads : {1, 4}) {
+        ThreadPool::set_global_threads(threads);
+        for (SimdLevel level : supported_levels()) {
+          ScopedSimdLevel force(level);
+          const RawTensor got = qnet.int_engine()->forward_raw(x);
+          EXPECT_EQ(got.raw, want.raw)
+              << threads << " threads, " << simd_level_name(level);
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(conv_relu);
+  EXPECT_TRUE(ip);
 }
 
 // The fused epilogue is shift_raw_rounded + saturate, then the ReLU's
@@ -464,6 +601,176 @@ TEST(IntTiles, FusedEpilogueMatchesShiftRoundSaturate) {
                 << simd_level_name(level) << " from=" << from
                 << " relu=" << relu << " acc=" << acc;
           }
+      }
+    }
+  }
+}
+
+// The scaled (binary) epilogue by hand: (acc * scale + add) * post *
+// grid, clamped and rounded half away from zero, on one-word jobs
+// (B = 1, so the accumulator is the A word), through the int32
+// register epilogue, the int64 one and the int32 blocks at every level.
+TEST(IntTiles, ScaledEpilogueRoundsTiesAwayAndSaturates) {
+  struct Case {
+    double scale, grid;
+    std::int16_t acc;
+    std::int64_t add;
+    std::int64_t want;
+  };
+  const double below_one = 1.0 - std::ldexp(1.0, -53);
+  const std::vector<Case> cases = {
+      // Exact .5 ties of both signs round away from zero.
+      {0.5, 1, 1, 0, 1},
+      {0.5, 1, -1, 0, -1},
+      {0.5, 1, 5, 0, 3},
+      {0.5, 1, -5, 0, -3},
+      {0.5, 1, 3, -1, 1},    // 1.5 - 1
+      {0.5, 1, -3, 1, -1},   // -1.5 + 1
+      {0.5, 1, 253, 0, 127},   // 126.5: the last word below raw_max
+      {0.5, 1, -255, 0, -128},  // -127.5: the last word above raw_min
+      // Saturation at raw_max and raw_min, also after a tie.
+      {0.5, 1, 255, 0, 127},     // 127.5 rounds to 128, saturates
+      {0.5, 1, -257, 0, -128},   // -128.5
+      {0.5, 1, 1000, 0, 127},
+      {0.5, 1, -1000, 0, -128},
+      {1, 4, 32767, 0, 127},
+      {1, 4, -32768, 0, -128},
+      // The bias is added after the scale, and the grid scales both.
+      {0.25, 2, 6, 3, 9},     // (1.5 + 3) * 2
+      {0.25, 2, -7, 0, -4},   // -3.5 rounds away
+      // The product rounds on its own: 3 * (1 - 2^-53) rounds to
+      // 3 - 2^-51, so x = -2^-51 * 2^53 = -4. A fused multiply-add
+      // would keep 3 - 3 * 2^-53 and give -3.
+      {below_one, std::ldexp(1.0, 53), 3, -3, -4},
+  };
+  const IntRequant out{0, -128, 127};
+  for (const Case& c : cases) {
+    for (bool relu : {false, true}) {
+      for (bool by_row : {false, true}) {
+        // k = 3: two K groups, so a one-pair block widens twice.
+        const std::vector<std::int16_t> a = {c.acc, 0, 0};
+        const std::vector<std::int16_t> b = {1, 0, 0};
+        std::vector<std::int16_t> pa(
+            static_cast<std::size_t>(int_row_words<std::int16_t>(3)));
+        std::vector<std::int16_t> pb(
+            static_cast<std::size_t>(int_panel_words<std::int16_t>(3)));
+        pack_int_rows<std::int16_t>(1, 3, a.data(), 3, false, pa.data());
+        pack_int_panels<std::int16_t>(1, 3, b.data(), 3, false, pb.data());
+        IntTileJob job;
+        job.body = IntBody::kS16;
+        job.m = 1;
+        job.n = 1;
+        job.groups = int_groups<std::int16_t>(3);
+        job.a = pa.data();
+        job.b = pb.data();
+        (by_row ? job.epi.row_add : job.epi.col_add) = &c.add;
+        job.epi.requant = out;
+        job.epi.scaled = IntScaledRequant{true, c.scale, 1.0, c.grid};
+        job.epi.relu = relu;
+        job.epi.relu_requant = out;
+        job.epi.ldo = 1;
+        job.epi.out_bytes = 2;
+        const std::int64_t want = relu ? std::max<std::int64_t>(c.want, 0)
+                                       : c.want;
+        for (SimdLevel level : supported_levels()) {
+          for (const auto& [k_block, i32] :
+               {std::pair<std::int64_t, bool>{2, true}, {2, false},
+                {1, false}}) {
+            if (i32 && level == SimdLevel::kScalar) continue;
+            std::int16_t got = 99;
+            job.k_block = k_block;
+            job.epi.i32 = i32;
+            job.epi.out = &got;
+            int_tiles(level, job);
+            EXPECT_EQ(got, want)
+                << simd_level_name(level) << " acc=" << c.acc
+                << " add=" << c.add << " scale=" << c.scale
+                << " relu=" << relu << " k_block=" << k_block
+                << " i32=" << i32;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The int16 tiles against the scalar int64 tier at K = block edges +-1.
+// Every aligned block of the weights sums |w| to exactly 65535 (65534
+// for one pair: two 32767 words), so with A = -32768 the int32 lanes
+// reach 2^31 - 2^15 at each block's end: one pair more per block would
+// overflow them.
+TEST(IntTiles, Int16BlocksMatchScalarAtBlockEdges) {
+  const std::int64_t m = 5, n = 19;
+  for (std::int64_t block : {1, 3, 4}) {
+    for (std::int64_t k :
+         {2 * block - 1, 2 * block, 2 * block + 1, 4 * block - 1,
+          4 * block, 4 * block + 1, 6 * block + 1}) {
+      SCOPED_TRACE("block=" + std::to_string(block) +
+                   " k=" + std::to_string(k));
+      // Weights: per aligned block of `block` pairs, |w| sums to the
+      // target (all negative in column 0); the words of one block are
+      // nearly equal.
+      const std::int64_t len = 2 * block;
+      const std::int64_t target = std::min<std::int64_t>(65535, len * 32767);
+      std::vector<std::int16_t> w(static_cast<std::size_t>(n * k));
+      std::mt19937_64 rng(static_cast<std::uint64_t>(block * 100 + k));
+      for (std::int64_t j = 0; j < n; ++j)
+        for (std::int64_t q0 = 0; q0 < k; q0 += len) {
+          for (std::int64_t p = 0; p < len && q0 + p < k; ++p) {
+            const std::int64_t mag =
+                target / len + (p < target % len ? 1 : 0);
+            const bool neg = j == 0 || rng() % 2 == 0;
+            w[static_cast<std::size_t>(j * k + q0 + p)] =
+                static_cast<std::int16_t>(neg ? -mag : mag);
+          }
+        }
+      ASSERT_EQ(int32_block_pairs(n, k, w.data(), 32768),
+                std::min(block, (k + 1) / 2));
+      // Activations: row 0 all -32768, the rest extreme words.
+      std::vector<std::int16_t> a(static_cast<std::size_t>(m * k));
+      for (std::int64_t i = 0; i < m; ++i)
+        for (std::int64_t p = 0; p < k; ++p)
+          a[static_cast<std::size_t>(i * k + p)] =
+              i == 0 || rng() % 3 == 0
+                  ? std::int16_t{-32768}
+                  : static_cast<std::int16_t>(rng() % 2 == 0 ? 32767
+                                                             : -32767);
+      std::vector<std::int64_t> naive(static_cast<std::size_t>(m * n), 0);
+      for (std::int64_t i = 0; i < m; ++i)
+        for (std::int64_t j = 0; j < n; ++j)
+          for (std::int64_t p = 0; p < k; ++p)
+            naive[static_cast<std::size_t>(i * n + j)] +=
+                std::int64_t{a[static_cast<std::size_t>(i * k + p)]} *
+                w[static_cast<std::size_t>(j * k + p)];
+      std::vector<std::int16_t> pa(
+          static_cast<std::size_t>(m * int_row_words<std::int16_t>(k)));
+      std::vector<std::int16_t> pb(static_cast<std::size_t>(
+          int_panels(n) * int_panel_words<std::int16_t>(k)));
+      pack_int_rows<std::int16_t>(m, k, a.data(), k, false, pa.data());
+      pack_int_panels<std::int16_t>(n, k, w.data(), k, false, pb.data());
+      IntTileJob job;
+      job.body = IntBody::kS16;
+      job.m = m;
+      job.n = n;
+      job.groups = int_groups<std::int16_t>(k);
+      job.k_block = block;
+      job.a = pa.data();
+      job.b = pb.data();
+      job.epi.ldo = n;
+      for (SimdLevel level : supported_levels()) {
+        std::vector<std::int64_t> got(static_cast<std::size_t>(m * n), -1);
+        job.epi.out = got.data();
+        int_tiles(level, job);
+        EXPECT_EQ(got, naive) << simd_level_name(level);
+      }
+      // Row 0 x column 0 fills the first block's int32 lanes to the
+      // edge.
+      if (k >= 2 * block) {
+        std::int64_t first = 0;
+        for (std::int64_t p = 0; p < 2 * block; ++p)
+          first += std::int64_t{a[static_cast<std::size_t>(p)]} *
+                   w[static_cast<std::size_t>(p)];
+        EXPECT_EQ(first, std::int64_t{32768} * target);
       }
     }
   }
@@ -532,6 +839,41 @@ TEST(IntInference, IneligibleConfigsFallBackToFloatPath) {
     QuantizedNetwork qnet(*net, fixed_config(8, 8));
     qnet.calibrate(calib);
     EXPECT_EQ(IntInferenceEngine::ineligibility_reason(*net, qnet), "");
+  }
+  for (BinaryScaleMode mode :
+       {BinaryScaleMode::kPlusMinusOne, BinaryScaleMode::kMeanAbs}) {
+    // Binary weights are sign-mux words on the int16 body; the biases
+    // keep their calibrated fixed-point formats.
+    auto net = lenet_scale_cnn();
+    QuantizedNetwork qnet(*net, binary_config(16, mode));
+    qnet.calibrate(calib);
+    EXPECT_EQ(IntInferenceEngine::ineligibility_reason(*net, qnet), "");
+    qnet.freeze_inference();
+    EXPECT_TRUE(qnet.native_int_active());
+    EXPECT_FALSE(qnet.int_engine()->uses_int8());
+  }
+  {
+    // Binary still needs round-half-away data rounding.
+    auto net = lenet_scale_cnn();
+    PrecisionConfig cfg = binary_config(16);
+    cfg.rounding = Rounding::kFloor;
+    QuantizedNetwork qnet(*net, cfg);
+    qnet.calibrate(calib);
+    EXPECT_NE(IntInferenceEngine::ineligibility_reason(*net, qnet)
+                  .find("rounding"),
+              std::string::npos);
+  }
+  {
+    // Power-of-two weights have no native tier, and say why.
+    auto net = lenet_scale_cnn();
+    QuantizedNetwork qnet(*net, pow2_config(6, 16));
+    qnet.calibrate(calib);
+    const std::string reason =
+        IntInferenceEngine::ineligibility_reason(*net, qnet);
+    EXPECT_NE(reason.find("power-of-two"), std::string::npos) << reason;
+    EXPECT_NE(reason.find("int16"), std::string::npos) << reason;
+    qnet.freeze_inference();
+    EXPECT_FALSE(qnet.native_int_active());
   }
 }
 

@@ -388,11 +388,13 @@ TEST(ObsReport, IntPathSectionCarriesTheStagePlan) {
                          quant::IntEpilogueWidth::kI32});
   plan.stages.push_back({7, "ip", 16, quant::IntTier::kExact64, 40, false,
                          "weight word -32768"});
+  plan.stages.push_back({9, "ip", 16, quant::IntTier::kMadd16Blocked, 30,
+                         false, "", quant::IntEpilogueWidth::kI32, 4096});
   obs::RunReport report("t");
   report.set("int_path", obs::to_json(plan));
   const json::Value doc = json::parse(report.dump());
   const json::Value& stages = doc.at("int_path");
-  ASSERT_EQ(stages.size(), 2u);
+  ASSERT_EQ(stages.size(), 3u);
   EXPECT_EQ(stages.at(0).at("layer").as_int(), 3);
   EXPECT_EQ(stages.at(0).at("kind").as_string(), "conv");
   EXPECT_EQ(stages.at(0).at("tier").as_string(), "s8dot-i32");
@@ -403,6 +405,10 @@ TEST(ObsReport, IntPathSectionCarriesTheStagePlan) {
   EXPECT_EQ(stages.at(1).at("fallback").as_string(), "weight word -32768");
   EXPECT_EQ(stages.at(0).at("epilogue").as_string(), "i32");
   EXPECT_EQ(stages.at(1).at("epilogue").as_string(), "i64");
+  EXPECT_EQ(stages.at(0).at("k_block").as_int(), 0);
+  EXPECT_EQ(stages.at(2).at("tier").as_string(), "s16madd-i32blocked");
+  EXPECT_EQ(stages.at(2).at("k_block").as_int(), 4096);
+  EXPECT_EQ(stages.at(2).at("epilogue").as_string(), "i32");
 }
 
 TEST(ObsReport, DocumentRoundTripsWithSections) {
