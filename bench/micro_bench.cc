@@ -5,7 +5,8 @@
 //
 // After the google-benchmark suite runs, main() times a few headline
 // workloads serially (1 thread) and on the full pool and writes the
-// comparison to BENCH_micro.json in the working directory. Each phase's
+// comparison to BENCH_micro.json in the working directory
+// (--benchmark_list_tests only lists the suite and exits). Each phase's
 // per-rep wall times also feed "phase.<name>.{serial,threads}_us"
 // histograms in the metrics registry, summarized in the JSON under
 // "phases". The "int_datapath" rows time the native integer forward and
@@ -32,6 +33,7 @@
 #include "nn/zoo.h"
 #include "obs/metrics.h"
 #include "protect/protected_network.h"
+#include "quant/acc_bound.h"
 #include "quant/int_datapath.h"
 #include "quant/int_inference.h"
 #include "quant/qnetwork.h"
@@ -40,6 +42,7 @@
 #include "tensor/int_gemm.h"
 #include "tensor/microkernel.h"
 #include "util/crc32.h"
+#include "util/env.h"
 #include "util/fileio.h"
 #include "util/json.h"
 #include "util/stopwatch.h"
@@ -101,6 +104,45 @@ void BM_GemmScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmScalar)->Arg(256);
 
+// C[n,n] (int64) = A * B^T the way the engine runs an inner product:
+// B's words bounded as weights against A's full word range, the tier,
+// int16 block and (exact-i64) scalar fallback from quant/acc_bound,
+// both operands packed, then int_gemm_packed.
+template <typename WordT>
+void proven_int_gemm(std::int64_t n, const WordT* a, const WordT* b,
+                     std::int64_t* c) {
+  constexpr bool kS8 = sizeof(WordT) == 1;
+  constexpr int kBits = 8 * static_cast<int>(sizeof(WordT));
+  const quant::AccBound bound =
+      quant::bound_accumulator(n, n, b, FixedPointFormat(kBits, 0), nullptr);
+  std::string reason;
+  const quant::IntTier tier = quant::choose_int_tier(kBits, bound, &reason);
+  std::vector<WordT> pa(static_cast<std::size_t>(n * int_row_words<WordT>(n)));
+  std::vector<WordT> pb(
+      static_cast<std::size_t>(int_panels(n) * int_panel_words<WordT>(n)));
+  pack_int_rows(n, n, a, n, kS8, pa.data());
+  pack_int_panels(n, n, b, n, false, pb.data());
+  std::vector<std::int64_t> col_add(kS8 ? static_cast<std::size_t>(n) : 0);
+  for (std::size_t j = 0; j < col_add.size(); ++j)
+    for (std::int64_t p = 0; p < n; ++p)
+      col_add[j] -= 128 * b[static_cast<std::int64_t>(j) * n + p];
+  IntTileJob job;
+  job.body = int_body<WordT>;
+  job.a_unsigned = true;
+  job.m = n;
+  job.n = n;
+  job.groups = int_groups<WordT>(n);
+  job.k_block = std::max<std::int64_t>(bound.k_block, 1);
+  job.a = pa.data();
+  job.b = pb.data();
+  job.epi.col_add = kS8 ? col_add.data() : nullptr;
+  job.epi.out = c;
+  job.epi.ldo = n;
+  int_gemm_packed(tier == quant::IntTier::kExact64 ? SimdLevel::kScalar
+                                                   : active_simd_level(),
+                  job);
+}
+
 // Native integer GEMM (dot-product layout), int8 and int16 words, at the
 // active level or a forced one.
 template <typename WordT>
@@ -117,7 +159,7 @@ void int_gemm_bench(benchmark::State& state,
   std::vector<WordT> b(static_cast<std::size_t>(n * n), WordT{-5});
   std::vector<std::int64_t> c(static_cast<std::size_t>(n * n));
   for (auto _ : state) {
-    int_gemm_bt(n, n, n, a.data(), b.data(), c.data());
+    proven_int_gemm(n, a.data(), b.data(), c.data());
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * n * n * n);
@@ -396,7 +438,7 @@ std::vector<SimdRow> time_simd_rows(obs::Registry& reg) {
   {
     SimdRow row{"int8_gemm_vs_scalar_f32", avx2, scalar_f32, 0};
     row.candidate_ms = time_at(native, "int8_gemm", [&] {
-      int_gemm_bt(n, n, n, a8.data(), b8.data(), ci.data());
+      proven_int_gemm(n, a8.data(), b8.data(), ci.data());
     });
     rows.push_back(row);
   }
@@ -405,7 +447,7 @@ std::vector<SimdRow> time_simd_rows(obs::Registry& reg) {
     // not guaranteed on every core.
     SimdRow row{"int16_gemm_vs_scalar_f32", false, scalar_f32, 0};
     row.candidate_ms = time_at(native, "int16_gemm", [&] {
-      int_gemm_bt(n, n, n, a16.data(), b16.data(), ci.data());
+      proven_int_gemm(n, a16.data(), b16.data(), ci.data());
     });
     rows.push_back(row);
   }
@@ -413,12 +455,12 @@ std::vector<SimdRow> time_simd_rows(obs::Registry& reg) {
     // Report-only: the AVX-512 VNNI integer tier.
     SimdRow r8{"int8_gemm_avx512_vs_scalar_f32", false, scalar_f32, 0};
     r8.candidate_ms = time_at(SimdLevel::kAvx512, "int8_gemm_avx512", [&] {
-      int_gemm_bt(n, n, n, a8.data(), b8.data(), ci.data());
+      proven_int_gemm(n, a8.data(), b8.data(), ci.data());
     });
     rows.push_back(r8);
     SimdRow r16{"int16_gemm_avx512_vs_scalar_f32", false, scalar_f32, 0};
     r16.candidate_ms = time_at(SimdLevel::kAvx512, "int16_gemm_avx512", [&] {
-      int_gemm_bt(n, n, n, a16.data(), b16.data(), ci.data());
+      proven_int_gemm(n, a16.data(), b16.data(), ci.data());
     });
     rows.push_back(r16);
   }
@@ -883,23 +925,31 @@ int main(int argc, char** argv) {
   // Strip --trace/--report before benchmark::Initialize sees argv.
   qnn::bench::Session session("micro_bench", &argc, argv);
   // Strip --min-speedup <x> the same way: when set and any gated
-  // workload scales below x, exit nonzero (the CI perf gate).
+  // workload scales below x, exit nonzero (the CI perf gate). Under
+  // --benchmark_list_tests, list the benchmarks and time nothing else.
   double min_speedup = 0.0;
+  bool list_only = false;
   int out = 1;
   for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--min-speedup") {
+    const std::string arg = argv[i];
+    if (arg == "--min-speedup") {
       if (i + 1 >= argc) {
         std::cerr << "--min-speedup requires a value\n";
         return 2;
       }
-      min_speedup = std::atof(argv[++i]);
-      if (min_speedup <= 0.0) {
+      const std::optional<double> v = qnn::env::parse_positive(argv[++i]);
+      if (!v.has_value()) {
         std::cerr << "--min-speedup wants a positive ratio, got "
                   << argv[i] << "\n";
         return 2;
       }
+      min_speedup = *v;
       continue;
     }
+    if (arg == "--benchmark_list_tests" ||
+        arg == "--benchmark_list_tests=true" ||
+        arg == "--benchmark_list_tests=1")
+      list_only = true;
     argv[out++] = argv[i];
   }
   argc = out;
@@ -907,5 +957,6 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
+  if (list_only) return 0;
   return qnn::write_scaling_report(session, min_speedup);
 }

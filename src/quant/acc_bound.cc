@@ -115,12 +115,14 @@ AccBound bound_accumulator(std::int64_t rows, std::int64_t k,
 }
 
 IntEpilogueWidth choose_int_epilogue(IntTier tier, const AccBound& bound,
-                                     int requant_shift) {
+                                     int requant_shift, bool scaled) {
   const bool whole_k =
       tier == IntTier::kDot8 ||
       (tier == IntTier::kMadd16Blocked && bound.k_block > 0 &&
        bound.k_block == bound.k_pairs);
-  if (!whole_k || requant_shift > 30) return IntEpilogueWidth::kI64;
+  if (!whole_k) return IntEpilogueWidth::kI64;
+  if (scaled) return IntEpilogueWidth::kI32;
+  if (requant_shift > 30) return IntEpilogueWidth::kI64;
   const std::int64_t half =
       requant_shift > 0 ? std::int64_t{1} << (requant_shift - 1) : 0;
   return bound.max_abs + half <= std::numeric_limits<std::int32_t>::max()

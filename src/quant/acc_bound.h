@@ -80,12 +80,13 @@ enum class IntEpilogueWidth { kI32, kI64 };
 const char* int_epilogue_name(IntEpilogueWidth width);  // "i32" | "i64"
 
 // kI32 when the int32 lanes hold the whole K (the kDot8 tier, or
-// kMadd16Blocked with one block), the requant shift is at most 30 and
+// kMadd16Blocked with one block) and then either `scaled` is set — a
+// binary stage, whose double step (IntScaledRequant) reads the lanes
+// and adds nothing in int32 — or the requant shift is at most 30 and
 // max_abs plus the requant's rounding half (2^(shift-1), 0 for shift <=
-// 0) is below 2^31; kI64 otherwise. (A binary stage's double step adds
-// nothing in int32, so it takes kI32 whenever the whole K is one block.)
+// 0) is below 2^31; kI64 otherwise.
 IntEpilogueWidth choose_int_epilogue(IntTier tier, const AccBound& bound,
-                                     int requant_shift);
+                                     int requant_shift, bool scaled);
 
 // The tier `bound` proves exact for `word_bits`-bit words: kDot8 while
 // the offset accumulator fits int32; kMadd16Blocked when no weight is

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "fixed/plan_sigmoid.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "quant/int_datapath.h"
 #include "quant/qnetwork.h"
@@ -47,6 +48,16 @@ struct Stage {
   virtual void run(const View<WordT>& in, WordT* out,
                    WordT* scratch) const = 0;
 };
+
+// int_gemm.calls / int_gemm.macs: one GEMM per conv / inner-product
+// stage forward, counted at the real K.
+void count_gemm(std::int64_t macs) {
+  obs::Registry& r = obs::Registry::global();
+  static obs::Counter calls = r.counter("int_gemm.calls");
+  static obs::Counter total = r.counter("int_gemm.macs");
+  calls.inc();
+  total.add(macs);
+}
 
 // Conv and inner product: packed weights, one addend per output (the
 // aligned bias, minus the 128 * sum(w) the int8 activation offset adds)
@@ -118,19 +129,14 @@ IntStagePlan plan_gemm(GemmStage<WordT>& st, const FixedPointFormat* relu_out,
   plan.k_block = blocked ? bound.k_block : 0;
   st.k_block = blocked ? bound.k_block : int_groups<WordT>(k);
   st.epi.requant = requant_to(spec.acc_frac, spec.out);
-  if (binary) {
-    // hw/nfu_sim's requantize_sum: (sum * scale + bias) * 2^-acc_frac
-    // onto the output grid.
+  // hw/nfu_sim's requantize_sum: (sum * scale + bias) * 2^-acc_frac
+  // onto the output grid.
+  if (binary)
     st.epi.scaled = IntScaledRequant{true, binary_scale,
                                      std::ldexp(1.0, -spec.acc_frac),
                                      std::ldexp(1.0, spec.out.frac_bits())};
-    plan.epilogue = blocked && bound.k_block == bound.k_pairs
-                        ? IntEpilogueWidth::kI32
-                        : IntEpilogueWidth::kI64;
-  } else {
-    plan.epilogue =
-        choose_int_epilogue(plan.tier, bound, st.epi.requant.shift);
-  }
+  plan.epilogue =
+      choose_int_epilogue(plan.tier, bound, st.epi.requant.shift, binary);
   st.epi.i32 = plan.epilogue == IntEpilogueWidth::kI32;
 
   if constexpr (GemmStage<WordT>::kOffset) {
@@ -191,6 +197,7 @@ struct ConvStage final : GemmStage<WordT> {
     const std::int64_t ohw = os.h() * os.w();
     const std::int64_t panels = int_panels(ohw);
     const std::int64_t panel_words = int_panel_words<WordT>(sp.k);
+    count_gemm(s.n() * sp.outputs * ohw * sp.k);
     const IntPatchGeom geom{sp.in_c, sp.kernel, sp.stride, s.h() + 2 * sp.pad,
                             s.w() + 2 * sp.pad, os.w()};
     const std::int64_t plane = sp.in_c * geom.hp * geom.wp;
@@ -257,6 +264,7 @@ struct IpStage final : GemmStage<WordT> {
   void run(const View<WordT>& in, WordT* out, WordT* scratch) const override {
     const std::int64_t n = in.shape[0], k = this->spec.k;
     QNN_CHECK(in.shape.count_from(1) == k);
+    count_gemm(n * this->spec.outputs * k);
     pack_int_rows(n, k, in.w, k, GemmStage<WordT>::kOffset, scratch);
     IntTileJob job = this->job();
     job.a_unsigned = true;

@@ -1,17 +1,19 @@
 // Native integer GEMM (DESIGN.md §15).
 //
-// Operand packing and drivers for the integer tile kernels
-// (tensor/microkernel): C[M,N] = A[M,K] * B[N,K]^T in the *dot-product
-// layout* — both operands row-contiguous over K. InnerProduct weights
-// are already stored [Out, In], and conv lowers to an im2row patch
-// matrix [OHW, Cin*K*K] against weights [Cout, Cin*K*K], so neither side
-// needs a transpose; packing only regroups K into 4-byte groups and the
-// B side into kIntPanel-column panels.
+// Operand packing and the one sharded driver for the integer tile
+// kernels (tensor/microkernel): C[M,N] = A[M,K] * B[N,K]^T in the
+// *dot-product layout* — both operands row-contiguous over K.
+// InnerProduct weights are already stored [Out, In], and conv lowers to
+// an im2row patch matrix [OHW, Cin*K*K] against weights [Cout, Cin*K*K],
+// so neither side needs a transpose; packing only regroups K into 4-byte
+// groups and the B side into kIntPanel-column panels.
 //
 // Every result is exact, so NO accumulation-order contract is needed:
 // any panel sharding, lane order or SIMD level yields the same words,
-// as long as the tier's accumulator bound holds (quant/acc_bound proves
-// it per stage; int_gemm_bt checks it for its operands).
+// as long as the tier's accumulator bound holds. quant/acc_bound alone
+// proves it: bound_accumulator -> choose_int_tier gives the tier (and,
+// for int16, AccBound::k_block the int32 block), and the caller runs the
+// exact-i64 tier at the scalar level.
 #pragma once
 
 #include <cstdint>
@@ -86,16 +88,9 @@ void pack_int_panels(std::int64_t n, std::int64_t k, const WordT* src,
   }
 }
 
-// Runs `job` with its panels sharded across the global pool.
+// Runs `job` with its panels sharded across the global pool: the one
+// driver over packed operands (conv stages, which pack one panel per
+// work item, call int_tiles per panel instead).
 void int_gemm_packed(SimdLevel level, const IntTileJob& job);
-
-// C[M,N] (int64, overwritten) = A[M,K] * B[N,K]^T, exact for any words:
-// runs the active level when its tier's bound holds for these operands,
-// the scalar tier otherwise.
-void int_gemm_bt(std::int64_t m, std::int64_t n, std::int64_t k,
-                 const std::int8_t* a, const std::int8_t* b, std::int64_t* c);
-void int_gemm_bt(std::int64_t m, std::int64_t n, std::int64_t k,
-                 const std::int16_t* a, const std::int16_t* b,
-                 std::int64_t* c);
 
 }  // namespace qnn

@@ -149,15 +149,17 @@ const F32VecOps* f32_vec_ops(SimdLevel level);
 // Integer tile kernels: C[i, j] = sum_p A[i, p] * B[j, p] over packed
 // operands, finished by a fused requantization epilogue.
 //
-// Packing (tensor/int_gemm.h builds it). K is split into 4-byte
-// *groups* — four int8 words (kS8) or two int16 words (kS16) —
-// zero-padded past K, so no kernel has a K tail. A (the broadcast
-// operand, one row per output row) is row-major [m][groups]; B (the
-// panel operand, one row per output column) is panel-major
-// [panels][groups][kIntPanel], zero-padded past the last column. For
-// kS8 exactly one operand holds activations, stored unsigned with a
-// +128 offset (a_unsigned says which); the caller's addends subtract
-// the 128 * sum(w) that the offset adds.
+// Packing (tensor/int_gemm.h builds it, and its int_gemm_packed is the
+// one sharded driver; conv stages call int_tiles per packed panel). The
+// tier, the int16 block and the epilogue width come from quant/acc_bound
+// alone. K is split into 4-byte *groups* — four int8 words (kS8) or two
+// int16 words (kS16) — zero-padded past K, so no kernel has a K tail.
+// A (the broadcast operand, one row per output row) is row-major
+// [m][groups]; B (the panel operand, one row per output column) is
+// panel-major [panels][groups][kIntPanel], zero-padded past the last
+// column. For kS8 exactly one operand holds activations, stored
+// unsigned with a +128 offset (a_unsigned says which); the caller's
+// addends subtract the 128 * sum(w) that the offset adds.
 inline constexpr std::int64_t kIntPanel = 16;
 inline constexpr std::int64_t kIntGroupBytes = 4;
 

@@ -3,8 +3,9 @@
 // bytes for every GemmOp form, shape boundary, scratch state, and
 // thread count — the lane-striped fused-multiply-add contract of
 // tensor/gemm.h makes this a structural property, and these tests pin
-// it. The integer tile kernels must produce identical words at the
-// scalar, AVX2 and AVX-512 levels. Also covers the QNN_SIMD
+// it. The integer tile kernels, run on the tier and int16 block
+// quant/acc_bound proves, must produce identical words at the scalar,
+// AVX2 and AVX-512 levels. Also covers the QNN_SIMD
 // runtime-dispatch clamping and override machinery.
 #include <gtest/gtest.h>
 
@@ -16,10 +17,10 @@
 #include <vector>
 
 #include "tensor/gemm.h"
-#include "tensor/int_gemm.h"
 #include "tensor/microkernel.h"
 #include "test_env.h"
 #include "testing/gemm_forms.h"
+#include "testing/proven_int_gemm.h"
 #include "util/thread_pool.h"
 
 namespace qnn {
@@ -171,11 +172,15 @@ std::vector<WordT> random_words(std::int64_t count, std::uint64_t seed) {
   return out;
 }
 
+// Each shape runs on the tier quant/acc_bound proves for its words
+// (testing::proven_int_gemm): random int16 words take the blocked tiles
+// wherever K spans more than one proven block.
 template <typename WordT>
 void int_kernel_differential(SimdLevel level) {
   const std::int64_t ms[] = {1, 3, 64};
   const std::int64_t ns[] = {1, 2, 4, 5, 8, 33};
   const std::int64_t ks[] = {1, 7, 8, 15, 16, 17, 64, 300};
+  int blocked = 0;
   for (std::int64_t m : ms) {
     for (std::int64_t n : ns) {
       for (std::int64_t k : ks) {
@@ -185,15 +190,20 @@ void int_kernel_differential(SimdLevel level) {
         std::vector<std::int64_t> cv(static_cast<std::size_t>(m * n));
         {
           ScopedSimdLevel force(SimdLevel::kScalar);
-          int_gemm_bt(m, n, k, a.data(), b.data(), cs.data());
+          testing::proven_int_gemm(m, n, k, a.data(), b.data(), cs.data());
         }
         {
           ScopedSimdLevel force(level);
-          int_gemm_bt(m, n, k, a.data(), b.data(), cv.data());
+          const quant::AccBound bound = testing::proven_int_gemm(
+              m, n, k, a.data(), b.data(), cv.data());
+          if (!bound.has_min_word && bound.k_block < bound.k_pairs) ++blocked;
         }
         ASSERT_EQ(cs, cv) << "m=" << m << " n=" << n << " k=" << k;
       }
     }
+  }
+  if constexpr (sizeof(WordT) == 2) {
+    EXPECT_GT(blocked, 0);
   }
 }
 
@@ -262,7 +272,7 @@ void int_tiles_extremes(SimdLevel level) {
       ThreadPool::set_global_threads(threads);
       for (std::int64_t stale : {std::int64_t{0}, std::int64_t{0x5A5A5A5A}}) {
         std::vector<std::int64_t> got(want.size(), stale);
-        int_gemm_bt(m, n, k, a.data(), b.data(), got.data());
+        testing::proven_int_gemm(m, n, k, a.data(), b.data(), got.data());
         ASSERT_EQ(got, want) << simd_level_name(level) << " k=" << k
                              << " threads=" << threads << " stale=" << stale;
       }
@@ -296,11 +306,11 @@ TEST(GemmKernelDifferential, IntKernelsExactAtExtremes) {
     std::int64_t c = 0;
     ScopedSimdLevel force(simd_support());
     // min*min: the largest positive product.
-    int_gemm_bt(1, 1, k, a.data(), b.data(), &c);
+    testing::proven_int_gemm<WordT>(1, 1, k, a.data(), b.data(), &c);
     EXPECT_EQ(c, k * (static_cast<std::int64_t>(lo) * lo));
     // min*max: the most negative product.
     std::fill(b.begin(), b.end(), hi);
-    int_gemm_bt(1, 1, k, a.data(), b.data(), &c);
+    testing::proven_int_gemm<WordT>(1, 1, k, a.data(), b.data(), &c);
     EXPECT_EQ(c, k * (static_cast<std::int64_t>(lo) * hi));
   };
   // K spans the int8 kernel's 2^16 K-block boundary.

@@ -282,12 +282,12 @@ TEST(IntDatapath, EpilogueWidthFollowsTheInt32Edge) {
     EXPECT_EQ(b.max_abs + half, kMax32);
     std::string reason;
     ASSERT_EQ(choose_int_tier(8, b, &reason), IntTier::kDot8);
-    EXPECT_EQ(choose_int_epilogue(IntTier::kDot8, b, shift),
+    EXPECT_EQ(choose_int_epilogue(IntTier::kDot8, b, shift, false),
               IntEpilogueWidth::kI32)
         << shift;
     ++bias;  // one word over
     b = bound_accumulator(1, 64, w.data(), in, &bias);
-    EXPECT_EQ(choose_int_epilogue(IntTier::kDot8, b, shift),
+    EXPECT_EQ(choose_int_epilogue(IntTier::kDot8, b, shift, false),
               IntEpilogueWidth::kI64)
         << shift;
   }
@@ -295,20 +295,33 @@ TEST(IntDatapath, EpilogueWidthFollowsTheInt32Edge) {
   // in one block) finish in int32, and a shift past 30 never fits.
   AccBound small;
   small.max_abs = 1000;
-  EXPECT_EQ(choose_int_epilogue(IntTier::kDot8, small, 30),
+  EXPECT_EQ(choose_int_epilogue(IntTier::kDot8, small, 30, false),
             IntEpilogueWidth::kI32);
-  EXPECT_EQ(choose_int_epilogue(IntTier::kDot8, small, 31),
+  EXPECT_EQ(choose_int_epilogue(IntTier::kDot8, small, 31, false),
             IntEpilogueWidth::kI64);
-  EXPECT_EQ(choose_int_epilogue(IntTier::kMadd16Blocked, small, 4),
+  EXPECT_EQ(choose_int_epilogue(IntTier::kMadd16Blocked, small, 4, false),
             IntEpilogueWidth::kI64);
   small.k_pairs = 3;
   small.k_block = 3;
-  EXPECT_EQ(choose_int_epilogue(IntTier::kMadd16Blocked, small, 4),
+  EXPECT_EQ(choose_int_epilogue(IntTier::kMadd16Blocked, small, 4, false),
             IntEpilogueWidth::kI32);
   small.k_block = 2;
-  EXPECT_EQ(choose_int_epilogue(IntTier::kMadd16Blocked, small, 4),
+  EXPECT_EQ(choose_int_epilogue(IntTier::kMadd16Blocked, small, 4, false),
             IntEpilogueWidth::kI64);
-  EXPECT_EQ(choose_int_epilogue(IntTier::kExact64, small, 4),
+  EXPECT_EQ(choose_int_epilogue(IntTier::kExact64, small, 4, false),
+            IntEpilogueWidth::kI64);
+  // A binary stage's scaled step reads the int32 lanes as doubles: it
+  // finishes in int32 exactly when the lanes hold the whole K, whatever
+  // the shift or the bound.
+  small.max_abs = kMax32 + 1;
+  EXPECT_EQ(choose_int_epilogue(IntTier::kMadd16Blocked, small, 31, true),
+            IntEpilogueWidth::kI64);
+  small.k_block = 3;
+  EXPECT_EQ(choose_int_epilogue(IntTier::kMadd16Blocked, small, 31, true),
+            IntEpilogueWidth::kI32);
+  EXPECT_EQ(choose_int_epilogue(IntTier::kMadd16Blocked, small, 4, false),
+            IntEpilogueWidth::kI64);
+  EXPECT_EQ(choose_int_epilogue(IntTier::kExact64, small, 4, true),
             IntEpilogueWidth::kI64);
   EXPECT_STREQ(int_epilogue_name(IntEpilogueWidth::kI32), "i32");
   EXPECT_STREQ(int_epilogue_name(IntEpilogueWidth::kI64), "i64");
@@ -338,7 +351,7 @@ TEST(IntDatapath, I32EpilogueMatchesI64AtTheEdge) {
       bound_accumulator(m, k, w.data(), FixedPointFormat(8, 0), bias.data());
   std::string reason;
   ASSERT_EQ(choose_int_tier(8, bound, &reason), IntTier::kDot8);
-  ASSERT_EQ(choose_int_epilogue(IntTier::kDot8, bound, shift),
+  ASSERT_EQ(choose_int_epilogue(IntTier::kDot8, bound, shift, false),
             IntEpilogueWidth::kI32);
 
   std::vector<std::int64_t> addend = bias;

@@ -2,9 +2,10 @@
 // word-for-word against the NFU bit-level oracle (hw/nfu_sim): frozen
 // fixed-point forwards must produce EXACTLY the raw words the
 // accelerator simulator computes, at every precision tier, radix
-// extreme, SIMD level and thread count. Also covers the int GEMM drivers
-// against a naive int64 reference, the accumulator-bound pass and its
-// kernel-tier plan, the fused requant epilogue, and which configs
+// extreme, SIMD level and thread count. Also covers the int GEMM driver
+// on the tier the accumulator bound proves against a naive int64
+// reference, the accumulator-bound pass and its kernel-tier plan, the
+// fused requant epilogue, the engine's GEMM counters, and which configs
 // freeze onto the native path.
 #include <gtest/gtest.h>
 
@@ -22,19 +23,22 @@
 #include "nn/inner_product.h"
 #include "nn/pool.h"
 #include "nn/zoo.h"
+#include "obs/metrics.h"
 #include "quant/acc_bound.h"
 #include "quant/int_inference.h"
 #include "quant/qnetwork.h"
 #include "tensor/int_gemm.h"
 #include "tensor/microkernel.h"
 #include "test_env.h"
+#include "testing/proven_int_gemm.h"
 #include "util/thread_pool.h"
 
 namespace qnn::quant {
 namespace {
 
 // ---------------------------------------------------------------------
-// int_gemm_bt vs a naive int64 reference.
+// The production chooser (testing::proven_int_gemm) vs a naive int64
+// reference.
 
 template <typename WordT>
 void int_gemm_vs_naive(std::int64_t m, std::int64_t n, std::int64_t k,
@@ -59,7 +63,7 @@ void int_gemm_vs_naive(std::int64_t m, std::int64_t n, std::int64_t k,
     }
 
   std::vector<std::int64_t> got(static_cast<std::size_t>(m * n));
-  int_gemm_bt(m, n, k, a.data(), b.data(), got.data());
+  testing::proven_int_gemm(m, n, k, a.data(), b.data(), got.data());
   ASSERT_EQ(got, want) << "m=" << m << " n=" << n << " k=" << k;
 }
 
@@ -90,11 +94,11 @@ TEST(IntGemm, ThreadCountNeverChangesWords) {
   for (auto& v : b) v = static_cast<std::int8_t>(dist(rng));
   ThreadPool::set_global_threads(1);
   std::vector<std::int64_t> base(static_cast<std::size_t>(m * n));
-  int_gemm_bt(m, n, k, a.data(), b.data(), base.data());
+  testing::proven_int_gemm(m, n, k, a.data(), b.data(), base.data());
   for (int threads : {2, 4, 8}) {
     ThreadPool::set_global_threads(threads);
     std::vector<std::int64_t> got(static_cast<std::size_t>(m * n));
-    int_gemm_bt(m, n, k, a.data(), b.data(), got.data());
+    testing::proven_int_gemm(m, n, k, a.data(), b.data(), got.data());
     EXPECT_EQ(got, base) << threads << " threads";
   }
 }
@@ -544,6 +548,43 @@ TEST(IntInferenceOracle, BinaryZooMatchesNfuWordForWord) {
   }
   EXPECT_TRUE(conv_relu);
   EXPECT_TRUE(ip);
+}
+
+// int_gemm.calls / int_gemm.macs count one GEMM per conv / inner-product
+// stage forward at the real K: a batch-4 frozen LeNet forward adds 4 x
+// the layers' described MACs, fixed8 (int8 body) and binary (int16).
+TEST(IntInference, GemmCountersCountRealMacsOncePerStage) {
+  const auto counter = [](const char* name) {
+    const obs::Snapshot snap = obs::Registry::global().snapshot();
+    const obs::MetricSnapshot* m = snap.find(name);
+    return m != nullptr ? m->value : std::int64_t{0};
+  };
+  const Shape sample = nn::input_shape_for("lenet");
+  for (const PrecisionConfig& cfg : {fixed_config(8, 8), binary_config(16)}) {
+    SCOPED_TRACE(cfg.label());
+    nn::ZooConfig zc;
+    zc.channel_scale = 0.5;
+    auto net = nn::make_network("lenet", zc);
+    net->set_training_mode(false);
+    std::int64_t want_macs = 0, want_calls = 0;
+    for (const nn::LayerDesc& d : net->describe(sample)) {
+      if (d.kind != "conv" && d.kind != "inner_product") continue;
+      want_macs += 4 * d.macs;
+      ++want_calls;
+    }
+    Tensor x(Shape{4, sample[1], sample[2], sample[3]});
+    Rng rng(31);
+    x.fill_uniform(rng, 0, 1);
+    QuantizedNetwork qnet(*net, cfg);
+    qnet.calibrate(x);
+    qnet.freeze_inference();
+    ASSERT_TRUE(qnet.native_int_active());
+    const std::int64_t calls0 = counter("int_gemm.calls");
+    const std::int64_t macs0 = counter("int_gemm.macs");
+    qnet.int_engine()->forward_raw(x);
+    EXPECT_EQ(counter("int_gemm.calls") - calls0, want_calls);
+    EXPECT_EQ(counter("int_gemm.macs") - macs0, want_macs);
+  }
 }
 
 // The fused epilogue is shift_raw_rounded + saturate, then the ReLU's
