@@ -387,11 +387,12 @@ struct ScalingRow {
 // QNN_SIMD levels, single-threaded so the ratio isolates the microkernel
 // rather than the scheduler. `speedup` is baseline_ms / candidate_ms;
 // gated rows must clear --min-speedup when AVX2 exists (the vector
-// float path and the native int8 path must both beat scalar float).
+// float path and the native int8 path must both beat scalar float, and
+// the fake-quant site kernel its scalar reference loop).
 struct SimdRow {
   std::string name;
   bool gated = false;
-  double baseline_ms = 0;   // scalar float reference
+  double baseline_ms = 0;   // scalar reference (float GEMM, or fake-quant)
   double candidate_ms = 0;  // vector / native-int candidate
   double speedup() const {
     return candidate_ms > 0 ? baseline_ms / candidate_ms : 0.0;
@@ -449,6 +450,24 @@ std::vector<SimdRow> time_simd_rows(obs::Registry& reg) {
     row.candidate_ms = time_at(native, "int16_gemm", [&] {
       proven_int_gemm(n, a16.data(), b16.data(), ci.data());
     });
+    rows.push_back(row);
+  }
+  {
+    // The fused guard-and-quantize of a fixed16 data site over 1M values,
+    // at the best level against the scalar reference loop. It runs in
+    // place: after the first call the values sit on the grid, and both
+    // levels do the same work on them.
+    quant::FixedQuantizer q(16);
+    q.calibrate(4.0);
+    Tensor site(Shape{1 << 20});
+    site.fill_uniform(rng, -6, 6);
+    quant::GuardCounters guards;
+    const auto fq = [&] {
+      q.apply(site.values(), &guards, active_simd_level());
+    };
+    SimdRow row{"fq_site_vs_scalar", avx2, 0, 0};
+    row.baseline_ms = time_at(SimdLevel::kScalar, "fq_site_scalar", fq);
+    row.candidate_ms = time_at(simd_support(), "fq_site", fq);
     rows.push_back(row);
   }
   if (simd_supports(SimdLevel::kAvx512)) {

@@ -21,7 +21,10 @@ double Pow2Format::quantize(double v) const {
   // Zero threshold: arithmetic midpoint between 0 and the smallest
   // positive representable value.
   if (mag < 0.5 * min_positive()) return 0.0;
-  int e = static_cast<int>(std::floor(std::log2(mag)));
+  // ±Inf saturates like every magnitude beyond 2^exp_max (its log2
+  // has no int value).
+  int e = std::isinf(mag) ? exp_max_
+                          : static_cast<int>(std::floor(std::log2(mag)));
   // Candidates 2^e and 2^(e+1) bracket mag; pick by arithmetic midpoint
   // 1.5 * 2^e which minimizes absolute error.
   if (mag >= 1.5 * std::ldexp(1.0, e)) ++e;

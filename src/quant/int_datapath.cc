@@ -40,11 +40,21 @@ bool vector_pool_fits(const IntPoolGeom& g) {
 template <typename WordT>
 void encode_words(SimdLevel level, const float* x, std::int64_t n,
                   const FixedPointFormat& f, WordT* out) {
-  const IntWordOps<WordT>* vec = vector_ops<WordT>(level);
+  const IntVecOps* vec = int_vec_ops(level);
   if (vec != nullptr && f.rounding() == Rounding::kNearest &&
-      f.frac_bits() >= -126 && f.frac_bits() <= 127) {
-    vec->encode(x, n, f.frac_bits(), static_cast<std::int32_t>(f.raw_min()),
-                static_cast<std::int32_t>(f.raw_max()), out);
+      f.total_bits() <= 24 && f.frac_bits() >= -126 &&
+      f.frac_bits() <= 127) {
+    const auto encode = [&] {
+      if constexpr (sizeof(WordT) == 1) {
+        return vec->s8.encode;
+      } else if constexpr (sizeof(WordT) == 2) {
+        return vec->s16.encode;
+      } else {
+        return vec->encode_s32;
+      }
+    }();
+    encode(x, n, f.frac_bits(), static_cast<std::int32_t>(f.raw_min()),
+           static_cast<std::int32_t>(f.raw_max()), out);
     return;
   }
   for (std::int64_t i = 0; i < n; ++i)
@@ -172,5 +182,9 @@ void pack_patch(SimdLevel level, const IntPatchGeom& g, const WordT* img,
 QNN_INT_DATAPATH(std::int8_t)
 QNN_INT_DATAPATH(std::int16_t)
 #undef QNN_INT_DATAPATH
+template void encode_words<std::int32_t>(SimdLevel, const float*,
+                                         std::int64_t,
+                                         const FixedPointFormat&,
+                                         std::int32_t*);
 
 }  // namespace qnn::quant

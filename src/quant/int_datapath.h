@@ -14,7 +14,7 @@
 
 namespace qnn::quant {
 
-// out[i] = f.to_raw(x[i]).
+// out[i] = f.to_raw(x[i]); WordT is int8_t, int16_t or int32_t.
 template <typename WordT>
 void encode_words(SimdLevel level, const float* x, std::int64_t n,
                   const FixedPointFormat& f, WordT* out);

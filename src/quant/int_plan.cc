@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "fixed/fixed_arith.h"
 #include "nn/activation.h"
 #include "nn/conv.h"
 #include "nn/inner_product.h"
+#include "quant/int_datapath.h"
 #include "quant/qnetwork.h"
 #include "util/check.h"
 
@@ -74,44 +76,71 @@ const FixedPointFormat& fixed_format(const ValueQuantizer& q) {
 
 // Encodes the live (quantized) values of a weight tensor for `kind`'s
 // weight block. Pow2 and binary read their codes off the values, which
-// already sit on the quantizer's grid.
+// already sit on the quantizer's grid. The loops run over raw pointers:
+// an int8 sign store may alias anything, so a loop through
+// Tensor::operator[] reloads the tensor after every store.
 IntWeights encode_weights(PrecisionKind kind, const Tensor& w,
                           const ValueQuantizer& q) {
   IntWeights out;
-  const std::size_t n = static_cast<std::size_t>(w.count());
-  auto value = [&](std::size_t i) {
-    return static_cast<double>(w[static_cast<std::int64_t>(i)]);
-  };
+  const std::int64_t n = w.count();
+  const std::size_t count = static_cast<std::size_t>(n);
+  const float* v = w.data();
   switch (kind) {
     case PrecisionKind::kFixed:
       out.code = WeightCode::kFixed;
       out.format = fixed_format(q);
-      out.words.resize(n);
-      for (std::size_t i = 0; i < n; ++i)
-        out.words[i] = static_cast<std::int32_t>(out.format.to_raw(value(i)));
+      out.words.resize(count);
+      encode_words(active_simd_level(), v, n, out.format, out.words.data());
       break;
     case PrecisionKind::kPow2: {
       out.code = WeightCode::kPow2;
-      out.words.assign(n, 0);
-      out.sign.assign(n, 0);
-      int min_exp = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (value(i) == 0.0) continue;
-        out.sign[i] = value(i) > 0 ? 1 : -1;
-        const int e =
-            static_cast<int>(std::lround(std::log2(std::fabs(value(i)))));
-        out.words[i] = e;
-        min_exp = std::min(min_exp, e);
+      out.words.resize(count);
+      out.sign.resize(count);
+      std::int32_t* words = out.words.data();
+      std::int8_t* sign = out.sign.data();
+      // A nonzero weight on the grid is a normal ±2^e: an all-zero
+      // mantissa and e in the exponent field. This loop reads those
+      // branch-free; any other nonzero value (subnormal, Inf, NaN, off
+      // the grid) is redone below with the rounded log.
+      const auto pow2_bits = [&](std::int64_t i) {
+        std::uint32_t bits = 0;
+        std::memcpy(&bits, &v[i], sizeof bits);
+        return bits;
+      };
+      const auto normal_pow2 = [](std::uint32_t mag) {
+        const std::uint32_t field = mag >> 23;
+        return (mag & 0x7FFFFFu) == 0 && field != 0 && field != 0xFFu;
+      };
+      bool other = false;
+      for (std::int64_t i = 0; i < n; ++i) {
+        const std::uint32_t bits = pow2_bits(i);
+        const std::uint32_t mag = bits & 0x7FFFFFFFu;
+        const bool nonzero = mag != 0;
+        sign[i] = static_cast<std::int8_t>(
+            nonzero ? 1 - 2 * static_cast<int>(bits >> 31) : 0);
+        words[i] = nonzero ? static_cast<int>(mag >> 23) - 127 : 0;
+        other |= nonzero && !normal_pow2(mag);
       }
+      for (std::int64_t i = 0; other && i < n; ++i) {
+        const std::uint32_t mag = pow2_bits(i) & 0x7FFFFFFFu;
+        if (mag == 0 || normal_pow2(mag)) continue;
+        sign[i] = v[i] > 0 ? 1 : -1;
+        words[i] = static_cast<int>(
+            std::lround(std::log2(std::fabs(static_cast<double>(v[i])))));
+      }
+      int min_exp = 0;
+      for (std::int64_t i = 0; i < n; ++i) min_exp = std::min(min_exp, words[i]);
       out.headroom = -min_exp;
       break;
     }
-    case PrecisionKind::kBinary:
+    case PrecisionKind::kBinary: {
       out.code = WeightCode::kBinary;
-      out.sign.resize(n);
-      for (std::size_t i = 0; i < n; ++i) out.sign[i] = value(i) >= 0 ? 1 : -1;
-      out.scale = n > 0 ? std::fabs(value(0)) : 1.0;
+      out.sign.resize(count);
+      std::int8_t* sign = out.sign.data();
+      for (std::int64_t i = 0; i < n; ++i) sign[i] = v[i] >= 0 ? 1 : -1;
+      out.scale = n > 0 ? std::fabs(static_cast<double>(v[0])) : 1.0;
       break;
+    }
     case PrecisionKind::kFloat:
       QNN_CHECK_MSG(false, "float has no integer realization");
   }

@@ -6,7 +6,6 @@
 #include "obs/trace.h"
 #include "quant/int_inference.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace qnn::quant {
 namespace {
@@ -156,14 +155,9 @@ void QuantizedNetwork::freeze_inference() {
 
 namespace {
 
-// Counts NaN/Inf and values beyond the format's representable magnitude
-// before the quantizer clips them to the grid. Large tensors scan in
-// per-shard counters merged in shard order (integer sums, so the totals
-// are order-independent by construction; the fixed order keeps the
-// policy uniform).
-// Process-wide mirror of every guard scan: lets RunReport surface the
-// quantization health of a whole run without plumbing per-site counters
-// out of each QuantizedNetwork instance.
+// Process-wide mirror of every guarded quantize: lets RunReport surface
+// the quantization health of a whole run without plumbing per-site
+// counters out of each QuantizedNetwork instance.
 struct GuardMetrics {
   obs::Counter values, saturated, nan, inf;
 };
@@ -176,34 +170,19 @@ GuardMetrics& guard_metrics() {
   return m;
 }
 
-void guard_scan(const Tensor& t, double limit, GuardCounters& guards) {
-  QNN_SPAN_N("guard_scan", "quant", t.count());
-  const GuardCounters before = guards;
-  const float* d = t.data();
-  const std::int64_t n = t.count();
-  constexpr std::int64_t kSerialCutoff = 1 << 14;
-  if (n < kSerialCutoff) {
-    for (std::int64_t i = 0; i < n; ++i) guards.observe(d[i], limit);
-  } else {
-    // Padded counter slots: observe() bumps several int64 fields per
-    // element, so neighbor shards sharing a line would ping-pong it.
-    const std::vector<Shard> shards =
-        make_shards(n, kReductionShards, shard_grain(4));
-    std::vector<Padded<GuardCounters>> partial(shards.size());
-    parallel_run(static_cast<std::int64_t>(shards.size()),
-                 [&](std::int64_t si) {
-                   GuardCounters& g = partial[static_cast<std::size_t>(si)].v;
-                   const Shard& sh = shards[static_cast<std::size_t>(si)];
-                   for (std::int64_t i = sh.begin; i < sh.end; ++i)
-                     g.observe(d[i], limit);
-                 });
-    for (const Padded<GuardCounters>& g : partial) guards += g.v;
-  }
+// Quantizes `t` in place with `q` and counts, in the same pass, NaN/Inf
+// and the values beyond the format's representable magnitude before the
+// quantizer clips them to the grid (ValueQuantizer::apply).
+void quantize_guarded(const ValueQuantizer& q, Tensor& t,
+                      GuardCounters& guards) {
+  GuardCounters g;
+  q.apply(t.values(), &g, active_simd_level());
+  guards += g;
   GuardMetrics& gm = guard_metrics();
-  gm.values.add(guards.values - before.values);
-  gm.saturated.add(guards.saturated - before.saturated);
-  gm.nan.add(guards.nan - before.nan);
-  gm.inf.add(guards.inf - before.inf);
+  gm.values.add(g.values);
+  gm.saturated.add(g.saturated);
+  gm.nan.add(g.nan);
+  gm.inf.add(g.inf);
 }
 
 }  // namespace
@@ -211,9 +190,8 @@ void guard_scan(const Tensor& t, double limit, GuardCounters& guards) {
 void QuantizedNetwork::quantize_params() {
   QNN_SPAN("quantize_params", "quant");
   for (std::size_t i = 0; i < params_.size(); ++i) {
-    guard_scan(params_[i]->value, weight_quantizers_[i]->clip_limit(),
-               param_guards_[i]);
-    weight_quantizers_[i]->apply(params_[i]->value);
+    quantize_guarded(*weight_quantizers_[i], params_[i]->value,
+                     param_guards_[i]);
     if (hooks_.on_quantized_param)
       hooks_.on_quantized_param(i, params_[i]->value);
   }
@@ -264,10 +242,9 @@ Tensor QuantizedNetwork::forward_prologue(const Tensor& input) {
   }
 
   Tensor x = input;
-  guard_scan(x, data_quantizers_[0]->clip_limit(), site_guards_[0]);
   {
     QNN_SPAN_N("quantize", "quant", 0);
-    data_quantizers_[0]->apply(x);
+    quantize_guarded(*data_quantizers_[0], x, site_guards_[0]);
   }
   if (hooks_.on_quantized_site) hooks_.on_quantized_site(0, x);
   return x;
@@ -290,10 +267,9 @@ Tensor QuantizedNetwork::forward_step(std::size_t i, const Tensor& x) {
                 "forward_step without a preceding forward_prologue");
   Tensor y = net_.layer(i).forward(x);
   if (hooks_.on_accumulator) hooks_.on_accumulator(i + 1, y);
-  guard_scan(y, data_quantizers_[i + 1]->clip_limit(), site_guards_[i + 1]);
   {
     QNN_SPAN_N("quantize", "quant", static_cast<std::int64_t>(i) + 1);
-    data_quantizers_[i + 1]->apply(y);
+    quantize_guarded(*data_quantizers_[i + 1], y, site_guards_[i + 1]);
   }
   if (hooks_.on_quantized_site) hooks_.on_quantized_site(i + 1, y);
   return y;
@@ -321,9 +297,7 @@ void QuantizedNetwork::backward(const Tensor& grad_output) {
       if (max_abs == 0.0) continue;
       const FixedPointFormat f = FixedPointFormat::for_range(
           config_.gradient_bits, max_abs, config_.rounding);
-      float* d = p->grad.data();
-      for (std::int64_t j = 0; j < p->grad.count(); ++j)
-        d[j] = f.quantize(d[j]);
+      quantize_fixed(f, p->grad.values(), nullptr, active_simd_level());
     }
   }
 }

@@ -8,6 +8,38 @@
 namespace qnn::quant {
 namespace {
 
+// The largest float <= limit, or +inf for an unbounded format (limit <=
+// 0): for a float v, |v| > it exactly when double |v| > limit.
+float float_limit(double limit) {
+  if (limit <= 0.0) return std::numeric_limits<float>::infinity();
+  float f = static_cast<float>(limit);
+  if (static_cast<double>(f) > limit) f = std::nextafter(f, 0.0f);
+  return f;
+}
+
+// The scalar reference of every format: each value observed, then
+// quantized, in order.
+template <typename Quantize>
+void apply_scalar(std::span<float> x, double limit, GuardCounters* guards,
+                  const Quantize& quantize) {
+  GuardCounters g;
+  for (float& v : x) {
+    g.observe(v, limit);
+    v = quantize(v);
+  }
+  if (guards != nullptr) *guards += g;
+}
+
+// Folds a FqVecOps kernel's counts over the span `x` into `guards`.
+void add_counts(const FqCounts& c, std::span<const float> x,
+                GuardCounters* guards) {
+  if (guards == nullptr) return;
+  guards->values += std::ssize(x);
+  guards->saturated += c.saturated;
+  guards->nan += c.nan;
+  guards->inf += c.inf;
+}
+
 // Mean squared error of quantizing `samples` with `q`.
 template <typename Format>
 double quantization_mse(std::span<const float> samples, const Format& q) {
@@ -21,11 +53,34 @@ double quantization_mse(std::span<const float> samples, const Format& q) {
 
 }  // namespace
 
-void FixedQuantizer::apply(Tensor& t) const {
+void quantize_fixed(const FixedPointFormat& f, std::span<float> x,
+                    GuardCounters* guards, SimdLevel level) {
+  const FqVecOps* vec = fq_vec_ops(level);
+  if (vec != nullptr && f.rounding() == Rounding::kNearest &&
+      f.frac_bits() >= -126 && f.frac_bits() <= 126) {
+    FqCounts c;
+    (f.total_bits() <= 24 ? vec->fixed : vec->fixed_wide)(
+        x.data(), std::ssize(x), f.frac_bits(),
+        static_cast<std::int32_t>(f.raw_min()),
+        static_cast<std::int32_t>(f.raw_max()), float_limit(f.max_value()),
+        &c);
+    add_counts(c, x, guards);
+    return;
+  }
+  apply_scalar(x, f.max_value(), guards,
+               [&](float v) { return f.quantize(v); });
+}
+
+void IdentityQuantizer::apply(std::span<float> x, GuardCounters* guards,
+                              SimdLevel) const {
+  if (guards == nullptr) return;
+  for (float v : x) guards->observe(v, 0.0);
+}
+
+void FixedQuantizer::apply(std::span<float> x, GuardCounters* guards,
+                           SimdLevel level) const {
   QNN_CHECK_MSG(format_.has_value(), "FixedQuantizer used before calibrate");
-  const FixedPointFormat& f = *format_;
-  float* d = t.data();
-  for (std::int64_t i = 0; i < t.count(); ++i) d[i] = f.quantize(d[i]);
+  quantize_fixed(*format_, x, guards, level);
 }
 
 void FixedQuantizer::calibrate_with_samples(std::span<const float> samples,
@@ -59,11 +114,20 @@ std::string FixedQuantizer::describe() const {
                  : "fixed" + std::to_string(bits_) + "[uncalibrated]";
 }
 
-void Pow2Quantizer::apply(Tensor& t) const {
+void Pow2Quantizer::apply(std::span<float> x, GuardCounters* guards,
+                          SimdLevel level) const {
   QNN_CHECK_MSG(format_.has_value(), "Pow2Quantizer used before calibrate");
   const Pow2Format& f = *format_;
-  float* d = t.data();
-  for (std::int64_t i = 0; i < t.count(); ++i) d[i] = f.quantize(d[i]);
+  const FqVecOps* vec = fq_vec_ops(level);
+  if (vec != nullptr && f.exp_min() >= -126 && f.exp_max() <= 127) {
+    FqCounts c;
+    vec->pow2(x.data(), std::ssize(x), f.exp_min(), f.exp_max(),
+              float_limit(f.max_value()), &c);
+    add_counts(c, x, guards);
+    return;
+  }
+  apply_scalar(x, f.max_value(), guards,
+               [&](float v) { return f.quantize(v); });
 }
 
 void Pow2Quantizer::calibrate_with_samples(std::span<const float> samples,
@@ -91,11 +155,19 @@ std::string Pow2Quantizer::describe() const {
                  : "pow2" + std::to_string(bits_) + "[uncalibrated]";
 }
 
-void BinaryQuantizer::apply(Tensor& t) const {
-  const double scale = format_.scale_for(t.values());
-  float* d = t.data();
-  for (std::int64_t i = 0; i < t.count(); ++i)
-    d[i] = static_cast<float>(BinaryFormat::quantize(d[i], scale));
+void BinaryQuantizer::apply(std::span<float> x, GuardCounters* guards,
+                            SimdLevel level) const {
+  const double scale = format_.scale_for(x);
+  if (const FqVecOps* vec = fq_vec_ops(level)) {
+    FqCounts c;
+    vec->binary(x.data(), std::ssize(x), static_cast<float>(scale),
+                float_limit(clip_limit()), &c);
+    add_counts(c, x, guards);
+    return;
+  }
+  apply_scalar(x, clip_limit(), guards, [&](float v) {
+    return static_cast<float>(BinaryFormat::quantize(v, scale));
+  });
 }
 
 std::unique_ptr<ValueQuantizer> make_weight_quantizer(

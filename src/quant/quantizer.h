@@ -11,7 +11,9 @@
 #include "fixed/binary_format.h"
 #include "fixed/fixed_format.h"
 #include "fixed/pow2_format.h"
+#include "quant/guards.h"
 #include "quant/qconfig.h"
+#include "tensor/microkernel.h"
 #include "tensor/tensor.h"
 
 namespace qnn::quant {
@@ -34,8 +36,18 @@ class ValueQuantizer {
     calibrate(max_abs);
   }
 
-  // Quantizes in place.
-  virtual void apply(Tensor& t) const = 0;
+  // Quantizes in place at the active SIMD level.
+  void apply(Tensor& t) const {
+    apply(t.values(), nullptr, active_simd_level());
+  }
+
+  // Quantizes `x` in place and, when `guards` is set, adds the guard
+  // class of every value before quantization against clip_limit()
+  // (GuardCounters::observe) in the same pass. `level` picks the kernel
+  // (tensor/microkernel.h, fq_vec_ops); every level gives the same
+  // bytes and counts.
+  virtual void apply(std::span<float> x, GuardCounters* guards,
+                     SimdLevel level) const = 0;
 
   // Magnitude beyond which master weights should be clamped during QAT
   // (largest representable value); 0 disables clipping.
@@ -49,11 +61,13 @@ class ValueQuantizer {
   virtual std::unique_ptr<ValueQuantizer> clone() const = 0;
 };
 
-// Float baseline: no-op.
+// Float baseline: no-op (only NaN and Inf are guard anomalies).
 class IdentityQuantizer final : public ValueQuantizer {
  public:
+  using ValueQuantizer::apply;
   void calibrate(double) override {}
-  void apply(Tensor&) const override {}
+  void apply(std::span<float> x, GuardCounters* guards,
+             SimdLevel level) const override;
   std::string describe() const override { return "float32"; }
   int bits() const override { return 32; }
   std::unique_ptr<ValueQuantizer> clone() const override {
@@ -65,12 +79,14 @@ class FixedQuantizer final : public ValueQuantizer {
  public:
   explicit FixedQuantizer(int bits, Rounding rounding = Rounding::kNearest)
       : bits_(bits), rounding_(rounding) {}
+  using ValueQuantizer::apply;
   void calibrate(double max_abs) override {
     format_ = FixedPointFormat::for_range(bits_, max_abs, rounding_);
   }
   void calibrate_with_samples(std::span<const float> samples,
                               double max_abs) override;
-  void apply(Tensor& t) const override;
+  void apply(std::span<float> x, GuardCounters* guards,
+             SimdLevel level) const override;
   double clip_limit() const override {
     return format_ ? format_->max_value() : 0.0;
   }
@@ -90,12 +106,14 @@ class FixedQuantizer final : public ValueQuantizer {
 class Pow2Quantizer final : public ValueQuantizer {
  public:
   explicit Pow2Quantizer(int bits) : bits_(bits) {}
+  using ValueQuantizer::apply;
   void calibrate(double max_abs) override {
     format_ = Pow2Format::for_range(bits_, max_abs);
   }
   void calibrate_with_samples(std::span<const float> samples,
                               double max_abs) override;
-  void apply(Tensor& t) const override;
+  void apply(std::span<float> x, GuardCounters* guards,
+             SimdLevel level) const override;
   double clip_limit() const override {
     return format_ ? format_->max_value() : 0.0;
   }
@@ -116,8 +134,11 @@ class Pow2Quantizer final : public ValueQuantizer {
 class BinaryQuantizer final : public ValueQuantizer {
  public:
   explicit BinaryQuantizer(BinaryScaleMode mode) : format_(mode) {}
+  using ValueQuantizer::apply;
   void calibrate(double) override {}
-  void apply(Tensor& t) const override;
+  // The scale is BinaryFormat::scale_for(x), a serial sum over the span.
+  void apply(std::span<float> x, GuardCounters* guards,
+             SimdLevel level) const override;
   // BinaryConnect clips masters to [-1, 1].
   double clip_limit() const override { return 1.0; }
   std::string describe() const override { return format_.to_string(); }
@@ -129,6 +150,14 @@ class BinaryQuantizer final : public ValueQuantizer {
  private:
   BinaryFormat format_;
 };
+
+// x[i] = f.quantize(x[i]) for every i, in order, adding the guard
+// classes against f.max_value() to `guards` when set. Round-half-away
+// formats with frac in [-126, 126] run the level's fixed kernel; other
+// rounding modes run the reference loop (stochastic rounding keeps its
+// draw order).
+void quantize_fixed(const FixedPointFormat& f, std::span<float> x,
+                    GuardCounters* guards, SimdLevel level);
 
 // Builds the weight-side quantizer for a config (nullptr = identity).
 std::unique_ptr<ValueQuantizer> make_weight_quantizer(

@@ -30,9 +30,10 @@
 // covers K, the int32 lanes hold the whole sum and no Wide16 exists.
 //
 // The second half is the vector data path of IntVecOps (encode,
-// requant, max pool, im2row pack), written over 16-lane GCC vector
-// types that each flagged unit lowers to its own ISA (one zmm per
-// int32 vector under AVX-512, two ymm under AVX2).
+// requant, max pool, im2row pack) and the fake-quant kernels of
+// FqVecOps, written over 16-lane GCC vector types that each flagged
+// unit lowers to its own ISA (one zmm per int32 vector under AVX-512,
+// two ymm under AVX2).
 #pragma once
 
 #include <cstdint>
@@ -50,6 +51,8 @@ bool int_tiles_avx512(const IntTileJob& job);
 bool int_tiles_avx512_built();
 const IntVecOps* int_vec_ops_avx2();
 const IntVecOps* int_vec_ops_avx512();
+const FqVecOps* fq_vec_ops_avx2();
+const FqVecOps* fq_vec_ops_avx512();
 
 namespace {
 
@@ -72,6 +75,10 @@ struct WordLanes<std::int8_t> {
 template <>
 struct WordLanes<std::int16_t> {
   using V = VecS16;
+};
+template <>
+struct WordLanes<std::int32_t> {
+  using V = VecS32;
 };
 template <typename WordT>
 using WordVec = typename WordLanes<WordT>::V;
@@ -400,32 +407,52 @@ void run_int_tiles(const IntTileJob& job) {
 }
 
 // ---------------------------------------------------------------------
-// The vector data path (IntWordOps).
+// The vector data path (IntWordOps) and the fake-quant kernels
+// (FqVecOps). Only units with a vector ISA enabled compile them: the
+// flagged units instantiate them, and in the scalar tier's unit their
+// 64-byte vector arguments would only draw ABI warnings.
+#if defined(__AVX2__)
+
+// 2^e as a float, e in [-126, 127] (a normal float, built from its
+// exponent field).
+inline float pow2_float(int e) {
+  const std::uint32_t bits = static_cast<std::uint32_t>(e + 127) << 23;
+  float f = 0;
+  __builtin_memcpy(&f, &bits, sizeof f);
+  return f;
+}
+
+// The fixed-point word of 16 lanes of float (VecF32) or double
+// (VecF64): s * scale (scale = 2^frac) rounded half away from zero and
+// saturated to [lo, hi], int32 values exact in the lane type; NaN gives
+// 0. Scaling by 2^frac is exact, except where the product leaves the
+// lane type's normal range, and there the word is 0 or saturated
+// either way.
+template <typename VF, typename E>
+inline VecS32 fixed_word_lanes(VF s, E scale, const VF& lo, const VF& hi) {
+  s *= scale;
+  // Clamp to the raw range first (NaN passes both compares), so the
+  // truncating convert stays in range; then NaN -> 0.
+  s = s < lo ? lo : s;
+  s = s > hi ? hi : s;
+  s = s == s ? s : VF{};
+  VecS32 t = __builtin_convertvector(s, VecS32);
+  const VF f = s - __builtin_convertvector(t, VF);  // exact
+  // Round half away from zero; a true compare is -1.
+  t -= __builtin_convertvector(f >= E(0.5), VecS32);
+  t += __builtin_convertvector(f <= E(-0.5), VecS32);
+  return t;
+}
 
 template <typename WordT>
 void encode_words_vec(const float* x, std::int64_t n, int frac,
                       std::int32_t lo, std::int32_t hi, WordT* out) {
-  // 2^frac as a normal float: scaling by it is exact, except where the
-  // product leaves the normal range, and there the word is 0 or
-  // saturated either way.
-  const std::uint32_t bits = static_cast<std::uint32_t>(frac + 127) << 23;
-  float scale = 0;
-  __builtin_memcpy(&scale, &bits, sizeof scale);
+  const float scale = pow2_float(frac);
   const VecF32 flo = splat<VecF32>(static_cast<float>(lo));
   const VecF32 fhi = splat<VecF32>(static_cast<float>(hi));
   const auto lanes = [&](VecF32 s) {
-    s *= scale;
-    // Clamp to the raw range first (NaN passes both compares), so the
-    // truncating convert stays in range; then NaN -> 0.
-    s = s < flo ? flo : s;
-    s = s > fhi ? fhi : s;
-    s = s == s ? s : VecF32{};
-    VecS32 t = __builtin_convertvector(s, VecS32);
-    const VecF32 f = s - __builtin_convertvector(t, VecF32);  // exact
-    // Round half away from zero; a true compare is -1.
-    t -= f >= 0.5f;
-    t += f <= -0.5f;
-    return __builtin_convertvector(t, WordVec<WordT>);
+    return __builtin_convertvector(fixed_word_lanes(s, scale, flo, fhi),
+                                   WordVec<WordT>);
   };
   std::int64_t i = 0;
   for (; i + kIntPanel <= n; i += kIntPanel)
@@ -594,6 +621,128 @@ constexpr IntWordOps<WordT> vec_word_ops() {
   return {encode_words_vec<WordT>, requant_words_vec<WordT>,
           pool_max_vec<WordT>, pack_patch_vec<WordT>};
 }
+
+constexpr IntVecOps vec_int_ops() {
+  return {vec_word_ops<std::int8_t>(), vec_word_ops<std::int16_t>(),
+          encode_words_vec<std::int32_t>};
+}
+
+// ---------------------------------------------------------------------
+// The fake-quant kernels (FqVecOps).
+
+// Guard classes of 16 lanes at a time, counted in int32 lanes (a true
+// compare is -1), so a span may hold up to 2^35 values.
+struct GuardLanes {
+  VecS32 saturated{}, nan{}, inf{};
+  VecF32 limit{};
+
+  void count(const VecF32& v) {
+    const VecF32 mag = (VecF32)((VecU32)v & 0x7fffffffu);
+    const VecF32 inf_lanes = splat<VecF32>(__builtin_inff());
+    // NaN fails every ordered compare, so it is never saturated.
+    nan -= v != v;
+    inf -= mag == inf_lanes;
+    saturated -= (mag > limit) & (mag != inf_lanes);
+  }
+  static std::int64_t sum(const VecS32& v) {
+    std::int64_t s = 0;
+    for (int i = 0; i < kIntPanel; ++i) s += v[i];
+    return s;
+  }
+  void add_to(FqCounts* c) const {
+    c->saturated += sum(saturated);
+    c->nan += sum(nan);
+    c->inf += sum(inf);
+  }
+};
+
+// x[i] = lanes(x[i]) over the span, 16 at a time, counting the guard
+// classes of the inputs. The tail pads with zeros, which count nothing.
+template <typename Lanes>
+void fq_span(float* x, std::int64_t n, float limit, FqCounts* counts,
+             const Lanes& lanes) {
+  GuardLanes g;
+  g.limit = splat<VecF32>(limit);
+  std::int64_t i = 0;
+  for (; i + kIntPanel <= n; i += kIntPanel) {
+    const VecF32 v = vload<VecF32>(x + i);
+    g.count(v);
+    vstore(x + i, lanes(v));
+  }
+  if (i < n) {
+    float rest[kIntPanel] = {};
+    for (std::int64_t j = i; j < n; ++j) rest[j - i] = x[j];
+    const VecF32 v = vload<VecF32>(rest);
+    g.count(v);
+    vstore_part(x + i, lanes(v), n - i);
+  }
+  g.add_to(counts);
+}
+
+// The word is at most 24 bits, so it and its product with the step
+// 2^-frac (a normal float) are each one correctly rounded float: the
+// reference's exact double product, rounded once to float.
+void fq_fixed_vec(float* x, std::int64_t n, int frac, std::int32_t lo,
+                  std::int32_t hi, float limit, FqCounts* counts) {
+  const float scale = pow2_float(frac), step = pow2_float(-frac);
+  const VecF32 flo = splat<VecF32>(static_cast<float>(lo));
+  const VecF32 fhi = splat<VecF32>(static_cast<float>(hi));
+  fq_span(x, n, limit, counts, [&](const VecF32& v) {
+    return __builtin_convertvector(fixed_word_lanes(v, scale, flo, fhi),
+                                   VecF32) *
+           step;
+  });
+}
+
+// The same in double lanes: every step is exact in double (a float
+// times 2^frac, the clamp to int32 bounds, the truncation and its
+// remainder), and the word times the step is rounded once, to float.
+void fq_fixed_wide_vec(float* x, std::int64_t n, int frac, std::int32_t lo,
+                       std::int32_t hi, float limit, FqCounts* counts) {
+  const double scale = pow2_float(frac), step = pow2_float(-frac);
+  const VecF64 dlo = splat<VecF64>(static_cast<double>(lo));
+  const VecF64 dhi = splat<VecF64>(static_cast<double>(hi));
+  fq_span(x, n, limit, counts, [&](const VecF32& v) {
+    const VecS32 t = fixed_word_lanes(__builtin_convertvector(v, VecF64),
+                                      scale, dlo, dhi);
+    return __builtin_convertvector(__builtin_convertvector(t, VecF64) * step,
+                                   VecF32);
+  });
+}
+
+// log2 rounding read off the float: |v| = 2^e * (1 + m / 2^23) lies
+// between 2^e and 2^(e+1), and their arithmetic midpoint 1.5 * 2^e is
+// where mantissa bit 22 turns on. A subnormal at or above the zero
+// threshold (exp_min = -126 only) has that bit set and e = -127, so it
+// lands on 2^-126 as in the reference. Inf has exponent 128 and clamps
+// to exp_max; NaN fails the threshold compare.
+void fq_pow2_vec(float* x, std::int64_t n, int exp_min, int exp_max,
+                 float limit, FqCounts* counts) {
+  const VecF32 zero_below = splat<VecF32>(pow2_float(exp_min) * 0.5f);
+  const VecS32 lo = splat<VecS32>(exp_min), hi = splat<VecS32>(exp_max);
+  fq_span(x, n, limit, counts, [&](const VecF32& v) {
+    const VecU32 bits = (VecU32)v;
+    const VecU32 mag = bits & 0x7fffffffu;
+    VecS32 e = (VecS32)(mag >> 23) - 127 + (VecS32)((mag >> 22) & 1u);
+    e = e < lo ? lo : e;
+    e = e > hi ? hi : e;
+    const VecU32 q = (bits & 0x80000000u) | ((VecU32)(e + 127) << 23);
+    return (VecF32)((VecF32)mag >= zero_below ? q : VecU32{});
+  });
+}
+
+void fq_binary_vec(float* x, std::int64_t n, float scale, float limit,
+                   FqCounts* counts) {
+  const VecF32 pos = splat<VecF32>(scale), neg = splat<VecF32>(-scale);
+  fq_span(x, n, limit, counts,
+          [&](const VecF32& v) { return v < 0.0f ? neg : pos; });
+}
+
+constexpr FqVecOps vec_fq_ops() {
+  return {fq_fixed_vec, fq_fixed_wide_vec, fq_pow2_vec, fq_binary_vec};
+}
+
+#endif  // __AVX2__
 
 }  // namespace
 }  // namespace qnn

@@ -546,4 +546,12 @@ const IntVecOps* int_vec_ops(SimdLevel level) {
   return level >= SimdLevel::kAvx2 ? int_vec_ops_avx2() : nullptr;
 }
 
+const FqVecOps* fq_vec_ops(SimdLevel level) {
+  if (!simd_supports(level)) level = simd_support();
+  if (level == SimdLevel::kAvx512) {
+    if (const FqVecOps* ops = fq_vec_ops_avx512()) return ops;
+  }
+  return level >= SimdLevel::kAvx2 ? fq_vec_ops_avx2() : nullptr;
+}
+
 }  // namespace qnn

@@ -286,10 +286,52 @@ struct IntWordOps {
 struct IntVecOps {
   IntWordOps<std::int8_t> s8;
   IntWordOps<std::int16_t> s16;
+  // IntWordOps::encode into int32 words, for formats of at most 24 bits
+  // (lo and hi exact floats): the fixed weight words of quant/int_plan.
+  void (*encode_s32)(const float* x, std::int64_t n, int frac,
+                     std::int32_t lo, std::int32_t hi, std::int32_t* out);
 };
 
 // The table of the best vector level <= `level` this CPU supports, or
 // nullptr when that is the scalar level.
 const IntVecOps* int_vec_ops(SimdLevel level);
+
+// ---------------------------------------------------------------------
+// Fake-quant span kernels (DESIGN.md §15): quantize x[0, n) in place
+// onto a format's value grid and, in the same pass, count the guard
+// classes (quant/guards.h) of the values before quantization: NaN, ±Inf,
+// and a finite |x[i]| > limit. `limit` is the largest float <= the
+// format's clip limit (+inf when the format is unbounded), so the float
+// compare gives the double one's answer. One table per vector level,
+// written once over 16-lane vectors in tensor/int_tiles.h; the scalar
+// references are the formats' double quantize loops in
+// quant/quantizer.cc, which check the preconditions below. Every entry
+// returns exactly its reference's bytes and counts.
+struct FqCounts {
+  std::int64_t saturated = 0, nan = 0, inf = 0;
+};
+
+struct FqVecOps {
+  // Fixed point, round half away from zero: the word of x[i] * 2^frac
+  // saturated to [lo, hi] (NaN -> 0), times 2^-frac. At most 24 bits
+  // (IntWordOps::encode's lanes); frac in [-126, 126].
+  void (*fixed)(float* x, std::int64_t n, int frac, std::int32_t lo,
+                std::int32_t hi, float limit, FqCounts* counts);
+  // The same steps in double lanes, for 25 to 32 bits.
+  void (*fixed_wide)(float* x, std::int64_t n, int frac, std::int32_t lo,
+                     std::int32_t hi, float limit, FqCounts* counts);
+  // Power of two: +0 for NaN and below 2^(exp_min - 1); else sign(x[i])
+  // * 2^clamp(e, exp_min, exp_max), e the exponent of x[i], +1 when its
+  // mantissa is >= 1.5. exp_min >= -126 and exp_max <= 127.
+  void (*pow2)(float* x, std::int64_t n, int exp_min, int exp_max,
+               float limit, FqCounts* counts);
+  // Binary: x[i] < 0 ? -scale : scale (NaN and -0 give +scale).
+  void (*binary)(float* x, std::int64_t n, float scale, float limit,
+                 FqCounts* counts);
+};
+
+// The table of the best vector level <= `level` this CPU supports, or
+// nullptr when that is the scalar level.
+const FqVecOps* fq_vec_ops(SimdLevel level);
 
 }  // namespace qnn

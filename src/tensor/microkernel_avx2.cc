@@ -105,8 +105,8 @@ struct Avx2 {
   }
 };
 
-constexpr IntVecOps kVecOps{vec_word_ops<std::int8_t>(),
-                            vec_word_ops<std::int16_t>()};
+constexpr IntVecOps kVecOps = vec_int_ops();
+constexpr FqVecOps kFqOps = vec_fq_ops();
 
 }  // namespace
 
@@ -116,6 +116,7 @@ bool int_tiles_avx2(const IntTileJob& job) {
 }
 
 const IntVecOps* int_vec_ops_avx2() { return &kVecOps; }
+const FqVecOps* fq_vec_ops_avx2() { return &kFqOps; }
 
 }  // namespace qnn
 
@@ -125,6 +126,7 @@ namespace qnn {
 
 bool int_tiles_avx2(const IntTileJob&) { return false; }
 const IntVecOps* int_vec_ops_avx2() { return nullptr; }
+const FqVecOps* fq_vec_ops_avx2() { return nullptr; }
 
 }  // namespace qnn
 

@@ -90,8 +90,8 @@ struct Avx512 {
   }
 };
 
-constexpr IntVecOps kVecOps{vec_word_ops<std::int8_t>(),
-                            vec_word_ops<std::int16_t>()};
+constexpr IntVecOps kVecOps = vec_int_ops();
+constexpr FqVecOps kFqOps = vec_fq_ops();
 
 }  // namespace
 
@@ -103,6 +103,7 @@ bool int_tiles_avx512(const IntTileJob& job) {
 bool int_tiles_avx512_built() { return true; }
 
 const IntVecOps* int_vec_ops_avx512() { return &kVecOps; }
+const FqVecOps* fq_vec_ops_avx512() { return &kFqOps; }
 
 }  // namespace qnn
 
@@ -113,6 +114,7 @@ namespace qnn {
 bool int_tiles_avx512(const IntTileJob&) { return false; }
 bool int_tiles_avx512_built() { return false; }
 const IntVecOps* int_vec_ops_avx512() { return nullptr; }
+const FqVecOps* fq_vec_ops_avx512() { return nullptr; }
 
 }  // namespace qnn
 

@@ -610,6 +610,68 @@ TEST(Determinism, SweepCheckpointBytesMatchSerial) {
     std::filesystem::remove(p);
 }
 
+TEST(Determinism, QatSweepBytesMatchScalarLevel) {
+  // The fake-quant kernels (DESIGN.md §15) re-quantize every weight and
+  // feature map on every QAT step: a sweep over fixed, pow2 and binary
+  // points writes the same checkpoint bytes and guard totals at the
+  // scalar level as at every vector level this CPU supports.
+  ThreadGuard guard;
+  ThreadPool::set_global_threads(1);
+  const std::string dir = ::testing::TempDir();
+
+  exp::ExperimentSpec spec;
+  spec.network = "lenet";
+  spec.dataset = "mnist";
+  spec.channel_scale = 0.2;
+  spec.data.num_train = 160;
+  spec.data.num_test = 80;
+  spec.data.seed = 9;
+  spec.float_train.epochs = 1;
+  spec.float_train.batch_size = 20;
+  spec.float_train.sgd.learning_rate = 0.02;
+  spec.qat_train = spec.float_train;
+  spec.qat_train.sgd.learning_rate = 0.01;
+  const std::vector<quant::PrecisionConfig> precisions = {
+      quant::fixed_config(8, 8), quant::pow2_config(6, 16),
+      quant::binary_config(16)};
+
+  const auto run_at = [&](SimdLevel level, const std::string& ck) {
+    for (const auto& p : {ck, ck + ".weights"}) std::filesystem::remove(p);
+    ScopedSimdLevel force(level);
+    exp::SweepOptions o;
+    o.checkpoint_path = ck;
+    return exp::run_precision_sweep(spec, precisions, 0.0, o);
+  };
+  const std::string ck_scalar = dir + "/det_qat_scalar.json";
+  const exp::SweepResult ref = run_at(SimdLevel::kScalar, ck_scalar);
+  ASSERT_EQ(ref.points.size(), precisions.size());
+  std::int64_t values = 0;
+  for (const exp::PrecisionResult& p : ref.points) values += p.guards.values;
+  ASSERT_GT(values, 0);
+  for (SimdLevel level : {SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    if (!simd_supports(level)) continue;
+    SCOPED_TRACE(simd_level_name(level));
+    const std::string ck =
+        dir + "/det_qat_" + simd_level_name(level) + ".json";
+    const exp::SweepResult r = run_at(level, ck);
+    ASSERT_EQ(r.points.size(), ref.points.size());
+    for (std::size_t i = 0; i < r.points.size(); ++i) {
+      SCOPED_TRACE("point " + std::to_string(i));
+      EXPECT_EQ(r.points[i].accuracy, ref.points[i].accuracy);
+      EXPECT_EQ(r.points[i].guards.values, ref.points[i].guards.values);
+      EXPECT_EQ(r.points[i].guards.saturated,
+                ref.points[i].guards.saturated);
+      EXPECT_EQ(r.points[i].guards.nan, ref.points[i].guards.nan);
+      EXPECT_EQ(r.points[i].guards.inf, ref.points[i].guards.inf);
+    }
+    EXPECT_EQ(read_file(ck), read_file(ck_scalar));
+    EXPECT_EQ(read_file(ck + ".weights"), read_file(ck_scalar + ".weights"));
+    for (const auto& p : {ck, ck + ".weights"}) std::filesystem::remove(p);
+  }
+  for (const auto& p : {ck_scalar, ck_scalar + ".weights"})
+    std::filesystem::remove(p);
+}
+
 // The native integer inference path (DESIGN.md §15): a frozen fixed-
 // point forward is bit-identical at every thread count AND every SIMD
 // level — integer accumulation is exact, so this is structural, and it
