@@ -20,6 +20,29 @@ void ensure_scratch(std::vector<std::vector<float>>& bufs,
     if (bufs[i].size() < elems) bufs[i].resize(elems);
 }
 
+// db[c] += the sum of one sample's gO[c, 0..cols), in double. Each
+// channel keeps its own serial chain in position order; interleaving
+// kChains channels lets their adds overlap instead of waiting on one
+// chain's latency. (At 8 chains GCC packs the strided loads into
+// vectors lane by lane, which measured no faster than one chain.)
+void add_bias_grad(const float* go, std::int64_t cout, std::int64_t cols,
+                   double* db) {
+  constexpr std::int64_t kChains = 4;
+  std::int64_t c = 0;
+  for (; c + kChains <= cout; c += kChains) {
+    double acc[kChains];
+    for (std::int64_t t = 0; t < kChains; ++t) acc[t] = db[c + t];
+    const float* src = go + c * cols;
+    for (std::int64_t i = 0; i < cols; ++i)
+      for (std::int64_t t = 0; t < kChains; ++t) acc[t] += src[t * cols + i];
+    for (std::int64_t t = 0; t < kChains; ++t) db[c + t] = acc[t];
+  }
+  for (; c < cout; ++c) {
+    const float* src = go + c * cols;
+    for (std::int64_t i = 0; i < cols; ++i) db[c] += src[i];
+  }
+}
+
 }  // namespace
 
 Conv2d::Conv2d(std::int64_t in_channels, const ConvSpec& spec)
@@ -98,6 +121,16 @@ Tensor Conv2d::forward(const Tensor& in) {
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
+  Tensor grad_in(cached_in_.shape());
+  run_backward(grad_out, &grad_in);
+  return grad_in;
+}
+
+void Conv2d::backward_params(const Tensor& grad_out) {
+  run_backward(grad_out, nullptr);
+}
+
+void Conv2d::run_backward(const Tensor& grad_out, Tensor* grad_in) {
   QNN_CHECK_MSG(!cached_in_.empty(), "backward before forward");
   const Tensor& in = cached_in_;
   const ConvGeometry g = geometry(in.shape());
@@ -107,7 +140,6 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   const std::int64_t cout = spec_.out_channels;
   QNN_CHECK(grad_out.shape() == output_shape(in.shape()));
 
-  Tensor grad_in(in.shape());
   const std::int64_t in_sample = in.shape().count_from(1);
   const std::int64_t out_sample = cout * cols;
   const std::size_t wcount = static_cast<std::size_t>(weight_.count());
@@ -116,14 +148,20 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   const std::vector<Shard> shards = make_shards(n, kReductionShards);
   ensure_scratch(colbuf_, shards.size(),
                  static_cast<std::size_t>(rows * cols));
-  ensure_scratch(gcol_, shards.size(), static_cast<std::size_t>(rows * cols));
-  ensure_scratch(dw_, shards.size(), wcount);
+  ensure_scratch(dwt_, shards.size(), wcount);
   if (gemm_scratch_.size() < shards.size())
     gemm_scratch_.resize(shards.size());
   if (db_.size() < shards.size()) db_.resize(shards.size());
   for (std::size_t i = 0; i < shards.size(); ++i)
     if (db_[i].size() < static_cast<std::size_t>(cout))
       db_[i].resize(static_cast<std::size_t>(cout));
+  if (grad_in != nullptr) {
+    ensure_scratch(gcol_, shards.size(),
+                   static_cast<std::size_t>(rows * cols));
+    // W^T once per backward, not once per sample's dcol product.
+    if (wt_.size() < wcount) wt_.resize(wcount);
+    transpose_into(wt_.data(), weight_.value.data(), rows, cout);
+  }
 
   // Each shard accumulates weight/bias gradients into its own partials;
   // grad_in writes are disjoint per sample. Partials merge below in
@@ -132,43 +170,39 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
       static_cast<std::int64_t>(shards.size()), [&](std::int64_t si) {
         const std::size_t u = static_cast<std::size_t>(si);
         float* colbuf = colbuf_[u].data();
-        float* gcol = gcol_[u].data();
-        float* dw = dw_[u].data();
+        float* dwt = dwt_[u].data();
         double* db = db_[u].data();
-        std::memset(dw, 0, sizeof(float) * wcount);
+        std::memset(dwt, 0, sizeof(float) * wcount);
         for (std::int64_t c = 0; c < cout; ++c) db[c] = 0.0;
         const Shard& sh = shards[u];
         for (std::int64_t s = sh.begin; s < sh.end; ++s) {
           const float* go = grad_out.data() + s * out_sample;
-          // dW[Cout, rows] += gO[Cout, cols] * cols^T
+          // dW^T[rows, Cout] += cols[rows, cols] * gO^T: element (r, c)
+          // folds the products of dW[c, r] in the same order, and the
+          // partial stays in this layout until the merge.
           im2col(g, in.data() + s * in_sample, colbuf);
-          gemm({.m = cout, .n = rows, .k = cols, .a = go, .b = colbuf,
-                .trans_b = true, .c = dw, .accumulate = true},
+          gemm({.m = rows, .n = cout, .k = cols, .a = colbuf, .b = go,
+                .trans_b = true, .c = dwt, .accumulate = true},
                &gemm_scratch_[u]);
-          // db[c] += sum of gO over spatial positions
-          if (has_bias) {
-            for (std::int64_t c = 0; c < cout; ++c) {
-              const float* src = go + c * cols;
-              for (std::int64_t i = 0; i < cols; ++i) db[c] += src[i];
-            }
-          }
+          if (has_bias) add_bias_grad(go, cout, cols, db);
+          if (grad_in == nullptr) continue;
           // dcols[rows, cols] = W^T[rows, Cout] * gO[Cout, cols]
-          gemm({.m = rows, .n = cols, .k = cout, .a = weight_.value.data(),
-                .trans_a = true, .b = go, .c = gcol},
+          float* gcol = gcol_[u].data();
+          gemm({.m = rows, .n = cols, .k = cout, .a = wt_.data(), .b = go,
+                .c = gcol},
                &gemm_scratch_[u]);
-          col2im(g, gcol, grad_in.data() + s * in_sample);
+          col2im(g, gcol, grad_in->data() + s * in_sample);
         }
       });
 
   for (std::size_t si = 0; si < shards.size(); ++si) {
-    const float* dw = dw_[si].data();
-    for (std::size_t w = 0; w < wcount; ++w) weight_.grad[w] += dw[w];
+    transpose_into(weight_.grad.data(), dwt_[si].data(), cout, rows,
+                   /*accumulate=*/true);
     if (has_bias) {
       for (std::int64_t c = 0; c < cout; ++c)
         bias_.grad[c] += static_cast<float>(db_[si][c]);
     }
   }
-  return grad_in;
 }
 
 std::vector<Param*> Conv2d::params() {

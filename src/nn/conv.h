@@ -25,6 +25,7 @@ class Conv2d final : public Layer {
   Shape output_shape(const Shape& in) const override;
   Tensor forward(const Tensor& in) override;
   Tensor backward(const Tensor& grad_out) override;
+  void backward_params(const Tensor& grad_out) override;
   std::vector<Param*> params() override;
   LayerDesc describe(const Shape& in) const override;
   LayerPtr clone() const override { return std::make_unique<Conv2d>(*this); }
@@ -39,6 +40,8 @@ class Conv2d final : public Layer {
 
  private:
   ConvGeometry geometry(const Shape& in) const;
+  // Accumulates dW and db and, when grad_in is not null, writes dX.
+  void run_backward(const Tensor& grad_out, Tensor* grad_in);
 
   std::int64_t in_channels_;
   ConvSpec spec_;
@@ -52,8 +55,9 @@ class Conv2d final : public Layer {
   // forward/backward (clone() copies are resized on first use).
   std::vector<std::vector<float>> colbuf_;   // im2col patches
   std::vector<std::vector<float>> gcol_;     // column-space gradients
-  std::vector<std::vector<float>> dw_;       // weight-grad partials
+  std::vector<std::vector<float>> dwt_;      // dW^T partials [rows, Cout]
   std::vector<std::vector<double>> db_;      // bias-grad partials
+  std::vector<float> wt_;                    // W^T [rows, Cout] for dcol
   // Per-shard gemm workspaces: Cin*K*K exceeds the K-chunk width for
   // the paper's larger convolutions, so each shard's gemms carry their
   // own chunk-partial (and bt transpose) buffers across calls.

@@ -56,7 +56,7 @@ Tensor InnerProduct::forward(const Tensor& in) {
   return out;
 }
 
-Tensor InnerProduct::backward(const Tensor& grad_out) {
+void InnerProduct::backward_params(const Tensor& grad_out) {
   QNN_CHECK_MSG(!cached_in_.empty(), "backward before forward");
   const std::int64_t n = cached_in_.shape()[0];
   QNN_CHECK(grad_out.shape() == Shape({n, out_features_}));
@@ -84,8 +84,12 @@ Tensor InnerProduct::backward(const Tensor& grad_out) {
           }
         });
   }
+}
 
+Tensor InnerProduct::backward(const Tensor& grad_out) {
+  backward_params(grad_out);
   // dX[N, In] = gO[N, Out] * W[Out, In]
+  const std::int64_t n = cached_in_.shape()[0];
   Tensor grad_flat(Shape{n, in_features_});
   gemm({.m = n, .n = in_features_, .k = out_features_, .a = grad_out.data(),
         .b = weight_.value.data(), .c = grad_flat.data()},

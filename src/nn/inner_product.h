@@ -17,6 +17,7 @@ class InnerProduct final : public Layer {
   Shape output_shape(const Shape& in) const override;
   Tensor forward(const Tensor& in) override;
   Tensor backward(const Tensor& grad_out) override;
+  void backward_params(const Tensor& grad_out) override;
   std::vector<Param*> params() override;
   LayerDesc describe(const Shape& in) const override;
   LayerPtr clone() const override {

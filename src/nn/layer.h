@@ -46,6 +46,14 @@ class Layer {
   // returns d(loss)/d(in). Only valid after a forward on the same batch.
   virtual Tensor backward(const Tensor& grad_out) = 0;
 
+  // backward() for a network's first layer, whose d(loss)/d(in) no one
+  // reads: accumulates the same parameter gradient bytes and returns
+  // nothing. The default runs backward() and drops the result; layers
+  // whose input gradient is a product of its own skip it.
+  virtual void backward_params(const Tensor& grad_out) {
+    (void)backward(grad_out);
+  }
+
   virtual std::vector<Param*> params() { return {}; }
 
   // Deep copy of this layer (parameters, gradients, cached state). Used

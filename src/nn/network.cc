@@ -15,9 +15,11 @@ Tensor Network::forward(const Tensor& input) {
 }
 
 void Network::backward(const Tensor& grad_output) {
+  if (layers_.empty()) return;
   Tensor g = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
-    g = (*it)->backward(g);
+  for (std::size_t i = layers_.size() - 1; i > 0; --i)
+    g = layers_[i]->backward(g);
+  layers_.front()->backward_params(g);
 }
 
 std::vector<Param*> Network::trainable_params() {

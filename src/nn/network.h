@@ -45,6 +45,8 @@ class Network final : public Model {
   }
 
   Tensor forward(const Tensor& input) override;
+  // Layers last to first; the first layer runs backward_params, since
+  // no one reads the input gradient.
   void backward(const Tensor& grad_output) override;
   std::vector<Param*> trainable_params() override;
   std::string name() const override { return name_; }

@@ -74,6 +74,42 @@ const FixedPointFormat& fixed_format(const ValueQuantizer& q) {
   return *fq->format();
 }
 
+inline std::uint32_t float_bits(float x) {
+  std::uint32_t bits = 0;
+  std::memcpy(&bits, &x, sizeof bits);
+  return bits;
+}
+
+// A nonzero weight on the pow2 grid is a normal ±2^e: an all-zero
+// mantissa and e in the exponent field. Returns nonzero for a nonzero
+// magnitude that is anything else (subnormal, Inf, NaN, not a power of
+// two), zero for +-0 and the grid.
+inline std::uint32_t off_pow2_grid(std::uint32_t mag) {
+  const std::uint32_t field = mag >> 23;
+  return (mag & 0x7FFFFFu) | (mag != 0 && field - 1u >= 0xFEu ? 1u : 0u);
+}
+
+// The codes of v[0, n) read off the bits, and whether any value is off
+// the grid. Two branch-free passes, one store width each: a loop that
+// stores the int32 words and the int8 signs together does not
+// vectorize.
+bool encode_pow2_grid(const float* __restrict v, std::int64_t n,
+                      std::int32_t* __restrict words,
+                      std::int8_t* __restrict sign) {
+  std::uint32_t off = 0;
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::uint32_t mag = float_bits(v[i]) & 0x7FFFFFFFu;
+    words[i] = mag != 0 ? static_cast<std::int32_t>(mag >> 23) - 127 : 0;
+    off |= off_pow2_grid(mag);
+  }
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::uint32_t bits = float_bits(v[i]);
+    sign[i] = static_cast<std::int8_t>(
+        (bits & 0x7FFFFFFFu) != 0 ? 1 - 2 * static_cast<int>(bits >> 31) : 0);
+  }
+  return off != 0;
+}
+
 // Encodes the live (quantized) values of a weight tensor for `kind`'s
 // weight block. Pow2 and binary read their codes off the values, which
 // already sit on the quantizer's grid. The loops run over raw pointers:
@@ -98,32 +134,9 @@ IntWeights encode_weights(PrecisionKind kind, const Tensor& w,
       out.sign.resize(count);
       std::int32_t* words = out.words.data();
       std::int8_t* sign = out.sign.data();
-      // A nonzero weight on the grid is a normal ±2^e: an all-zero
-      // mantissa and e in the exponent field. This loop reads those
-      // branch-free; any other nonzero value (subnormal, Inf, NaN, off
-      // the grid) is redone below with the rounded log.
-      const auto pow2_bits = [&](std::int64_t i) {
-        std::uint32_t bits = 0;
-        std::memcpy(&bits, &v[i], sizeof bits);
-        return bits;
-      };
-      const auto normal_pow2 = [](std::uint32_t mag) {
-        const std::uint32_t field = mag >> 23;
-        return (mag & 0x7FFFFFu) == 0 && field != 0 && field != 0xFFu;
-      };
-      bool other = false;
-      for (std::int64_t i = 0; i < n; ++i) {
-        const std::uint32_t bits = pow2_bits(i);
-        const std::uint32_t mag = bits & 0x7FFFFFFFu;
-        const bool nonzero = mag != 0;
-        sign[i] = static_cast<std::int8_t>(
-            nonzero ? 1 - 2 * static_cast<int>(bits >> 31) : 0);
-        words[i] = nonzero ? static_cast<int>(mag >> 23) - 127 : 0;
-        other |= nonzero && !normal_pow2(mag);
-      }
+      const bool other = encode_pow2_grid(v, n, words, sign);
       for (std::int64_t i = 0; other && i < n; ++i) {
-        const std::uint32_t mag = pow2_bits(i) & 0x7FFFFFFFu;
-        if (mag == 0 || normal_pow2(mag)) continue;
+        if (off_pow2_grid(float_bits(v[i]) & 0x7FFFFFFFu) == 0) continue;
         sign[i] = v[i] > 0 ? 1 : -1;
         words[i] = static_cast<int>(
             std::lround(std::log2(std::fabs(static_cast<double>(v[i])))));

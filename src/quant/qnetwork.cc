@@ -283,9 +283,7 @@ void QuantizedNetwork::backward(const Tensor& grad_output) {
   // Straight-through estimator: activation and weight quantizers are
   // treated as identity for gradients, so the plain layer backward pass
   // (which ran its forward on quantized values) is exactly STE.
-  Tensor g = grad_output;
-  for (std::size_t i = net_.num_layers(); i-- > 0;)
-    g = net_.layer(i).backward(g);
+  net_.backward(grad_output);
   restore_masters();
 
   // Optional fixed-point training (Gupta et al.): constrain the

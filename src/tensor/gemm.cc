@@ -239,18 +239,19 @@ void gemm_impl(const GemmOp& op, GemmScratch& scratch) {
   });
 }
 
-// Tiled out-of-place transpose: dst[r*cols + c] = src[c*rows + r].
-// Naive loops touch a new cache line on every element of the strided
-// side (worth ~10x on a tall-K weight matrix); square tiles keep both
-// the contiguous writes and the strided reads in a cache-resident
-// footprint. Pure data movement sharded over destination row tiles
-// (disjoint writes), so the bytes are identical at any pool size.
+// transpose_into (gemm.h) is tiled: naive loops touch a new cache line
+// on every element of the strided side (worth ~10x on a tall-K weight
+// matrix); square tiles keep both the contiguous writes and the strided
+// reads in a cache-resident footprint. Sharded over destination row
+// tiles (disjoint writes), so the bytes are identical at any pool size.
 // 16 floats = one 64-byte cache line per row segment on both sides of
 // the copy, the sweet spot measured on the tall-K weight shapes.
 constexpr std::int64_t kTransposeTile = 16;
 
+}  // namespace
+
 void transpose_into(float* dst, const float* src, std::int64_t rows,
-                    std::int64_t cols) {
+                    std::int64_t cols, bool accumulate) {
   const std::int64_t row_tiles = (rows + kTransposeTile - 1) / kTransposeTile;
   parallel_for_shards(
       row_tiles, kReductionShards, shard_grain(2 * kTransposeTile * cols),
@@ -262,13 +263,20 @@ void transpose_into(float* dst, const float* src, std::int64_t rows,
             const std::int64_t c1 = std::min(cols, c0 + kTransposeTile);
             for (std::int64_t r = r0; r < r1; ++r) {
               float* d = dst + r * cols;
-              for (std::int64_t c = c0; c < c1; ++c)
-                d[c] = src[c * rows + r];
+              if (accumulate) {
+                for (std::int64_t c = c0; c < c1; ++c)
+                  d[c] += src[c * rows + r];
+              } else {
+                for (std::int64_t c = c0; c < c1; ++c)
+                  d[c] = src[c * rows + r];
+              }
             }
           }
         }
       });
 }
+
+namespace {
 
 // Materialize a transposed operand once: src is stored [cols, rows],
 // the result [rows, cols] (A stored [K,M] -> [M,K], B stored [N,K] ->

@@ -127,8 +127,8 @@ enum class BiasAxis { kRow, kCol };
 // C[M,N] = A[M,K] * B[K,N], all row-major, optionally with a transposed
 // operand, accumulated into C, and/or followed by a bias:
 //
-//   trans_a     A is stored [K,M] (conv's dcol = W^T * dO)
-//   trans_b     B is stored [N,K] (InnerProduct's forward and conv's dW)
+//   trans_a     A is stored [K,M] (InnerProduct's dW = dO^T * X)
+//   trans_b     B is stored [N,K] (InnerProduct's forward, conv's dW^T)
 //   accumulate  C += A*B instead of C = A*B (see the contract above)
 //   bias        null, or M floats (kRow: conv's per-output-channel bias)
 //               or N floats (kCol: InnerProduct's per-feature bias)
@@ -138,7 +138,8 @@ enum class BiasAxis { kRow, kCol };
 //
 // A trans_b op whose B^T would move more floats than A^T and C^T
 // together (N*K > M*K + M*N, a pure function of the shape — the
-// inner-product forward, conv's dW) runs as the transposed product
+// inner-product forward, and conv's dW^T where Cout outgrows Cin*K*K)
+// runs as the transposed product
 // C^T = B_stored * A^T with the bias axis swapped, then transposes the
 // small result into C; accumulate transposes the old C in first. The
 // bytes equal the plain product's: fma(a, b, c) == fma(b, a, c), the K
@@ -157,5 +158,13 @@ struct GemmOp {
 };
 
 void gemm(const GemmOp& op, GemmScratch* scratch = nullptr);
+
+// dst[r*cols + c] = src[c*rows + r] (src stored [cols, rows], dst
+// [rows, cols]), or += with accumulate: one float add per element, so a
+// sequence of calls adds in call order. Pure data movement otherwise,
+// sharded over disjoint destination tiles: the same bytes at any pool
+// size.
+void transpose_into(float* dst, const float* src, std::int64_t rows,
+                    std::int64_t cols, bool accumulate = false);
 
 }  // namespace qnn

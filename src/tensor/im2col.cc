@@ -62,20 +62,29 @@ void im2col(const ConvGeometry& g, const float* image, float* cols) {
 void col2im(const ConvGeometry& g, const float* cols, float* image) {
   QNN_SPAN("col2im", "tensor");
   const std::int64_t oh = g.out_h(), ow = g.out_w();
-  std::int64_t row = 0;
+  const F32VecOps* vec =
+      g.stride_h == 1 && g.stride_w == 1 ? f32_vec_ops(active_simd_level())
+                                         : nullptr;
+  const float* in = cols;
   for (std::int64_t c = 0; c < g.in_c; ++c) {
     float* channel = image + c * g.in_h * g.in_w;
     for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
-      for (std::int64_t kw = 0; kw < g.kernel_w; ++kw, ++row) {
-        const float* in = cols + row * (oh * ow);
-        for (std::int64_t y = 0; y < oh; ++y) {
-          const std::int64_t iy = y * g.stride_h - g.pad_h + kh;
-          if (iy < 0 || iy >= g.in_h) continue;
-          float* dst = channel + iy * g.in_w;
-          for (std::int64_t x = 0; x < ow; ++x) {
-            const std::int64_t ix = x * g.stride_w - g.pad_w + kw;
-            if (ix >= 0 && ix < g.in_w) dst[ix] += in[y * ow + x];
-          }
+      const TapRange ys = tap_range(oh, g.in_h, g.stride_h, kh - g.pad_h);
+      for (std::int64_t kw = 0; kw < g.kernel_w; ++kw, in += oh * ow) {
+        const std::int64_t dx = kw - g.pad_w;
+        const TapRange xs = tap_range(ow, g.in_w, g.stride_w, dx);
+        if (vec != nullptr) {
+          vec->col2im_row({g.in_w, oh, ow, (kh - g.pad_h) * g.in_w + dx,
+                           ys.lo, ys.hi, xs.lo, xs.hi},
+                          in, channel);
+          continue;
+        }
+        for (std::int64_t y = ys.lo; y < ys.hi; ++y) {
+          const float* src = in + y * ow;
+          const std::int64_t base =
+              (y * g.stride_h - g.pad_h + kh) * g.in_w + dx;
+          for (std::int64_t x = xs.lo; x < xs.hi; ++x)
+            channel[base + x * g.stride_w] += src[x];
         }
       }
     }

@@ -45,7 +45,10 @@ TapRange tap_range(std::int64_t out, std::int64_t in, std::int64_t stride,
 void im2col(const ConvGeometry& g, const float* image, float* cols);
 
 // Adjoint: accumulates `cols` back into `image` (image must be
-// zero-initialized by the caller).
+// zero-initialized by the caller, or hold what the adds should land
+// on). Each K row adds its in-bounds run (tap_range) per output row,
+// so an image element takes its adds in K-row order at every SIMD
+// level.
 void col2im(const ConvGeometry& g, const float* cols, float* image);
 
 }  // namespace qnn

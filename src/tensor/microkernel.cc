@@ -25,8 +25,14 @@ namespace {
 // Scalar float kernel — the canonical order, spelled portably. One
 // std::fmaf per (element, p): correctly rounded by IEEE 754, so this IS
 // the AVX2 kernel's arithmetic, minus the registers. Unrolled 4 rows so
-// the compiler keeps accumulator rows hot and vectorizes the N loop
-// (auto-vectorized fmaf lanes compute the same bytes — lanes never mix).
+// the compiler keeps accumulator rows hot. The N loops stay scalar:
+// vectorized fmaf lanes would give the same bytes (lanes never mix),
+// but under -O3 -march=native they turned QNN_SIMD=off into a second
+// vector kernel, and micro_bench's AVX2-vs-scalar row into noise.
+// (GCC, the project's compiler; other compilers may still vectorize.)
+#if defined(__GNUC__) && !defined(__clang__)
+__attribute__((optimize("no-tree-vectorize")))
+#endif
 void block_f32_scalar(std::int64_t mb, std::int64_t nb, std::int64_t kb,
                       const float* a, std::int64_t lda, const float* b,
                       std::int64_t ldb, float* c, std::int64_t ldc) {
@@ -273,8 +279,8 @@ __attribute__((target("avx2,fma"))) void block_f32_avx2(
 }
 
 // ---------------------------------------------------------------------
-// AVX2 float data path (F32VecOps): im2col row moves and the max-pool
-// window scan, 8 outputs per vector.
+// AVX2 float data path (F32VecOps): im2col row moves, their adjoint
+// row adds, and the max-pool window scan, 8 outputs per vector.
 
 // Each 8-column group of the K row keeps one load mask ([x0, x1)) and
 // one store mask (< ow) for all its rows: rows [y0, y1) are masked row
@@ -310,6 +316,31 @@ __attribute__((target("avx2"))) void im2col_row_avx2(const Im2colRow& r,
     } else {
       im2col_group_avx2<true>(r, src + x, in, keep, out + x);
     }
+  }
+}
+
+// The adjoint row: each in-bounds row's run [x0, x1) is added into the
+// plane 8 floats at a time, the last group masked. One float add per
+// element, as in the scalar loop.
+__attribute__((target("avx2"))) void col2im_row_avx2(const Im2colRow& r,
+                                                     const float* cols,
+                                                     float* plane) {
+  const std::int64_t run = r.x1 - r.x0;
+  if (run <= 0) return;
+  const __m256i tail = _mm256_cmpgt_epi32(
+      _mm256_set1_epi32(static_cast<int>(run % 8)), lane_index());
+  for (std::int64_t y = r.y0; y < r.y1; ++y) {
+    const float* src = cols + (y * r.ow + r.x0);
+    float* dst = plane + (r.offset + y * r.w + r.x0);
+    std::int64_t x = 0;
+    for (; x + 8 <= run; x += 8)
+      store_cols<false>(dst + x, tail,
+                        _mm256_add_ps(load_cols<false>(dst + x, tail),
+                                      load_cols<false>(src + x, tail)));
+    if (x < run)
+      store_cols<true>(dst + x, tail,
+                       _mm256_add_ps(load_cols<true>(dst + x, tail),
+                                     load_cols<true>(src + x, tail)));
   }
 }
 
@@ -411,7 +442,8 @@ __attribute__((target("avx2"))) void pool_max_f32_avx2(const MaxPoolRect& r,
   }
 }
 
-constexpr F32VecOps kF32Avx2{im2col_row_avx2, pool_max_f32_avx2};
+constexpr F32VecOps kF32Avx2{im2col_row_avx2, col2im_row_avx2,
+                              pool_max_f32_avx2};
 
 #endif  // QNN_MICROKERNEL_X86
 

@@ -107,10 +107,11 @@ void gemm_block_f32(SimdLevel level, std::int64_t mb, std::int64_t nb,
 
 // ---------------------------------------------------------------------
 // The float data path around the GEMM (DESIGN.md §9): vector forms of
-// the im2col row copy (tensor/im2col.cc) and the max-pool window scan
-// (nn/pool.cc), whose scalar loops stay the references. Both move and
-// compare floats without arithmetic, so every entry returns exactly its
-// reference's bytes.
+// the im2col row copy and its col2im adjoint (tensor/im2col.cc) and the
+// max-pool window scan (nn/pool.cc), whose scalar loops stay the
+// references. They move and compare floats, and col2im adds each
+// element once per K row as the scalar loop does, so every entry
+// returns exactly its reference's bytes.
 
 // One K row of a stride-1 im2col: out[y * ow + x] = plane[offset + y * w
 // + x] for y in [y0, y1) and x in [x0, x1) — the taps inside the input
@@ -138,6 +139,10 @@ struct MaxPoolRect {
 
 struct F32VecOps {
   void (*im2col_row)(const Im2colRow& r, const float* plane, float* out);
+  // The adjoint of im2col_row (col2im): plane[offset + y * w + x] +=
+  // cols[y * ow + x] for y in [y0, y1) and x in [x0, x1), one float add
+  // per element, so the bytes are the scalar loop's.
+  void (*col2im_row)(const Im2colRow& r, const float* cols, float* plane);
   void (*pool_max)(const MaxPoolRect& r, float* out, std::int64_t* argmax);
 };
 

@@ -1,6 +1,7 @@
 // The float data path around the GEMM (DESIGN.md §9) checked at every
 // SIMD level this CPU supports: im2col's run copies (scalar) and masked
-// row moves (vector) against a naive per-element oracle, and max
+// row moves (vector) against a naive per-element oracle, col2im's run
+// adds against the naive adjoint, and max
 // pooling's vector spans against a naive window scan — values and
 // argmax, through ties, NaN and ±inf windows and ceil-mode edges.
 #include <gtest/gtest.h>
@@ -74,6 +75,71 @@ TEST(FloatDatapath, Im2colMatchesNaiveOracleAtEveryLevel) {
             // Stale bytes the copy must overwrite everywhere.
             std::vector<float> got(want.size(), 7.0f);
             im2col(g, image.data(), got.data());
+            ASSERT_TRUE(bytes_equal(want, got))
+                << simd_level_name(level) << " k=" << kernel
+                << " s=" << stride << " pad=" << pad << " w=" << w
+                << " ow=" << g.out_w();
+          }
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_GT(cases, 150);
+}
+
+// col2im, the adjoint: every K row's tap added into the image one at a
+// time, in (row, y, x) order, with the bounds test on every element.
+void naive_col2im(const ConvGeometry& g, const std::vector<float>& cols,
+                  std::vector<float>& image) {
+  const std::int64_t oh = g.out_h(), ow = g.out_w();
+  std::size_t e = 0;
+  for (std::int64_t c = 0; c < g.in_c; ++c)
+    for (std::int64_t kh = 0; kh < g.kernel_h; ++kh)
+      for (std::int64_t kw = 0; kw < g.kernel_w; ++kw)
+        for (std::int64_t y = 0; y < oh; ++y)
+          for (std::int64_t x = 0; x < ow; ++x, ++e) {
+            const std::int64_t iy = y * g.stride_h - g.pad_h + kh;
+            const std::int64_t ix = x * g.stride_w - g.pad_w + kw;
+            if (iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w)
+              image[static_cast<std::size_t>((c * g.in_h + iy) * g.in_w +
+                                             ix)] += cols[e];
+          }
+}
+
+TEST(FloatDatapath, Col2imMatchesNaiveAdjointAtEveryLevel) {
+  std::mt19937_64 rng(5);
+  std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
+  std::uniform_int_distribution<int> exponent(-12, 12);
+  // Magnitudes 2^-12 .. 2^12, so an add in another order rounds apart.
+  const auto value = [&] { return std::ldexp(dist(rng), exponent(rng)); };
+  int cases = 0;
+  for (std::int64_t kernel : {1, 3, 5, 7}) {
+    for (std::int64_t stride : {1, 2, 3}) {
+      for (std::int64_t pad : {0, 1, 2, 3}) {
+        // Widths giving ow < 8, ow = 8 and rows past one vector.
+        for (std::int64_t w : {3, 7, 10, 19}) {
+          ConvGeometry g;
+          g.in_c = 2;
+          g.in_h = w + 1;
+          g.in_w = w;
+          g.kernel_h = g.kernel_w = kernel;
+          g.stride_h = g.stride_w = stride;
+          g.pad_h = g.pad_w = pad;
+          if (g.in_w + 2 * pad < kernel || g.in_h + 2 * pad < kernel) continue;
+          std::vector<float> cols(
+              static_cast<std::size_t>(g.col_rows() * g.col_cols()));
+          for (float& v : cols) v = value();
+          // A nonzero image the adds land on.
+          std::vector<float> image(
+              static_cast<std::size_t>(g.in_c * g.in_h * g.in_w));
+          for (float& v : image) v = value();
+          std::vector<float> want = image;
+          naive_col2im(g, cols, want);
+          for (SimdLevel level : supported_levels()) {
+            ScopedSimdLevel force(level);
+            std::vector<float> got = image;
+            col2im(g, cols.data(), got.data());
             ASSERT_TRUE(bytes_equal(want, got))
                 << simd_level_name(level) << " k=" << kernel
                 << " s=" << stride << " pad=" << pad << " w=" << w
