@@ -92,13 +92,17 @@ void QuantizedNetwork::calibrate(const Tensor& calibration_batch) {
   const bool global = config_.radix_policy == RadixPolicy::kGlobal;
 
   const bool mse = config_.calibration == CalibrationRule::kMse;
+  std::vector<float> global_param_samples, global_data_samples;
+  if (global && mse) {
+    global_param_samples = merge_samples(stats.param_samples);
+    global_data_samples = merge_samples(stats.site_samples);
+  }
   for (std::size_t i = 0; i < params_.size(); ++i) {
     const double max_abs =
         global ? stats.global_param_max_abs : stats.param_max_abs[i];
     if (mse) {
       weight_quantizers_[i]->calibrate_with_samples(
-          global ? stats.global_param_samples : stats.param_samples[i],
-          max_abs);
+          global ? global_param_samples : stats.param_samples[i], max_abs);
     } else {
       weight_quantizers_[i]->calibrate(max_abs);
     }
@@ -112,8 +116,7 @@ void QuantizedNetwork::calibrate(const Tensor& calibration_batch) {
         global ? stats.global_data_max_abs : stats.site_max_abs[s];
     if (mse) {
       data_quantizers_[s]->calibrate_with_samples(
-          global ? stats.global_data_samples : stats.site_samples[s],
-          max_abs);
+          global ? global_data_samples : stats.site_samples[s], max_abs);
     } else {
       data_quantizers_[s]->calibrate(max_abs);
     }

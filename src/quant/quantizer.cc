@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "util/check.h"
 
@@ -40,15 +41,52 @@ void add_counts(const FqCounts& c, std::span<const float> x,
   guards->inf += c.inf;
 }
 
-// Mean squared error of quantizing `samples` with `q`.
-template <typename Format>
-double quantization_mse(std::span<const float> samples, const Format& q) {
-  double mse = 0.0;
+// {make(0), ..., make(kN - 1)}.
+template <std::size_t kN, typename Make>
+auto make_candidates(const Make& make) {
+  return [&]<std::size_t... kI>(std::index_sequence<kI...>) {
+    return std::array{make(static_cast<int>(kI))...};
+  }(std::make_index_sequence<kN>{});
+}
+
+// The reference of the calibration scores: every candidate's squared
+// error folded into its own sum, sample by sample.
+template <typename Format, std::size_t kCandidates>
+std::array<double, kCandidates> candidate_sse(
+    std::span<const float> samples,
+    const std::array<Format, kCandidates>& candidates) {
+  std::array<double, kCandidates> sse{};
   for (float v : samples) {
-    const double e = static_cast<double>(v) - q.quantize(static_cast<double>(v));
-    mse += e * e;
+    for (std::size_t c = 0; c < kCandidates; ++c) {
+      const double e = static_cast<double>(v) -
+                       candidates[c].quantize(static_cast<double>(v));
+      sse[c] = std::fma(e, e, sse[c]);
+    }
   }
-  return samples.empty() ? 0.0 : mse / static_cast<double>(samples.size());
+  return sse;
+}
+
+// Each sum over the sample count (0 for no samples).
+template <std::size_t kCandidates>
+std::array<double, kCandidates> mean(std::array<double, kCandidates> sse,
+                                     std::size_t n) {
+  for (double& s : sse) s = n == 0 ? 0.0 : s / static_cast<double>(n);
+  return sse;
+}
+
+// The first candidate of least MSE (NaN never wins; all NaN or +inf
+// keeps candidate 0).
+template <std::size_t kCandidates>
+int best_candidate(const std::array<double, kCandidates>& mse) {
+  double best_mse = std::numeric_limits<double>::infinity();
+  int best = 0;
+  for (std::size_t c = 0; c < kCandidates; ++c) {
+    if (mse[c] < best_mse) {
+      best_mse = mse[c];
+      best = static_cast<int>(c);
+    }
+  }
+  return best;
 }
 
 }  // namespace
@@ -83,6 +121,23 @@ void FixedQuantizer::apply(std::span<float> x, GuardCounters* guards,
   quantize_fixed(*format_, x, guards, level);
 }
 
+std::array<double, kFixedCandidates> fixed_candidate_mse(
+    std::span<const float> samples, int bits, int frac0, SimdLevel level) {
+  const auto candidates = make_candidates<kFixedCandidates>(
+      [&](int c) { return FixedPointFormat(bits, frac0 + c); });
+  const FqVecOps* vec = fq_vec_ops(level);
+  std::array<double, kFixedCandidates> sse{};
+  if (vec == nullptr || frac0 < -126 || frac0 + kFixedCandidates - 1 > 126)
+    sse = candidate_sse(samples, candidates);
+  else
+    vec->fixed_sse(samples.data(), std::ssize(samples), frac0,
+                   kFixedCandidates,
+                   static_cast<std::int32_t>(candidates[0].raw_min()),
+                   static_cast<std::int32_t>(candidates[0].raw_max()),
+                   sse.data());
+  return mean(sse, samples.size());
+}
+
 void FixedQuantizer::calibrate_with_samples(std::span<const float> samples,
                                             double max_abs) {
   // Start from the covering (max-abs) format and consider trading range
@@ -90,23 +145,13 @@ void FixedQuantizer::calibrate_with_samples(std::span<const float> samples,
   // top octave. Pick the minimum-MSE candidate (Ristretto's criterion).
   // The MSE evaluation always uses deterministic nearest rounding so the
   // chosen radix does not depend on stochastic draws.
-  const FixedPointFormat covering =
-      FixedPointFormat::for_range(bits_, max_abs);
-  if (samples.empty()) {
-    format_ = FixedPointFormat(bits_, covering.frac_bits(), rounding_);
-    return;
-  }
-  double best_mse = std::numeric_limits<double>::infinity();
-  int best_frac = covering.frac_bits();
-  for (int extra = 0; extra <= 8; ++extra) {
-    const FixedPointFormat candidate(bits_, covering.frac_bits() + extra);
-    const double mse = quantization_mse(samples, candidate);
-    if (mse < best_mse) {
-      best_mse = mse;
-      best_frac = candidate.frac_bits();
-    }
-  }
-  format_ = FixedPointFormat(bits_, best_frac, rounding_);
+  const int frac0 = FixedPointFormat::for_range(bits_, max_abs).frac_bits();
+  const int best =
+      samples.empty()
+          ? 0
+          : best_candidate(fixed_candidate_mse(samples, bits_, frac0,
+                                               active_simd_level()));
+  format_ = FixedPointFormat(bits_, frac0 + best, rounding_);
 }
 
 std::string FixedQuantizer::describe() const {
@@ -130,24 +175,31 @@ void Pow2Quantizer::apply(std::span<float> x, GuardCounters* guards,
                [&](float v) { return f.quantize(v); });
 }
 
+std::array<double, kPow2Candidates> pow2_candidate_mse(
+    std::span<const float> samples, int bits, int exp_max0,
+    SimdLevel level) {
+  const auto candidates = make_candidates<kPow2Candidates>(
+      [&](int c) { return Pow2Format(bits, exp_max0 - c); });
+  const FqVecOps* vec = fq_vec_ops(level);
+  std::array<double, kPow2Candidates> sse{};
+  if (vec == nullptr || candidates.back().exp_min() < -126 || exp_max0 > 127)
+    sse = candidate_sse(samples, candidates);
+  else
+    vec->pow2_sse(samples.data(), std::ssize(samples),
+                  candidates[0].exp_min(), exp_max0, kPow2Candidates,
+                  sse.data());
+  return mean(sse, samples.size());
+}
+
 void Pow2Quantizer::calibrate_with_samples(std::span<const float> samples,
                                            double max_abs) {
-  const Pow2Format covering = Pow2Format::for_range(bits_, max_abs);
-  if (samples.empty()) {
-    format_ = covering;
-    return;
-  }
-  double best_mse = std::numeric_limits<double>::infinity();
-  Pow2Format best = covering;
-  for (int shift = 0; shift <= 4; ++shift) {
-    const Pow2Format candidate(bits_, covering.exp_max() - shift);
-    const double mse = quantization_mse(samples, candidate);
-    if (mse < best_mse) {
-      best_mse = mse;
-      best = candidate;
-    }
-  }
-  format_ = best;
+  const int exp_max0 = Pow2Format::for_range(bits_, max_abs).exp_max();
+  const int best =
+      samples.empty()
+          ? 0
+          : best_candidate(pow2_candidate_mse(samples, bits_, exp_max0,
+                                              active_simd_level()));
+  format_ = Pow2Format(bits_, exp_max0 - best);
 }
 
 std::string Pow2Quantizer::describe() const {

@@ -3,6 +3,7 @@
 // integer formats in src/fixed).
 #pragma once
 
+#include <array>
 #include <memory>
 #include <optional>
 #include <span>
@@ -158,6 +159,22 @@ class BinaryQuantizer final : public ValueQuantizer {
 // draw order).
 void quantize_fixed(const FixedPointFormat& f, std::span<float> x,
                     GuardCounters* guards, SimdLevel level);
+
+// The candidate scores of MSE calibration (DESIGN.md §5): mse[c] is the
+// mean squared error of quantizing `samples`, each read as a double,
+// onto candidate c's grid at `bits`: fixed point with frac0 + c fraction
+// bits (round half away from zero), or power of two with exp_max
+// exp_max0 - c. Each sum folds the samples in order with one
+// std::fma(e, e, sum) per sample and is divided by their count (0 when
+// there are none). The lane kernels (FqVecOps::fixed_sse, pow2_sse) run
+// when every candidate fits them, so every level gives the same bits.
+inline constexpr int kFixedCandidates = 9;
+inline constexpr int kPow2Candidates = 5;
+std::array<double, kFixedCandidates> fixed_candidate_mse(
+    std::span<const float> samples, int bits, int frac0, SimdLevel level);
+std::array<double, kPow2Candidates> pow2_candidate_mse(
+    std::span<const float> samples, int bits, int exp_max0,
+    SimdLevel level);
 
 // Builds the weight-side quantizer for a config (nullptr = identity).
 std::unique_ptr<ValueQuantizer> make_weight_quantizer(

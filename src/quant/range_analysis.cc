@@ -5,7 +5,8 @@
 namespace qnn::quant {
 namespace {
 
-// Strided subsample of `values` capped at kMaxCalibrationSamples.
+// Every stride-th value, stride = max(1, size / kMaxCalibrationSamples):
+// up to 2 * kMaxCalibrationSamples - 1 of them.
 std::vector<float> sample_values(std::span<const float> values) {
   std::vector<float> out;
   if (values.empty()) return out;
@@ -17,45 +18,49 @@ std::vector<float> sample_values(std::span<const float> values) {
   return out;
 }
 
-// Merges `add` into `into`, re-thinning to the cap.
-void merge_samples(std::vector<float>& into, const std::vector<float>& add) {
-  into.insert(into.end(), add.begin(), add.end());
-  if (into.size() > 2 * kMaxCalibrationSamples) {
-    std::vector<float> thinned;
-    thinned.reserve(kMaxCalibrationSamples);
-    const std::size_t stride = into.size() / kMaxCalibrationSamples + 1;
-    for (std::size_t i = 0; i < into.size(); i += stride)
-      thinned.push_back(into[i]);
-    into = std::move(thinned);
-  }
-}
-
 }  // namespace
+
+std::vector<float> merge_samples(
+    const std::vector<std::vector<float>>& groups) {
+  std::vector<float> into;
+  for (const std::vector<float>& add : groups) {
+    into.insert(into.end(), add.begin(), add.end());
+    if (into.size() > 2 * kMaxCalibrationSamples) {
+      std::vector<float> thinned;
+      thinned.reserve(kMaxCalibrationSamples);
+      const std::size_t stride = into.size() / kMaxCalibrationSamples + 1;
+      for (std::size_t i = 0; i < into.size(); i += stride)
+        thinned.push_back(into[i]);
+      into = std::move(thinned);
+    }
+  }
+  return into;
+}
 
 RangeStats analyze_ranges(nn::Network& net, const Tensor& batch) {
   RangeStats stats;
+  const auto observe_site = [&](const Tensor& x) {
+    const double m = x.max_abs();
+    stats.site_max_abs.push_back(m);
+    stats.global_data_max_abs = std::max(stats.global_data_max_abs, m);
+    stats.site_samples.push_back(sample_values(x.values()));
+  };
 
   for (nn::Param* p : net.trainable_params()) {
     const double m = p->value.max_abs();
     stats.param_max_abs.push_back(m);
     stats.global_param_max_abs = std::max(stats.global_param_max_abs, m);
     stats.param_samples.push_back(sample_values(p->value.values()));
-    merge_samples(stats.global_param_samples, stats.param_samples.back());
   }
 
   stats.site_max_abs.reserve(net.num_layers() + 1);
-  Tensor x = batch;
-  stats.site_max_abs.push_back(x.max_abs());
-  stats.site_samples.push_back(sample_values(x.values()));
-  merge_samples(stats.global_data_samples, stats.site_samples.back());
+  stats.site_samples.reserve(net.num_layers() + 1);
+  observe_site(batch);
+  Tensor x;
   for (std::size_t i = 0; i < net.num_layers(); ++i) {
-    x = net.layer(i).forward(x);
-    stats.site_max_abs.push_back(x.max_abs());
-    stats.site_samples.push_back(sample_values(x.values()));
-    merge_samples(stats.global_data_samples, stats.site_samples.back());
+    x = net.layer(i).forward(i == 0 ? batch : x);
+    observe_site(x);
   }
-  for (double m : stats.site_max_abs)
-    stats.global_data_max_abs = std::max(stats.global_data_max_abs, m);
   return stats;
 }
 

@@ -23,12 +23,17 @@ struct RangeStats {
   // Strided value samples per group, for MSE-optimal format selection.
   std::vector<std::vector<float>> param_samples;  // per param
   std::vector<std::vector<float>> site_samples;   // per site
-  std::vector<float> global_param_samples;
-  std::vector<float> global_data_samples;
 };
 
-// Cap on samples kept per group during range analysis.
+// Cap on samples kept per group during range analysis: a group keeps
+// every stride-th value, stride = max(1, size / cap), so at most
+// 2 * cap - 1 of them.
 inline constexpr std::size_t kMaxCalibrationSamples = 4096;
+
+// The samples of `groups` appended in order, re-thinned to about the cap
+// whenever they pass twice it: the one sample set of RadixPolicy::kGlobal.
+std::vector<float> merge_samples(
+    const std::vector<std::vector<float>>& groups);
 
 // Runs a full-precision forward over `batch` and records max-abs plus
 // value samples at every site; parameter stats come from the tensors.

@@ -42,6 +42,10 @@
 
 #include "tensor/microkernel.h"
 
+#if defined(__AVX2__)
+#include <immintrin.h>
+#endif
+
 namespace qnn {
 
 // Vector instantiations; each returns false (nullptr) when the build
@@ -428,19 +432,20 @@ inline float pow2_float(int e) {
 // 0. Scaling by 2^frac is exact, except where the product leaves the
 // lane type's normal range, and there the word is 0 or saturated
 // either way.
-template <typename VF, typename E>
-inline VecS32 fixed_word_lanes(VF s, E scale, const VF& lo, const VF& hi) {
+template <typename VI = VecS32, typename VF, typename E>
+inline VI fixed_word_lanes(VF s, E scale, const VF& lo, const VF& hi) {
+  using T = std::remove_cv_t<std::remove_reference_t<decltype(s[0])>>;
   s *= scale;
   // Clamp to the raw range first (NaN passes both compares), so the
   // truncating convert stays in range; then NaN -> 0.
   s = s < lo ? lo : s;
   s = s > hi ? hi : s;
   s = s == s ? s : VF{};
-  VecS32 t = __builtin_convertvector(s, VecS32);
+  VI t = __builtin_convertvector(s, VI);
   const VF f = s - __builtin_convertvector(t, VF);  // exact
   // Round half away from zero; a true compare is -1.
-  t -= __builtin_convertvector(f >= E(0.5), VecS32);
-  t += __builtin_convertvector(f <= E(-0.5), VecS32);
+  t -= __builtin_convertvector(f >= T(0.5), VI);
+  t += __builtin_convertvector(f <= T(-0.5), VI);
   return t;
 }
 
@@ -738,8 +743,123 @@ void fq_binary_vec(float* x, std::int64_t n, float scale, float limit,
           [&](const VecF32& v) { return v < 0.0f ? neg : pos; });
 }
 
+// The calibration scores (FqVecOps::fixed_sse and pow2_sse): candidate
+// c in lane c of one-register double parts (GCC lowers a select on a
+// wider generic vector lane by lane). Each step broadcasts one sample to
+// every lane, so every lane adds its errors in sample order with one
+// fused step each, as the reference loop does.
+#if defined(__AVX512F__)
+inline constexpr int kPartLanes = 8;
+#else
+inline constexpr int kPartLanes = 4;
+#endif
+typedef double F64Part __attribute__((vector_size(8 * kPartLanes)));
+typedef std::int64_t S64Part __attribute__((vector_size(8 * kPartLanes)));
+typedef std::int32_t S32Part __attribute__((vector_size(4 * kPartLanes)));
+inline constexpr int kMaxParts = kIntPanel / kPartLanes;
+
+// a * b + c in every lane, rounded once (vfmadd): these units build
+// with -ffp-contract=off, so the fused step is spelled out.
+inline F64Part fma_part(F64Part a, F64Part b, F64Part c) {
+#if defined(__AVX512F__)
+  return _mm512_fmadd_pd(a, b, c);
+#else
+  return _mm256_fmadd_pd(a, b, c);
+#endif
+}
+
+// sse[c] for c < candidates: `quantize(v, q)` sets q[p] to the double
+// values of sample v on the grids of part p's lanes.
+template <typename Quantize>
+void sse_parts(const float* x, std::int64_t n, int candidates, double* sse,
+               const Quantize& quantize) {
+  const int parts = (candidates + kPartLanes - 1) / kPartLanes;
+  F64Part acc[kMaxParts] = {};
+  for (std::int64_t i = 0; i < n; ++i) {
+    F64Part q[kMaxParts];
+    quantize(x[i], q);
+    for (int p = 0; p < parts; ++p) {
+      const F64Part e = static_cast<double>(x[i]) - q[p];
+      acc[p] = fma_part(e, e, acc[p]);
+    }
+  }
+  for (int c = 0; c < candidates; ++c)
+    sse[c] = acc[c / kPartLanes][c % kPartLanes];
+}
+
+// The word of the sample on each lane's grid times its step, both exact
+// in double as the reference's to_raw and from_raw are. Up to 24 bits
+// the words come from one float vector, as in fq_fixed_vec; wider ones
+// from the double parts.
+void fixed_sse_vec(const float* x, std::int64_t n, int frac0, int candidates,
+                   std::int32_t lo, std::int32_t hi, double* sse) {
+  VecF32 scale{};
+  F64Part dscale[kMaxParts] = {}, step[kMaxParts] = {};
+  for (int c = 0; c < kIntPanel; ++c) {
+    const int frac = frac0 + (c < candidates ? c : 0);
+    scale[c] = pow2_float(frac);
+    dscale[c / kPartLanes][c % kPartLanes] = pow2_float(frac);
+    step[c / kPartLanes][c % kPartLanes] = pow2_float(-frac);
+  }
+  if (hi < (1 << 24)) {
+    const VecF32 flo = splat<VecF32>(static_cast<float>(lo));
+    const VecF32 fhi = splat<VecF32>(static_cast<float>(hi));
+    sse_parts(x, n, candidates, sse, [&](float v, F64Part* q) {
+      S32Part t[kMaxParts];
+      const VecS32 words = fixed_word_lanes(splat<VecF32>(v), scale, flo, fhi);
+      __builtin_memcpy(t, &words, sizeof t);
+      for (int p = 0; p < kMaxParts; ++p)
+        q[p] = __builtin_convertvector(t[p], F64Part) * step[p];
+    });
+    return;
+  }
+  const F64Part dlo = splat<F64Part>(static_cast<double>(lo));
+  const F64Part dhi = splat<F64Part>(static_cast<double>(hi));
+  sse_parts(x, n, candidates, sse, [&](float v, F64Part* q) {
+    for (int p = 0; p < kMaxParts; ++p) {
+      const S32Part t = fixed_word_lanes<S32Part>(
+          splat<F64Part>(static_cast<double>(v)), dscale[p], dlo, dhi);
+      q[p] = __builtin_convertvector(t, F64Part) * step[p];
+    }
+  });
+}
+
+// fq_pow2_vec's rounding with the sample's exponent read once, then
+// clamped per lane and built as a double 2^e.
+void pow2_sse_vec(const float* x, std::int64_t n, int exp_min0, int exp_max0,
+                  int candidates, double* sse) {
+  S64Part lo[kMaxParts] = {}, hi[kMaxParts] = {};
+  F64Part zero_below[kMaxParts] = {};
+  for (int c = 0; c < kIntPanel; ++c) {
+    const int shift = c < candidates ? c : 0;
+    lo[c / kPartLanes][c % kPartLanes] = exp_min0 - shift;
+    hi[c / kPartLanes][c % kPartLanes] = exp_max0 - shift;
+    zero_below[c / kPartLanes][c % kPartLanes] =
+        pow2_float(exp_min0 - shift) * 0.5f;
+  }
+  sse_parts(x, n, candidates, sse, [&](float v, F64Part* q) {
+    std::uint32_t bits = 0;
+    __builtin_memcpy(&bits, &v, sizeof bits);
+    const std::uint32_t mag = bits & 0x7fffffffu;
+    float fmag = 0;
+    __builtin_memcpy(&fmag, &mag, sizeof fmag);
+    const std::int64_t e0 =
+        static_cast<std::int64_t>(mag >> 23) - 127 + ((mag >> 22) & 1u);
+    const std::int64_t sign = static_cast<std::int64_t>(
+        std::uint64_t{bits & 0x80000000u} << 32);
+    for (int p = 0; p < kMaxParts; ++p) {
+      S64Part e = splat<S64Part>(e0);
+      e = e < lo[p] ? lo[p] : e;
+      e = e > hi[p] ? hi[p] : e;
+      const S64Part keep = static_cast<double>(fmag) >= zero_below[p];
+      q[p] = (F64Part)((sign | (e + 1023) << 52) & keep);
+    }
+  });
+}
+
 constexpr FqVecOps vec_fq_ops() {
-  return {fq_fixed_vec, fq_fixed_wide_vec, fq_pow2_vec, fq_binary_vec};
+  return {fq_fixed_vec, fq_fixed_wide_vec, fq_pow2_vec, fq_binary_vec,
+          fixed_sse_vec, pow2_sse_vec};
 }
 
 #endif  // __AVX2__

@@ -333,6 +333,22 @@ struct FqVecOps {
   // Binary: x[i] < 0 ? -scale : scale (NaN and -0 give +scale).
   void (*binary)(float* x, std::int64_t n, float scale, float limit,
                  FqCounts* counts);
+
+  // Calibration scores (quant/quantizer.cc, fixed_candidate_mse and
+  // pow2_candidate_mse): for each candidate c < candidates <= 16,
+  // sse[c] = fma(e_n-1, e_n-1, ... fma(e_0, e_0, 0)), the errors e_i =
+  // double(x[i]) - q_c(x[i]) folded in sample order with one rounding
+  // per step, q_c the double value of x[i] on candidate c's grid.
+  // Fixed: round half away from zero with frac0 + c fraction bits,
+  // saturated to [lo, hi] (NaN -> 0); every frac in [-126, 126].
+  void (*fixed_sse)(const float* x, std::int64_t n, int frac0,
+                    int candidates, std::int32_t lo, std::int32_t hi,
+                    double* sse);
+  // Power of two (the pow2 entry's rounding) with exponents
+  // [exp_min0 - c, exp_max0 - c]; exp_min0 - candidates + 1 >= -126 and
+  // exp_max0 <= 127.
+  void (*pow2_sse)(const float* x, std::int64_t n, int exp_min0,
+                   int exp_max0, int candidates, double* sse);
 };
 
 // The table of the best vector level <= `level` this CPU supports, or
