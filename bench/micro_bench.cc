@@ -185,18 +185,16 @@ void BM_GemmTallK(benchmark::State& state) {
   // Inner-product forward shape: batch rows M too small to fill the
   // pool, reduction K spanning many chunks (DESIGN.md §9). B is stored
   // [N, K] as InnerProduct stores weights, so the shape runs as the
-  // transposed product C^T = B * A^T; the hoisted scratch keeps A^T, C^T
-  // and the chunk partials across iterations, as the layer does.
+  // transposed product C^T = B * A^T; the thread's gemm workspace keeps
+  // A^T, C^T and the chunk partials across iterations, as in the layer.
   const std::int64_t m = 8, n = 512, k = state.range(0);
   Rng rng(7);
   Tensor a(Shape{m, k}), b(Shape{n, k}), c(Shape{m, n});
   a.fill_uniform(rng, -1, 1);
   b.fill_uniform(rng, -1, 1);
-  GemmScratch scratch;
   for (auto _ : state) {
     gemm({.m = m, .n = n, .k = k, .a = a.data(), .b = b.data(),
-          .trans_b = true, .c = c.data()},
-         &scratch);
+          .trans_b = true, .c = c.data()});
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * m * n * k);
@@ -405,7 +403,6 @@ std::vector<SimdRow> time_simd_rows(obs::Registry& reg) {
   Tensor a(Shape{n, n}), b(Shape{n, n}), c(Shape{n, n});
   a.fill_uniform(rng, -1, 1);
   b.fill_uniform(rng, -1, 1);
-  GemmScratch scratch;
   std::vector<std::int8_t> a8(static_cast<std::size_t>(n * n), 3);
   std::vector<std::int8_t> b8(static_cast<std::size_t>(n * n), -5);
   std::vector<std::int16_t> a16(static_cast<std::size_t>(n * n), 3);
@@ -423,8 +420,7 @@ std::vector<SimdRow> time_simd_rows(obs::Registry& reg) {
   };
   const auto f32 = [&] {
     gemm({.m = n, .n = n, .k = n, .a = a.data(), .b = b.data(),
-          .c = c.data()},
-         &scratch);
+          .c = c.data()});
   };
   const double scalar_f32 = time_at(SimdLevel::kScalar, "gemm_scalar", f32);
 
@@ -730,17 +726,14 @@ int write_scaling_report(bench::Session& session, double min_speedup) {
   Tensor a(Shape{n, n}), b(Shape{n, n}), c(Shape{n, n});
   a.fill_uniform(rng, -1, 1);
   b.fill_uniform(rng, -1, 1);
-  GemmScratch scratch;
 
   // Tall-K inner-product shape: M (batch) too small to occupy the pool,
   // so only the K-parallel schedule can use the extra threads. B stored
-  // [N, K] as InnerProduct stores weights; scratch hoisted like the
-  // layer's.
+  // [N, K] as InnerProduct stores weights.
   const std::int64_t tm = 8, tn = 512, tk = 8192;
   Tensor ta(Shape{tm, tk}), tb(Shape{tn, tk}), tc(Shape{tm, tn});
   ta.fill_uniform(rng, -1, 1);
   tb.fill_uniform(rng, -1, 1);
-  GemmScratch tscratch;
 
   auto net = nn::make_lenet();
   Tensor batch(Shape{32, 1, 28, 28});
@@ -768,13 +761,11 @@ int write_scaling_report(bench::Session& session, double min_speedup) {
   const std::vector<std::function<void()>> workloads = {
       [&] {
         gemm({.m = n, .n = n, .k = n, .a = a.data(), .b = b.data(),
-              .c = c.data()},
-             &scratch);
+              .c = c.data()});
       },
       [&] {
         gemm({.m = tm, .n = tn, .k = tk, .a = ta.data(), .b = tb.data(),
-              .trans_b = true, .c = tc.data()},
-             &tscratch);
+              .trans_b = true, .c = tc.data()});
       },
       [&] { benchmark::DoNotOptimize(net->forward(batch).data()); },
       [&] { benchmark::DoNotOptimize(nn::evaluate(qnet, split.test)); },

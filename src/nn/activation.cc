@@ -20,6 +20,10 @@ void elementwise(Tensor& t, F&& fn) {
                       });
 }
 
+// Both sigmoid passes compute y through this one expression, so the
+// backward's y is the forward's, byte for byte.
+float sigmoid_of(float x) { return 1.0f / (1.0f + std::exp(-x)); }
+
 }  // namespace
 
 Tensor Relu::forward(const Tensor& in) {
@@ -28,16 +32,17 @@ Tensor Relu::forward(const Tensor& in) {
   elementwise(out, [&](std::int64_t i) {
     if (out[i] < 0) out[i] = 0;
   });
-  cached_out_ = out;
   return out;
 }
 
-Tensor Relu::backward(const Tensor& grad_out) {
-  QNN_CHECK_MSG(!cached_out_.empty(), "backward before forward");
-  QNN_CHECK(grad_out.shape() == cached_out_.shape());
+// The forward's output is <= 0 exactly where its input is (negatives
+// become 0, zeros of either sign and NaN pass through), so the mask
+// reads the input.
+Tensor Relu::backward(const Tensor& in, const Tensor& grad_out) {
+  QNN_CHECK(grad_out.shape() == in.shape());
   Tensor grad_in = grad_out;
   elementwise(grad_in, [&](std::int64_t i) {
-    if (cached_out_[i] <= 0) grad_in[i] = 0;
+    if (in[i] <= 0) grad_in[i] = 0;
   });
   return grad_in;
 }
@@ -45,19 +50,15 @@ Tensor Relu::backward(const Tensor& grad_out) {
 Tensor Sigmoid::forward(const Tensor& in) {
   QNN_SPAN("sigmoid_forward", "layer");
   Tensor out = in;
-  elementwise(out, [&](std::int64_t i) {
-    out[i] = 1.0f / (1.0f + std::exp(-out[i]));
-  });
-  cached_out_ = out;
+  elementwise(out, [&](std::int64_t i) { out[i] = sigmoid_of(out[i]); });
   return out;
 }
 
-Tensor Sigmoid::backward(const Tensor& grad_out) {
-  QNN_CHECK_MSG(!cached_out_.empty(), "backward before forward");
-  QNN_CHECK(grad_out.shape() == cached_out_.shape());
+Tensor Sigmoid::backward(const Tensor& in, const Tensor& grad_out) {
+  QNN_CHECK(grad_out.shape() == in.shape());
   Tensor grad_in = grad_out;
   elementwise(grad_in, [&](std::int64_t i) {
-    const float y = cached_out_[i];
+    const float y = sigmoid_of(in[i]);
     grad_in[i] *= y * (1.0f - y);
   });
   return grad_in;
@@ -67,16 +68,14 @@ Tensor Tanh::forward(const Tensor& in) {
   QNN_SPAN("tanh_forward", "layer");
   Tensor out = in;
   elementwise(out, [&](std::int64_t i) { out[i] = std::tanh(out[i]); });
-  cached_out_ = out;
   return out;
 }
 
-Tensor Tanh::backward(const Tensor& grad_out) {
-  QNN_CHECK_MSG(!cached_out_.empty(), "backward before forward");
-  QNN_CHECK(grad_out.shape() == cached_out_.shape());
+Tensor Tanh::backward(const Tensor& in, const Tensor& grad_out) {
+  QNN_CHECK(grad_out.shape() == in.shape());
   Tensor grad_in = grad_out;
   elementwise(grad_in, [&](std::int64_t i) {
-    const float y = cached_out_[i];
+    const float y = std::tanh(in[i]);
     grad_in[i] *= 1.0f - y * y;
   });
   return grad_in;
@@ -107,7 +106,7 @@ Tensor Dropout::forward(const Tensor& in) {
   return out;
 }
 
-Tensor Dropout::backward(const Tensor& grad_out) {
+Tensor Dropout::backward(const Tensor&, const Tensor& grad_out) {
   if (mask_.empty()) return grad_out;  // eval-mode / p == 0 forward
   QNN_CHECK(static_cast<std::size_t>(grad_out.count()) == mask_.size());
   Tensor grad_in = grad_out;

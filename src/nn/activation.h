@@ -11,11 +11,8 @@ class Relu final : public Layer {
   const char* kind() const override { return "relu"; }
   Shape output_shape(const Shape& in) const override { return in; }
   Tensor forward(const Tensor& in) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backward(const Tensor& in, const Tensor& grad_out) override;
   LayerPtr clone() const override { return std::make_unique<Relu>(*this); }
-
- private:
-  Tensor cached_out_;
 };
 
 // Logistic sigmoid — the nonlinearity DianNao's NFU-3 stage implements
@@ -25,11 +22,8 @@ class Sigmoid final : public Layer {
   const char* kind() const override { return "sigmoid"; }
   Shape output_shape(const Shape& in) const override { return in; }
   Tensor forward(const Tensor& in) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backward(const Tensor& in, const Tensor& grad_out) override;
   LayerPtr clone() const override { return std::make_unique<Sigmoid>(*this); }
-
- private:
-  Tensor cached_out_;
 };
 
 // Hyperbolic tangent (Sermanet's original SVHN ConvNet used tanh).
@@ -38,16 +32,13 @@ class Tanh final : public Layer {
   const char* kind() const override { return "tanh"; }
   Shape output_shape(const Shape& in) const override { return in; }
   Tensor forward(const Tensor& in) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backward(const Tensor& in, const Tensor& grad_out) override;
   LayerPtr clone() const override { return std::make_unique<Tanh>(*this); }
-
- private:
-  Tensor cached_out_;
 };
 
 // Inverted dropout: scales kept activations by 1/(1-p) at train time so
-// inference is a no-op. Call set_training(false) (the default is true
-// only during nn::train via TrainConfig) before evaluation.
+// inference is a no-op. Training mode is on from construction;
+// set_training_mode(false) (nn::evaluate does) turns it off.
 class Dropout final : public Layer {
  public:
   explicit Dropout(double drop_probability, std::uint64_t seed = 17);
@@ -55,20 +46,18 @@ class Dropout final : public Layer {
   const char* kind() const override { return "dropout"; }
   Shape output_shape(const Shape& in) const override { return in; }
   Tensor forward(const Tensor& in) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backward(const Tensor& in, const Tensor& grad_out) override;
   LayerPtr clone() const override { return std::make_unique<Dropout>(*this); }
 
-  void set_training(bool training) { training_ = training; }
-  void set_training_mode(bool training) override {
-    set_training(training);
-  }
-  bool training() const { return training_; }
+  void set_training_mode(bool training) override { training_ = training; }
 
  private:
   double p_;
   bool training_ = true;
   Rng rng_;
-  std::vector<float> mask_;  // 0 or 1/(1-p) per element
+  // 0 or 1/(1-p) per element: the RNG draws of the last training
+  // forward, which backward must reuse (not recomputable from `in`).
+  std::vector<float> mask_;
 };
 
 }  // namespace qnn::nn

@@ -13,11 +13,23 @@
 namespace qnn::nn {
 namespace {
 
-void ensure_scratch(std::vector<std::vector<float>>& bufs,
-                    std::size_t shards, std::size_t elems) {
-  if (bufs.size() < shards) bufs.resize(shards);
-  for (std::size_t i = 0; i < shards; ++i)
-    if (bufs[i].size() < elems) bufs[i].resize(elems);
+// Per-thread im2col patches and column-space gradients, reused across
+// calls and layers; they only grow. A shard task uses its executing
+// thread's pair for one sample at a time. They are gemm's B operand, so
+// they must not live in gemm's own per-thread scratch.
+struct ColumnBuffers {
+  std::vector<float> cols, gcol;
+};
+
+float* grown(std::vector<float>& buf, std::int64_t elems) {
+  if (buf.size() < static_cast<std::size_t>(elems))
+    buf.resize(static_cast<std::size_t>(elems));
+  return buf.data();
+}
+
+ColumnBuffers& thread_columns() {
+  thread_local ColumnBuffers buffers;
+  return buffers;
 }
 
 // db[c] += the sum of one sample's gO[c, 0..cols), in double. Each
@@ -90,18 +102,13 @@ Tensor Conv2d::forward(const Tensor& in) {
   const float* bias = bias_.value.empty() ? nullptr : bias_.value.data();
 
   const std::vector<Shard> shards = make_shards(n, kReductionShards);
-  ensure_scratch(colbuf_, shards.size(),
-                 static_cast<std::size_t>(rows * cols));
-  if (gemm_scratch_.size() < shards.size())
-    gemm_scratch_.resize(shards.size());
   // Samples write disjoint output rows, so sharding the batch is
-  // bit-deterministic; each shard reuses its own im2col and gemm
-  // scratch (rows > kGemmKChunk makes the per-sample product K-chunked).
+  // bit-deterministic; each sample's im2col lands in the executing
+  // thread's column buffer.
   parallel_run(static_cast<std::int64_t>(shards.size()),
                [&](std::int64_t si) {
-                 const std::size_t u = static_cast<std::size_t>(si);
-                 float* colbuf = colbuf_[u].data();
-                 const Shard& sh = shards[u];
+                 float* colbuf = grown(thread_columns().cols, rows * cols);
+                 const Shard& sh = shards[static_cast<std::size_t>(si)];
                  for (std::int64_t s = sh.begin; s < sh.end; ++s) {
                    im2col(g, in.data() + s * in_sample, colbuf);
                    // out[Cout, OHW] = W[Cout, rows] * cols[rows, OHW],
@@ -112,27 +119,24 @@ Tensor Conv2d::forward(const Tensor& in) {
                    protect::gemm_guarded(
                        {.m = cout, .n = cols, .k = rows,
                         .a = weight_.value.data(), .b = colbuf,
-                        .c = out.data() + s * out_sample, .bias = bias},
-                       &gemm_scratch_[u]);
+                        .c = out.data() + s * out_sample, .bias = bias});
                  }
                });
-  cached_in_ = in;
   return out;
 }
 
-Tensor Conv2d::backward(const Tensor& grad_out) {
-  Tensor grad_in(cached_in_.shape());
-  run_backward(grad_out, &grad_in);
+Tensor Conv2d::backward(const Tensor& in, const Tensor& grad_out) {
+  Tensor grad_in(in.shape());
+  run_backward(in, grad_out, &grad_in);
   return grad_in;
 }
 
-void Conv2d::backward_params(const Tensor& grad_out) {
-  run_backward(grad_out, nullptr);
+void Conv2d::backward_params(const Tensor& in, const Tensor& grad_out) {
+  run_backward(in, grad_out, nullptr);
 }
 
-void Conv2d::run_backward(const Tensor& grad_out, Tensor* grad_in) {
-  QNN_CHECK_MSG(!cached_in_.empty(), "backward before forward");
-  const Tensor& in = cached_in_;
+void Conv2d::run_backward(const Tensor& in, const Tensor& grad_out,
+                          Tensor* grad_in) {
   const ConvGeometry g = geometry(in.shape());
   const std::int64_t n = in.shape().n();
   const std::int64_t rows = g.col_rows();
@@ -142,65 +146,54 @@ void Conv2d::run_backward(const Tensor& grad_out, Tensor* grad_in) {
 
   const std::int64_t in_sample = in.shape().count_from(1);
   const std::int64_t out_sample = cout * cols;
-  const std::size_t wcount = static_cast<std::size_t>(weight_.count());
+  const std::int64_t wcount = weight_.count();
   const bool has_bias = !bias_.value.empty();
 
+  // Each shard accumulates weight/bias gradients into its own partials
+  // (dW^T [rows, Cout] and db, zeroed here); grad_in writes are disjoint
+  // per sample. Partials merge below in shard-index order, so the
+  // reduction is thread-count independent.
   const std::vector<Shard> shards = make_shards(n, kReductionShards);
-  ensure_scratch(colbuf_, shards.size(),
-                 static_cast<std::size_t>(rows * cols));
-  ensure_scratch(dwt_, shards.size(), wcount);
-  if (gemm_scratch_.size() < shards.size())
-    gemm_scratch_.resize(shards.size());
-  if (db_.size() < shards.size()) db_.resize(shards.size());
-  for (std::size_t i = 0; i < shards.size(); ++i)
-    if (db_[i].size() < static_cast<std::size_t>(cout))
-      db_[i].resize(static_cast<std::size_t>(cout));
+  const std::int64_t nshards = static_cast<std::int64_t>(shards.size());
+  std::vector<float> dwt(static_cast<std::size_t>(nshards * wcount));
+  std::vector<double> db(static_cast<std::size_t>(nshards * cout));
+  // W^T [rows, Cout] once per backward, not once per sample's dcol.
+  std::vector<float> wt;
   if (grad_in != nullptr) {
-    ensure_scratch(gcol_, shards.size(),
-                   static_cast<std::size_t>(rows * cols));
-    // W^T once per backward, not once per sample's dcol product.
-    if (wt_.size() < wcount) wt_.resize(wcount);
-    transpose_into(wt_.data(), weight_.value.data(), rows, cout);
+    wt.resize(static_cast<std::size_t>(wcount));
+    transpose_into(wt.data(), weight_.value.data(), rows, cout);
   }
 
-  // Each shard accumulates weight/bias gradients into its own partials;
-  // grad_in writes are disjoint per sample. Partials merge below in
-  // shard-index order, so the reduction is thread-count independent.
-  parallel_run(
-      static_cast<std::int64_t>(shards.size()), [&](std::int64_t si) {
-        const std::size_t u = static_cast<std::size_t>(si);
-        float* colbuf = colbuf_[u].data();
-        float* dwt = dwt_[u].data();
-        double* db = db_[u].data();
-        std::memset(dwt, 0, sizeof(float) * wcount);
-        for (std::int64_t c = 0; c < cout; ++c) db[c] = 0.0;
-        const Shard& sh = shards[u];
-        for (std::int64_t s = sh.begin; s < sh.end; ++s) {
-          const float* go = grad_out.data() + s * out_sample;
-          // dW^T[rows, Cout] += cols[rows, cols] * gO^T: element (r, c)
-          // folds the products of dW[c, r] in the same order, and the
-          // partial stays in this layout until the merge.
-          im2col(g, in.data() + s * in_sample, colbuf);
-          gemm({.m = rows, .n = cout, .k = cols, .a = colbuf, .b = go,
-                .trans_b = true, .c = dwt, .accumulate = true},
-               &gemm_scratch_[u]);
-          if (has_bias) add_bias_grad(go, cout, cols, db);
-          if (grad_in == nullptr) continue;
-          // dcols[rows, cols] = W^T[rows, Cout] * gO[Cout, cols]
-          float* gcol = gcol_[u].data();
-          gemm({.m = rows, .n = cols, .k = cout, .a = wt_.data(), .b = go,
-                .c = gcol},
-               &gemm_scratch_[u]);
-          col2im(g, gcol, grad_in->data() + s * in_sample);
-        }
-      });
+  parallel_run(nshards, [&](std::int64_t si) {
+    ColumnBuffers& buffers = thread_columns();
+    float* colbuf = grown(buffers.cols, rows * cols);
+    float* shard_dwt = dwt.data() + si * wcount;
+    double* shard_db = db.data() + si * cout;
+    const Shard& sh = shards[static_cast<std::size_t>(si)];
+    for (std::int64_t s = sh.begin; s < sh.end; ++s) {
+      const float* go = grad_out.data() + s * out_sample;
+      // dW^T[rows, Cout] += cols[rows, cols] * gO^T: element (r, c)
+      // folds the products of dW[c, r] in the same order, and the
+      // partial stays in this layout until the merge.
+      im2col(g, in.data() + s * in_sample, colbuf);
+      gemm({.m = rows, .n = cout, .k = cols, .a = colbuf, .b = go,
+            .trans_b = true, .c = shard_dwt, .accumulate = true});
+      if (has_bias) add_bias_grad(go, cout, cols, shard_db);
+      if (grad_in == nullptr) continue;
+      // dcols[rows, cols] = W^T[rows, Cout] * gO[Cout, cols]
+      float* gcol = grown(buffers.gcol, rows * cols);
+      gemm({.m = rows, .n = cols, .k = cout, .a = wt.data(), .b = go,
+            .c = gcol});
+      col2im(g, gcol, grad_in->data() + s * in_sample);
+    }
+  });
 
-  for (std::size_t si = 0; si < shards.size(); ++si) {
-    transpose_into(weight_.grad.data(), dwt_[si].data(), cout, rows,
+  for (std::int64_t si = 0; si < nshards; ++si) {
+    transpose_into(weight_.grad.data(), dwt.data() + si * wcount, cout, rows,
                    /*accumulate=*/true);
     if (has_bias) {
       for (std::int64_t c = 0; c < cout; ++c)
-        bias_.grad[c] += static_cast<float>(db_[si][c]);
+        bias_.grad[c] += static_cast<float>(db[si * cout + c]);
     }
   }
 }

@@ -38,37 +38,34 @@ Tensor InnerProduct::forward(const Tensor& in) {
   QNN_SPAN_N("inner_product_forward", "layer", in.shape()[0]);
   const std::int64_t n = in.shape()[0];
   const std::int64_t f = flat_features(in.shape());
-  cached_orig_shape_ = in.shape();
-  cached_in_ = in.reshaped(Shape{n, f});
 
   Tensor out(Shape{n, out_features_});
-  // out[N, Out] = x[N, In] * W^T (W stored [Out, In]), bias folded into
-  // the gemm epilogue. Guarded: ABFT-verified when a protect::AbftScope
-  // is active, the plain kernel otherwise. This is the canonical tall-K
-  // K-sharded shape (M = batch, K = in_features), so the hoisted
-  // scratch carries the weight transpose and the chunk partials.
+  // out[N, Out] = x[N, In] * W^T (W stored [Out, In]), x read as its
+  // flattened [N, In] rows, bias folded into the gemm epilogue.
+  // Guarded: ABFT-verified when a protect::AbftScope is active, the
+  // plain kernel otherwise. This is the canonical tall-K K-sharded shape
+  // (M = batch, K = in_features; tensor/gemm.h).
   protect::gemm_guarded(
-      {.m = n, .n = out_features_, .k = f, .a = cached_in_.data(),
+      {.m = n, .n = out_features_, .k = f, .a = in.data(),
        .b = weight_.value.data(), .trans_b = true, .c = out.data(),
        .bias = bias_.value.empty() ? nullptr : bias_.value.data(),
-       .bias_axis = BiasAxis::kCol},
-      &fwd_scratch_);
+       .bias_axis = BiasAxis::kCol});
   return out;
 }
 
-void InnerProduct::backward_params(const Tensor& grad_out) {
-  QNN_CHECK_MSG(!cached_in_.empty(), "backward before forward");
-  const std::int64_t n = cached_in_.shape()[0];
+void InnerProduct::backward_params(const Tensor& in,
+                                   const Tensor& grad_out) {
+  const std::int64_t n = in.shape()[0];
+  flat_features(in.shape());
   QNN_CHECK(grad_out.shape() == Shape({n, out_features_}));
 
-  // dW[Out, In] += gO^T[Out, N] * x[N, In]; the product overwrites a
-  // persistent scratch tensor, which is then added to the gradient.
-  if (dw_scratch_.empty()) dw_scratch_ = Tensor(weight_.grad.shape());
+  // dW[Out, In] += gO^T[Out, N] * x[N, In]; the product lands in a
+  // buffer of its own, which is then added to the gradient.
+  Tensor dw(weight_.grad.shape());
   gemm({.m = out_features_, .n = in_features_, .k = n,
-        .a = grad_out.data(), .trans_a = true, .b = cached_in_.data(),
-        .c = dw_scratch_.data()},
-       &bwd_scratch_);
-  weight_.grad.add(dw_scratch_);
+        .a = grad_out.data(), .trans_a = true, .b = in.data(),
+        .c = dw.data()});
+  weight_.grad.add(dw);
 
   if (!bias_.value.empty()) {
     // Each output feature accumulates its own double partial over the
@@ -86,15 +83,14 @@ void InnerProduct::backward_params(const Tensor& grad_out) {
   }
 }
 
-Tensor InnerProduct::backward(const Tensor& grad_out) {
-  backward_params(grad_out);
-  // dX[N, In] = gO[N, Out] * W[Out, In]
-  const std::int64_t n = cached_in_.shape()[0];
-  Tensor grad_flat(Shape{n, in_features_});
-  gemm({.m = n, .n = in_features_, .k = out_features_, .a = grad_out.data(),
-        .b = weight_.value.data(), .c = grad_flat.data()},
-       &bwd_scratch_);
-  return grad_flat.reshaped(cached_orig_shape_);
+Tensor InnerProduct::backward(const Tensor& in, const Tensor& grad_out) {
+  backward_params(in, grad_out);
+  // dX[N, In] = gO[N, Out] * W[Out, In], in the input's shape
+  Tensor grad_in(in.shape());
+  gemm({.m = in.shape()[0], .n = in_features_, .k = out_features_,
+        .a = grad_out.data(), .b = weight_.value.data(),
+        .c = grad_in.data()});
+  return grad_in;
 }
 
 std::vector<Param*> InnerProduct::params() {

@@ -3,7 +3,6 @@
 #pragma once
 
 #include "nn/layer.h"
-#include "tensor/gemm.h"
 #include "util/rng.h"
 
 namespace qnn::nn {
@@ -16,8 +15,8 @@ class InnerProduct final : public Layer {
   const char* kind() const override { return "inner_product"; }
   Shape output_shape(const Shape& in) const override;
   Tensor forward(const Tensor& in) override;
-  Tensor backward(const Tensor& grad_out) override;
-  void backward_params(const Tensor& grad_out) override;
+  Tensor backward(const Tensor& in, const Tensor& grad_out) override;
+  void backward_params(const Tensor& in, const Tensor& grad_out) override;
   std::vector<Param*> params() override;
   LayerDesc describe(const Shape& in) const override;
   LayerPtr clone() const override {
@@ -38,15 +37,6 @@ class InnerProduct final : public Layer {
   std::int64_t out_features_;
   Param weight_;  // (Out, In) row-major
   Param bias_;    // (Out)
-  Tensor cached_in_;  // flattened (N, In)
-  Shape cached_orig_shape_;
-  Tensor dw_scratch_;  // reused across backward calls (was per-call)
-  // Hoisted gemm workspaces (weight transpose + K-shard partials) so the
-  // tall-K forward/backward products stop heap-allocating per call. The
-  // forward gemm is the K-sharded hot path: M = batch is too small to
-  // saturate the pool, K = in_features is large (tensor/gemm.h).
-  GemmScratch fwd_scratch_;
-  GemmScratch bwd_scratch_;
 };
 
 }  // namespace qnn::nn

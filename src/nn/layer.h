@@ -1,8 +1,12 @@
 // Layer interface.
 //
-// Layers own their parameters and cache whatever they need between
-// forward and backward (classic define-by-layer training, as in Caffe —
-// the framework the paper's evaluation is built on).
+// Layers hold their parameters and nothing a forward leaves behind (as
+// in Caffe — the framework the paper's evaluation is built on — a layer
+// is its weights plus a forward and a backward). A backward takes the
+// forward's input back as an argument; nn::Network keeps that input on
+// its tape while in training mode, so inference keeps no training state.
+// Only Dropout's mask, the RNG draws of its last training forward, stays
+// in a layer.
 #pragma once
 
 #include <memory>
@@ -39,25 +43,26 @@ class Layer {
   // Shape inference without running data.
   virtual Shape output_shape(const Shape& in) const = 0;
 
-  // Computes outputs; must cache context for the subsequent backward.
   virtual Tensor forward(const Tensor& in) = 0;
 
-  // Consumes d(loss)/d(out), accumulates parameter gradients, and
-  // returns d(loss)/d(in). Only valid after a forward on the same batch.
-  virtual Tensor backward(const Tensor& grad_out) = 0;
+  // Consumes d(loss)/d(out) for the forward of `in`, accumulates
+  // parameter gradients, and returns d(loss)/d(in). Whatever the
+  // gradient needs of the forward (ReLU's mask, max pooling's argmax,
+  // LRN's scale) is recomputed from `in`, with the forward's bytes.
+  virtual Tensor backward(const Tensor& in, const Tensor& grad_out) = 0;
 
   // backward() for a network's first layer, whose d(loss)/d(in) no one
   // reads: accumulates the same parameter gradient bytes and returns
   // nothing. The default runs backward() and drops the result; layers
   // whose input gradient is a product of its own skip it.
-  virtual void backward_params(const Tensor& grad_out) {
-    (void)backward(grad_out);
+  virtual void backward_params(const Tensor& in, const Tensor& grad_out) {
+    (void)backward(in, grad_out);
   }
 
   virtual std::vector<Param*> params() { return {}; }
 
-  // Deep copy of this layer (parameters, gradients, cached state). Used
-  // to build per-thread network replicas for parallel fault trials.
+  // Deep copy of this layer (parameters and gradients). Used to build
+  // per-thread network replicas for parallel fault trials.
   // Layers that cannot be copied may return nullptr; Network::clone
   // treats that as a hard error.
   virtual std::unique_ptr<Layer> clone() const { return nullptr; }

@@ -24,14 +24,17 @@ class Lrn final : public Layer {
   const char* kind() const override { return "lrn"; }
   Shape output_shape(const Shape& in) const override { return in; }
   Tensor forward(const Tensor& in) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backward(const Tensor& in, const Tensor& grad_out) override;
   LayerPtr clone() const override { return std::make_unique<Lrn>(*this); }
   const LrnSpec& spec() const { return spec_; }
 
  private:
+  // k + alpha/n * (window sum of squares) for channel c of the pixel
+  // whose channel-0 value is px[0] (channel stride `plane`).
+  double scale_at(const float* px, std::int64_t plane,
+                  std::int64_t channels, std::int64_t c) const;
+
   LrnSpec spec_;
-  Tensor cached_in_;
-  Tensor cached_scale_;  // (k + alpha/n * window sum) per element
 };
 
 }  // namespace qnn::nn

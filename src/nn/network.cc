@@ -10,16 +10,34 @@ namespace qnn::nn {
 Tensor Network::forward(const Tensor& input) {
   QNN_SPAN_N("net_forward", "nn", input.shape()[0]);
   Tensor x = input;
-  for (auto& layer : layers_) x = layer->forward(x);
+  for (std::size_t i = 0; i < layers_.size(); ++i)
+    x = forward_layer(i, std::move(x));
   return x;
+}
+
+Tensor Network::forward_layer(std::size_t i, Tensor x) {
+  Tensor y = layers_.at(i)->forward(x);
+  if (training_) {
+    tape_.resize(layers_.size());
+    tape_[i] = std::move(x);
+  } else {
+    tape_.clear();
+  }
+  return y;
 }
 
 void Network::backward(const Tensor& grad_output) {
   if (layers_.empty()) return;
+  QNN_CHECK_MSG(tape_.size() == layers_.size(), "backward before forward");
   Tensor g = grad_output;
   for (std::size_t i = layers_.size() - 1; i > 0; --i)
-    g = layers_[i]->backward(g);
-  layers_.front()->backward_params(g);
+    g = layers_[i]->backward(tape_[i], g);
+  layers_.front()->backward_params(tape_.front(), g);
+}
+
+void Network::set_training_mode(bool training) {
+  training_ = training;
+  for (auto& layer : layers_) layer->set_training_mode(training);
 }
 
 std::vector<Param*> Network::trainable_params() {
@@ -62,6 +80,7 @@ std::int64_t Network::num_params() const {
 
 Network Network::clone() const {
   Network copy(name_);
+  copy.training_ = training_;
   copy.layers_.reserve(layers_.size());
   for (const auto& layer : layers_) {
     LayerPtr c = layer->clone();

@@ -1,6 +1,11 @@
 // Sequential network container and the Model interface the trainer
 // drives. quant::QuantizedNetwork implements the same interface around a
 // Network, injecting weight/activation quantization.
+//
+// The Network keeps the backward tape: in training mode (the default,
+// as for Dropout) each forward moves every layer's input onto the tape,
+// and backward hands it back to the layer. An eval-mode forward clears
+// the tape, so inference, calibration and clones carry none.
 #pragma once
 
 #include <memory>
@@ -45,14 +50,16 @@ class Network final : public Model {
   }
 
   Tensor forward(const Tensor& input) override;
-  // Layers last to first; the first layer runs backward_params, since
-  // no one reads the input gradient.
+  // Runs layer i on x alone; in training mode x goes on the tape as the
+  // layer's backward input. forward() is forward_layer over every layer.
+  Tensor forward_layer(std::size_t i, Tensor x);
+  // Layers last to first, each given its taped input; the first layer
+  // runs backward_params, since no one reads the input gradient.
+  // Throws unless a training-mode forward filled the tape.
   void backward(const Tensor& grad_output) override;
   std::vector<Param*> trainable_params() override;
   std::string name() const override { return name_; }
-  void set_training_mode(bool training) override {
-    for (auto& layer : layers_) layer->set_training_mode(training);
-  }
+  void set_training_mode(bool training) override;
 
   std::size_t num_layers() const { return layers_.size(); }
   Layer& layer(std::size_t i) { return *layers_.at(i); }
@@ -72,14 +79,16 @@ class Network final : public Model {
   // identical network.
   void copy_params_from(const Network& other);
 
-  // Deep copy of the whole network (layers, parameters, cached state);
-  // fails if any layer does not implement clone(). Used to build
-  // per-thread replicas for parallel fault trials.
+  // Deep copy of the layers, their parameters and the training mode,
+  // without the tape; fails if any layer does not implement clone().
+  // Used to build per-thread replicas for parallel fault trials.
   Network clone() const;
 
  private:
   std::string name_;
   std::vector<LayerPtr> layers_;
+  bool training_ = true;
+  std::vector<Tensor> tape_;  // layer i's forward input, training mode only
 };
 
 }  // namespace qnn::nn

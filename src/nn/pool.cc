@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "obs/trace.h"
 #include "tensor/im2col.h"
@@ -33,11 +34,16 @@ Shape Pool2d::output_shape(const Shape& in) const {
 
 Tensor Pool2d::forward(const Tensor& in) {
   QNN_SPAN("pool_forward", "layer");
+  Tensor out(output_shape(in.shape()));
+  pool(in, out, nullptr);
+  return out;
+}
+
+void Pool2d::pool(const Tensor& in, Tensor& out,
+                  std::int64_t* argmax) const {
   const Shape& s = in.shape();
-  const Shape os = output_shape(s);
-  Tensor out(os);
+  const Shape& os = out.shape();
   const bool is_max = spec_.mode == PoolMode::kMax;
-  if (is_max) argmax_.assign(static_cast<std::size_t>(out.count()), -1);
 
   const std::int64_t ih = s.h(), iw = s.w(), oh = os.h(), ow = os.w();
   const std::int64_t planes = s.n() * s.c();
@@ -67,7 +73,8 @@ Tensor Pool2d::forward(const Tensor& in) {
       if (vec != nullptr)
         vec->pool_max({plane, iw, ow, spec_.kernel, spec_.stride, spec_.pad,
                        ys.lo, ys.hi, xs.lo, xs.hi, plane_base},
-                      out.data() + p * oh * ow, argmax_.data() + p * oh * ow);
+                      out.data() + p * oh * ow,
+                      argmax != nullptr ? argmax + p * oh * ow : nullptr);
       for (std::int64_t y = 0; y < oh; ++y) {
         const std::int64_t row = p * oh * ow + y * ow;
         float* out_row = out.data() + row;
@@ -96,7 +103,7 @@ Tensor Pool2d::forward(const Tensor& in) {
                   }
                 }
               out_row[x] = best;
-              argmax_[static_cast<std::size_t>(row + x)] = best_idx;
+              if (argmax != nullptr) argmax[row + x] = best_idx;
             } else {
               double acc = 0.0;
               for (std::int64_t yy = y0; yy < y1; ++yy)
@@ -117,13 +124,10 @@ Tensor Pool2d::forward(const Tensor& in) {
       }
     }
   });
-  cached_in_shape_ = s;
-  return out;
 }
 
-Tensor Pool2d::backward(const Tensor& grad_out) {
-  QNN_CHECK_MSG(cached_in_shape_.rank() == 4, "backward before forward");
-  const Shape& s = cached_in_shape_;
+Tensor Pool2d::backward(const Tensor& in, const Tensor& grad_out) {
+  const Shape& s = in.shape();
   const Shape os = output_shape(s);
   QNN_CHECK(grad_out.shape() == os);
   Tensor grad_in(s);
@@ -132,16 +136,17 @@ Tensor Pool2d::backward(const Tensor& grad_out) {
   const std::int64_t planes = s.n() * s.c();
 
   if (spec_.mode == PoolMode::kMax) {
+    // The forward's scan again, this time keeping each output's argmax.
     // argmax indices stay inside their own plane, so plane sharding
     // keeps the scatter writes disjoint.
+    Tensor out(os);
+    std::vector<std::int64_t> argmax(static_cast<std::size_t>(os.count()));
+    pool(in, out, argmax.data());
     parallel_for_shards(
         planes, kReductionShards, shard_grain(2 * oh * ow),
         [&](std::size_t, std::int64_t begin, std::int64_t end) {
-          for (std::int64_t i = begin * oh * ow; i < end * oh * ow; ++i) {
-            const std::int64_t src = argmax_[static_cast<std::size_t>(i)];
-            QNN_DCHECK(src >= 0);
-            grad_in[src] += grad_out[i];
-          }
+          for (std::int64_t i = begin * oh * ow; i < end * oh * ow; ++i)
+            grad_in[argmax[static_cast<std::size_t>(i)]] += grad_out[i];
         });
     return grad_in;
   }

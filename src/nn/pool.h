@@ -10,8 +10,6 @@
 // same bytes and argmax.
 #pragma once
 
-#include <vector>
-
 #include "nn/layer.h"
 
 namespace qnn::nn {
@@ -42,16 +40,18 @@ class Pool2d final : public Layer {
   }
   Shape output_shape(const Shape& in) const override;
   Tensor forward(const Tensor& in) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backward(const Tensor& in, const Tensor& grad_out) override;
   LayerDesc describe(const Shape& in) const override;
   LayerPtr clone() const override { return std::make_unique<Pool2d>(*this); }
 
   const PoolSpec& spec() const { return spec_; }
 
  private:
+  // The forward into `out`; for max pooling with argmax != nullptr,
+  // also each output's flat input index (the backward's routing).
+  void pool(const Tensor& in, Tensor& out, std::int64_t* argmax) const;
+
   PoolSpec spec_;
-  Shape cached_in_shape_;
-  std::vector<std::int64_t> argmax_;  // flat input index per output (max)
 };
 
 }  // namespace qnn::nn

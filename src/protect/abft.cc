@@ -181,12 +181,12 @@ AbftCounters verify_shards(std::int64_t m, std::int64_t n, std::int64_t k,
 }  // namespace
 
 AbftCounters abft_gemm(const GemmOp& op, const AbftOptions& options,
-                       const AbftFaultHook& hook, GemmScratch* scratch) {
+                       const AbftFaultHook& hook) {
   QNN_CHECK_MSG(!op.accumulate,
                 "abft_gemm: a retry cannot restore an accumulated C");
   QNN_CHECK_MSG(!op.trans_a,
                 "abft_gemm: a row shard of a [K,M] A is not contiguous");
-  gemm(op, scratch);
+  gemm(op);
   const std::int64_t n = op.n;
   const std::int64_t k = op.k;
   const bool row_axis = op.bias_axis == BiasAxis::kRow;
@@ -202,7 +202,7 @@ AbftCounters abft_gemm(const GemmOp& op, const AbftOptions& options,
     shard.a = op.a + i0 * k;
     shard.c = op.c + i0 * n;
     if (row_bias != nullptr) shard.bias = row_bias + i0;
-    gemm(shard, scratch);
+    gemm(shard);
   };
   // Verify against B as stored ([K,N], or [N,K] for trans_b) rather than
   // materializing a transpose a second time.
@@ -235,13 +235,13 @@ detail::AbftContext* current_abft_context() {
 
 }  // namespace
 
-void gemm_guarded(const GemmOp& op, GemmScratch* scratch) {
+void gemm_guarded(const GemmOp& op) {
   detail::AbftContext* ctx = current_abft_context();
   if (ctx == nullptr) {
-    gemm(op, scratch);
+    gemm(op);
     return;
   }
-  ctx->add(abft_gemm(op, ctx->options, {}, scratch));
+  ctx->add(abft_gemm(op, ctx->options));
 }
 
 }  // namespace qnn::protect

@@ -36,7 +36,6 @@
 
 namespace qnn {
 struct GemmOp;
-class GemmScratch;
 }  // namespace qnn
 
 namespace qnn::protect {
@@ -75,12 +74,9 @@ using AbftFaultHook =
 // Checksum-verified gemm(op). The result is bit-identical to the
 // unverified gemm whenever no corruption occurs (and after successful
 // re-execution when it does). B's layout (trans_b) and the bias axis
-// select how the checksum reads them. `scratch`, when given, is
-// forwarded to the product and to every re-execution so steady-state
-// layer forwards stop heap-allocating (tensor/gemm.h).
+// select how the checksum reads them.
 AbftCounters abft_gemm(const GemmOp& op, const AbftOptions& options,
-                       const AbftFaultHook& hook = {},
-                       GemmScratch* scratch = nullptr);
+                       const AbftFaultHook& hook = {});
 
 // ---------------------------------------------------------------------
 // Scope-based dispatch for the inference stack.
@@ -115,6 +111,6 @@ class AbftScope {
 
 // abft_gemm(op) when an AbftScope is active on this thread (directly or
 // inherited through the pool's task context), plain gemm(op) otherwise.
-void gemm_guarded(const GemmOp& op, GemmScratch* scratch = nullptr);
+void gemm_guarded(const GemmOp& op);
 
 }  // namespace qnn::protect

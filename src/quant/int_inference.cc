@@ -500,9 +500,6 @@ std::string IntInferenceEngine::ineligibility_reason(
 IntInferenceEngine::IntInferenceEngine(nn::Network& net,
                                        const QuantizedNetwork& qnet)
     : impl_(std::make_unique<Impl>()) {
-  const std::string reason = ineligibility_reason(net, qnet);
-  QNN_CHECK_MSG(reason.empty(), "IntInferenceEngine: " << reason);
-
   // Binary data is 16-bit fixed point (paper §IV-A4): sign-mux stages
   // run the int16 body.
   IntPlan plan = lower_int_plan(net, qnet);

@@ -53,14 +53,10 @@ class IntInferenceEngine {
   // calibrated, ...).
   static std::string ineligibility_reason(const nn::Network& net,
                                           const QuantizedNetwork& qnet);
-  static bool eligible(const nn::Network& net,
-                       const QuantizedNetwork& qnet) {
-    return ineligibility_reason(net, qnet).empty();
-  }
 
-  // Captures weights and formats from `qnet`, which must be calibrated
-  // with its quantized parameter image live (i.e. called from inside
-  // freeze_inference(), after quantize_params()).
+  // Captures weights and formats from `qnet`, which must be eligible
+  // and calibrated with its quantized parameter image live (i.e. called
+  // from inside freeze_inference(), after quantize_params()).
   IntInferenceEngine(nn::Network& net, const QuantizedNetwork& qnet);
   ~IntInferenceEngine();
 

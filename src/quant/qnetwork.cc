@@ -135,6 +135,7 @@ void QuantizedNetwork::save_masters() {
 void QuantizedNetwork::restore_masters() {
   frozen_ = false;
   int_engine_.reset();
+  fallback_reason_.clear();
   if (!masters_saved_) return;
   for (std::size_t i = 0; i < params_.size(); ++i)
     params_[i]->value = masters_[i];
@@ -152,7 +153,8 @@ void QuantizedNetwork::freeze_inference() {
   // Native integer path (quant/int_inference): built from the live
   // quantized parameter image when the config qualifies. Hook-free
   // frozen forwards then run int end-to-end.
-  if (IntInferenceEngine::eligible(net_, *this))
+  fallback_reason_ = IntInferenceEngine::ineligibility_reason(net_, *this);
+  if (fallback_reason_.empty())
     int_engine_ = std::make_unique<IntInferenceEngine>(net_, *this);
 }
 
@@ -230,7 +232,7 @@ Tensor QuantizedNetwork::forward_observed(const Tensor& input,
   Tensor x = forward_prologue(input);
   if (observer) observer(0, x);
   for (std::size_t i = 0; i < net_.num_layers(); ++i) {
-    x = forward_step(i, x);
+    x = forward_step(i, std::move(x));
     if (observer) observer(i + 1, x);
   }
   return x;
@@ -265,10 +267,12 @@ void QuantizedNetwork::rescrub_layer_params(std::size_t layer_index) {
   }
 }
 
-Tensor QuantizedNetwork::forward_step(std::size_t i, const Tensor& x) {
+Tensor QuantizedNetwork::forward_step(std::size_t i, Tensor x) {
   QNN_CHECK_MSG(masters_saved_,
                 "forward_step without a preceding forward_prologue");
-  Tensor y = net_.layer(i).forward(x);
+  // A frozen network's backward throws, so it records nothing.
+  Tensor y = frozen_ ? net_.layer(i).forward(x)
+                     : net_.forward_layer(i, std::move(x));
   if (hooks_.on_accumulator) hooks_.on_accumulator(i + 1, y);
   {
     QNN_SPAN_N("quantize", "quant", static_cast<std::int64_t>(i) + 1);

@@ -19,6 +19,7 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "nn/network.h"
@@ -99,9 +100,10 @@ class QuantizedNetwork final : public nn::Model {
   // faults persist until the next prologue — matching the hardware
   // model where SB weight corruption survives a layer re-execution
   // unless the retry path explicitly scrubs the weights first (see
-  // rescrub_layer_params).
+  // rescrub_layer_params). A step records layer i's input on the
+  // network's tape (nn::Network::forward_layer) unless frozen.
   Tensor forward_prologue(const Tensor& input);
-  Tensor forward_step(std::size_t layer_index, const Tensor& x);
+  Tensor forward_step(std::size_t layer_index, Tensor x);
 
   // Re-reads layer `layer_index`'s parameters from the saved masters:
   // restores their full-precision values, re-quantizes them, and fires
@@ -141,6 +143,10 @@ class QuantizedNetwork final : public nn::Model {
   // the fake-quantized float path. Built whenever the config is eligible.
   bool native_int_active() const { return int_engine_ != nullptr; }
   const IntInferenceEngine* int_engine() const { return int_engine_.get(); }
+  // Why freeze_inference() left the config on the fake-quant path
+  // (IntInferenceEngine::ineligibility_reason, computed once there);
+  // empty when it runs native, and while not frozen.
+  const std::string& fallback_reason() const { return fallback_reason_; }
 
   // Clamps master weights into the representable range of the weight
   // format (BinaryConnect-style clipping; keeps masters from drifting
@@ -219,6 +225,7 @@ class QuantizedNetwork final : public nn::Model {
   // Native integer inference engine; non-null only while frozen with an
   // eligible config (see freeze_inference / native_int_active).
   std::unique_ptr<IntInferenceEngine> int_engine_;
+  std::string fallback_reason_;
 };
 
 }  // namespace qnn::quant

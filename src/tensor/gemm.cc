@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -148,15 +149,29 @@ void run_m_block_chunked(const GemmOp& op, const GemmKPlan& plan,
   write_block_from_tree(op, i0, mb, partials);
 }
 
-// Growth-only per-thread scratch for calls without a caller scratch,
-// and for M-block tasks whose chunk partials cannot share the caller's
-// (several blocks in flight). Scratchless top-level calls take the
-// K-parallel partial buffer from it too: K-parallelism only engages
-// outside pool tasks, and tasks of that schedule never touch their own
-// thread scratch, so the caller's is free — repeated scratchless calls
-// (benches, ad-hoc tools) stop paying a multi-MB allocation each. A
-// scratchless transpose lands in its transpose buffer, which stays live
-// across gemm_impl while the serial-chunk path uses the partials.
+// The calling thread's growth-only workspace (gemm.h): the chunk
+// partials and the transposed operand, in two buffers because the
+// transposed operand stays live across gemm_impl while the partials
+// fill. An M-block task that runs on another pool thread (several blocks
+// in flight) takes that thread's partials; the K-parallel schedule's
+// tasks write into the caller's and never touch their own.
+class GemmScratch {
+ public:
+  // Returns a buffer of at least `elems` floats (contents unspecified).
+  float* partials(std::size_t elems) {
+    if (partials_.size() < elems) partials_.resize(elems);
+    return partials_.data();
+  }
+  float* transpose(std::size_t elems) {
+    if (transpose_.size() < elems) transpose_.resize(elems);
+    return transpose_.data();
+  }
+
+ private:
+  std::vector<float> partials_;
+  std::vector<float> transpose_;
+};
+
 GemmScratch& thread_scratch() {
   thread_local GemmScratch scratch;
   return scratch;
@@ -223,10 +238,9 @@ void gemm_impl(const GemmOp& op, GemmScratch& scratch) {
     return;
   }
 
-  // Serial-chunk schedule: each M-block task owns its chunk loop. The
-  // call's scratch is safe only when a single block can be in flight
-  // (parallel_run then runs it inline); otherwise each task takes the
-  // executing thread's.
+  // Serial-chunk schedule: each M-block task owns its chunk loop. A
+  // single block runs inline on the caller, in the call's scratch;
+  // otherwise each task takes the executing thread's.
   parallel_run(blocks, [&](std::int64_t bi) {
     QNN_SPAN_N("gemm_shard", "tensor", bi);
     const std::int64_t i0 = bi * kBlockM;
@@ -303,7 +317,7 @@ bool prefers_transposed_product(const GemmOp& op) {
 // alone, and the bias — swapped to the other axis — is still one add
 // after the tree. An accumulated C is transposed in first, so it seeds
 // the fold (or meets the tree) exactly as it would have. A^T and C^T
-// share the scratch's transpose buffer.
+// share the workspace's transpose buffer.
 void transposed_product(const GemmOp& op, GemmScratch& scratch) {
   const std::int64_t m = op.m, n = op.n, k = op.k;
   float* at = scratch.transpose(static_cast<std::size_t>(k * m + n * m));
@@ -325,10 +339,10 @@ void transposed_product(const GemmOp& op, GemmScratch& scratch) {
 
 }  // namespace
 
-void gemm(const GemmOp& op, GemmScratch* scratch) {
+void gemm(const GemmOp& op) {
   QNN_CHECK_MSG(!(op.trans_a && op.trans_b),
                 "gemm: at most one operand may be transposed");
-  GemmScratch& s = scratch != nullptr ? *scratch : thread_scratch();
+  GemmScratch& s = thread_scratch();
   if (prefers_transposed_product(op)) {
     transposed_product(op, s);
     return;

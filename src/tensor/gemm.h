@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace qnn {
 
@@ -97,31 +96,6 @@ inline GemmKPlan gemm_k_plan(std::int64_t k) {
   return GemmKPlan{kGemmKChunk, (k + kGemmKChunk - 1) / kGemmKChunk};
 }
 
-// Reusable workspace for the K-sharded partial buffers and the operand
-// transpose a trans_a/trans_b GemmOp materializes (for a transposed
-// product, A^T and C^T together). Layers hoist one per
-// shard so steady-state forwards stop heap-allocating; scratchless calls
-// use a per-thread one. A scratch may not be shared by two gemm calls
-// that can run concurrently (conv holds one per batch shard); buffers
-// only grow, never shrink. The two buffers are separate because the
-// transposed operand stays live while the product fills the partials.
-class GemmScratch {
- public:
-  // Returns a buffer of at least `elems` floats (contents unspecified).
-  float* partials(std::size_t elems) {
-    if (partials_.size() < elems) partials_.resize(elems);
-    return partials_.data();
-  }
-  float* transpose(std::size_t elems) {
-    if (transpose_.size() < elems) transpose_.resize(elems);
-    return transpose_.data();
-  }
-
- private:
-  std::vector<float> partials_;
-  std::vector<float> transpose_;
-};
-
 enum class BiasAxis { kRow, kCol };
 
 // C[M,N] = A[M,K] * B[K,N], all row-major, optionally with a transposed
@@ -133,8 +107,15 @@ enum class BiasAxis { kRow, kCol };
 //   bias        null, or M floats (kRow: conv's per-output-channel bias)
 //               or N floats (kCol: InnerProduct's per-feature bias)
 //
-// At most one operand may be transposed (QNN_CHECK): the scratch holds
-// one transpose buffer and no caller needs both.
+// At most one operand may be transposed (QNN_CHECK): the workspace
+// holds one transpose buffer and no caller needs both.
+//
+// The workspace — the K-sharded chunk partials and the transposed
+// operand — is the calling thread's own, kept across calls and grown
+// as needed (and each pool thread's for the M-block tasks it runs), so
+// steady-state calls do not allocate and no caller passes one in. A
+// caller's operands must therefore not live in it; conv keeps its
+// im2col columns in a per-thread buffer of its own.
 //
 // A trans_b op whose B^T would move more floats than A^T and C^T
 // together (N*K > M*K + M*N, a pure function of the shape — the
@@ -157,7 +138,7 @@ struct GemmOp {
   BiasAxis bias_axis = BiasAxis::kRow;
 };
 
-void gemm(const GemmOp& op, GemmScratch* scratch = nullptr);
+void gemm(const GemmOp& op);
 
 // dst[r*cols + c] = src[c*rows + r] (src stored [cols, rows], dst
 // [rows, cols]), or += with accumulate: one float add per element, so a

@@ -398,15 +398,15 @@ __attribute__((target("avx2"))) inline void pool_max_group_avx2(
       best_cell = _mm256_blendv_ps(best_cell, _mm256_castsi256_ps(cell), gt);
     }
   }
+  store_cols<kMasked>(out + y * r.ow + x, lanes, best);
+  if (argmax == nullptr) return;
   const __m256i cells = _mm256_castps_si256(best_cell);
   const __m256i base = _mm256_set1_epi64x(r.plane_base);
   const __m256i arg_lo = _mm256_add_epi64(
       _mm256_cvtepi32_epi64(_mm256_castsi256_si128(cells)), base);
   const __m256i arg_hi = _mm256_add_epi64(
       _mm256_cvtepi32_epi64(_mm256_extracti128_si256(cells, 1)), base);
-  float* o = out + y * r.ow + x;
   long long* a = reinterpret_cast<long long*>(argmax + y * r.ow + x);
-  store_cols<kMasked>(o, lanes, best);
   if constexpr (kMasked) {
     _mm256_maskstore_epi64(
         a, _mm256_cvtepi32_epi64(_mm256_castsi256_si128(lanes)), arg_lo);

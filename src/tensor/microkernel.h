@@ -126,9 +126,9 @@ struct Im2colRow {
 // kernel x kernel window at in-plane offset (y * stride - pad) * w +
 // x * stride - pad in (row, column) order, seeded with its first cell,
 // replacing the best on a strict `>` (ties keep the first cell, NaN
-// never wins), and writes the value to out[y * ow + x] and plane_base +
-// the cell's offset to argmax[y * ow + x]. stride is 1 or 2, and every
-// in-plane offset fits in int32.
+// never wins), and writes the value to out[y * ow + x] and, unless
+// argmax is null, plane_base + the cell's offset to argmax[y * ow + x].
+// stride is 1 or 2, and every in-plane offset fits in int32.
 struct MaxPoolRect {
   const float* plane = nullptr;
   std::int64_t w = 0, ow = 0;

@@ -38,7 +38,7 @@ TEST(Tanh, GradCheck) {
 
 TEST(Dropout, EvalModeIsIdentity) {
   Dropout d(0.5);
-  d.set_training(false);
+  d.set_training_mode(false);
   Tensor in(Shape{1, 100});
   Rng rng(1);
   in.fill_uniform(rng, -1, 1);
@@ -69,7 +69,7 @@ TEST(Dropout, BackwardUsesSameMask) {
   const Tensor out = d.forward(in);
   Tensor g(Shape{1, 64});
   g.fill(1.0f);
-  const Tensor gin = d.backward(g);
+  const Tensor gin = d.backward(in, g);
   for (std::int64_t i = 0; i < 64; ++i)
     EXPECT_EQ(gin[i], out[i]);  // same multiplicative mask
 }

@@ -76,20 +76,17 @@ Grads reference_backward(nn::Conv2d& conv, const Grads& from,
     const std::size_t u = static_cast<std::size_t>(si);
     std::vector<float> colbuf(static_cast<std::size_t>(rows * cols));
     std::vector<float> gcol(colbuf.size());
-    GemmScratch scratch;
     for (std::int64_t s = shards[u].begin; s < shards[u].end; ++s) {
       const float* go = grad_out.data() + s * out_sample;
       im2col(g, in.data() + s * in_sample, colbuf.data());
       gemm({.m = cout, .n = rows, .k = cols, .a = go, .b = colbuf.data(),
-            .trans_b = true, .c = dw[u].data(), .accumulate = true},
-           &scratch);
+            .trans_b = true, .c = dw[u].data(), .accumulate = true});
       for (std::int64_t c = 0; c < cout; ++c)
         for (std::int64_t i = 0; i < cols; ++i)
           db[u][static_cast<std::size_t>(c)] += go[c * cols + i];
       gemm({.m = rows, .n = cols, .k = cout,
             .a = weight.data(), .trans_a = true, .b = go,
-            .c = gcol.data()},
-           &scratch);
+            .c = gcol.data()});
       float* image = r.dx.data() + s * in_sample;
       std::int64_t row = 0;
       for (std::int64_t c = 0; c < g.in_c; ++c)
@@ -164,7 +161,8 @@ TEST(ConvBackwardPin, MatchesPerSampleAlgorithmByteForByte) {
                         0.25f)};
 
       // Two batches into the same layer: the second accumulates onto the
-      // first's gradients, through scratch the first left behind.
+      // first's gradients, through the per-thread buffers the first left
+      // behind.
       Grads want{to_vec(proto.weight().grad), to_vec(proto.bias().grad), {}};
       std::vector<float> want_dx[2];
       for (int b = 0; b < 2; ++b) {
@@ -183,11 +181,9 @@ TEST(ConvBackwardPin, MatchesPerSampleAlgorithmByteForByte) {
           nn::Conv2d conv = proto;
           nn::Conv2d params_only = proto;
           for (int b = 0; b < 2; ++b) {
-            conv.forward(in);
-            const Tensor dx = conv.backward(grads[b]);
+            const Tensor dx = conv.backward(in, grads[b]);
             ASSERT_TRUE(same_bytes(want_dx[b], dx)) << "batch " << b;
-            params_only.forward(in);
-            params_only.backward_params(grads[b]);
+            params_only.backward_params(in, grads[b]);
           }
           for (nn::Conv2d* layer : {&conv, &params_only}) {
             ASSERT_TRUE(same_bytes(want.dw, layer->weight().grad));
@@ -218,11 +214,14 @@ TEST(ConvBackwardPin, SkippingFirstLayerInputGradKeepsParamGradBytes) {
         nn::softmax_cross_entropy(net->forward(x), labels);
     net->backward(loss.grad_logits);
 
+    std::vector<Tensor> ins{x};
+    for (std::size_t i = 0; i < full->num_layers(); ++i)
+      ins.push_back(full->layer(i).forward(ins.back()));
     const nn::LossResult full_loss =
-        nn::softmax_cross_entropy(full->forward(x), labels);
+        nn::softmax_cross_entropy(ins.back(), labels);
     Tensor g = full_loss.grad_logits;
     for (std::size_t i = full->num_layers(); i-- > 0;)
-      g = full->layer(i).backward(g);
+      g = full->layer(i).backward(ins[i], g);
 
     const std::vector<nn::Param*> got = net->trainable_params();
     const std::vector<nn::Param*> want = full->trainable_params();

@@ -262,11 +262,12 @@ TEST(FloatDatapath, MaxPoolMatchesNaiveScanAtEveryLevel) {
                    std::to_string(pc.h) + "x" + std::to_string(pc.w));
       ScopedSimdLevel force(level);
       nn::Pool2d pool(spec);
-      const Tensor out = pool.forward(Tensor(s, in));
+      const Tensor input(s, in);
+      const Tensor out = pool.forward(input);
       ASSERT_EQ(out.count(), static_cast<std::int64_t>(want.out.size()));
       ASSERT_TRUE(bytes_equal(
           want.out, std::vector<float>(out.data(), out.data() + out.count())));
-      const Tensor gin = pool.backward(Tensor(out.shape(), g));
+      const Tensor gin = pool.backward(input, Tensor(out.shape(), g));
       ASSERT_TRUE(bytes_equal(
           want_grad, std::vector<float>(gin.data(), gin.data() + gin.count())));
     }

@@ -49,7 +49,7 @@ struct FormOutputs {
 };
 
 FormOutputs run_all_forms(SimdLevel level, std::int64_t m, std::int64_t n,
-                          std::int64_t k, GemmScratch* scratch = nullptr) {
+                          std::int64_t k) {
   ScopedSimdLevel force(level);
   const auto a = random_vec(m * k, 11);    // row-major [M,K]
   const auto b = random_vec(k * n, 12);    // row-major [K,N]
@@ -65,7 +65,7 @@ FormOutputs run_all_forms(SimdLevel level, std::int64_t m, std::int64_t n,
 
   FormOutputs out;
   for (const testing::GemmForm& form : testing::all_gemm_forms())
-    out.c.push_back(testing::run_form(form, x, scratch));
+    out.c.push_back(testing::run_form(form, x));
   return out;
 }
 
@@ -130,13 +130,20 @@ TEST(GemmKernelDifferential, ScalarMatchesAvx2ColdAndWarmScratch) {
   if (!avx2_available()) GTEST_SKIP() << "no AVX2 on this machine";
   const std::int64_t m = 65, n = 257, k = 300;  // K-chunked, odd edges
   const FormOutputs base = run_all_forms(SimdLevel::kScalar, m, n, k);
-  GemmScratch scratch;  // cold on the first pass, warm on the second
-  const FormOutputs cold =
-      run_all_forms(SimdLevel::kAvx2, m, n, k, &scratch);
-  const FormOutputs warm =
-      run_all_forms(SimdLevel::kAvx2, m, n, k, &scratch);
-  EXPECT_TRUE(base == cold);
-  EXPECT_TRUE(cold == warm);
+  // The workspace is per thread (testing/gemm_forms.h): cold on a new
+  // thread's first pass, warm on its second, stale after a larger op.
+  const std::vector<FormOutputs> passes = testing::on_fresh_thread([&] {
+    std::vector<FormOutputs> out;
+    out.push_back(run_all_forms(SimdLevel::kAvx2, m, n, k));
+    out.push_back(run_all_forms(SimdLevel::kAvx2, m, n, k));
+    testing::dirty_gemm_workspace();
+    out.push_back(run_all_forms(SimdLevel::kAvx2, m, n, k));
+    return out;
+  });
+  ASSERT_EQ(passes.size(), 3u);
+  EXPECT_TRUE(base == passes[0]) << "cold";
+  EXPECT_TRUE(base == passes[1]) << "warm";
+  EXPECT_TRUE(base == passes[2]) << "stale";
 }
 
 TEST(GemmKernelDifferential, ScalarMatchesAvx2AcrossThreadCounts) {

@@ -14,7 +14,8 @@
 //     within a rounding tolerance — catches consistently-wrong math the
 //     self-differential check cannot see.
 //  3. Thread-count invariance: bytes at 1/2/4/8/16 threads are identical,
-//     with and without a caller GemmScratch, for every GemmOp form.
+//     on a cold, warm and stale per-thread workspace, for every GemmOp
+//     form.
 //
 // A standalone fused-multiply-add reference also pins the accumulate
 // contract of gemm.h: a single-chunk plan seeds the fold with the old C,
@@ -175,9 +176,9 @@ TEST(GemmProperty, MatchesNaiveDoubleReferenceWithinRounding) {
   }
 }
 
-// Every GemmOp form, bit-identical across thread counts 1/2/4/8/16,
-// with and without a caller scratch. The serial (1-thread) bytes are the
-// canonical reference for each form.
+// Every GemmOp form, bit-identical across thread counts 1/2/4/8/16, on
+// a cold, a warm and a stale workspace (testing/gemm_forms.h). The
+// serial (1-thread) bytes are the canonical reference for each form.
 TEST(GemmProperty, AllVariantsBitIdenticalAcrossThreadsAndScratch) {
   ThreadGuard guard;
   const std::vector<Problem> problems = {
@@ -216,14 +217,16 @@ TEST(GemmProperty, AllVariantsBitIdenticalAcrossThreadsAndScratch) {
       const std::vector<float> ref = testing::run_form(form, x);
       for (int threads : {1, 2, 4, 8, 16}) {
         ThreadPool::set_global_threads(threads);
-        GemmScratch scratch;
+        EXPECT_TRUE(bytes_equal(ref, testing::on_fresh_thread([&] {
+          return testing::run_form(form, x);
+        }))) << threads << " threads (cold)";
         EXPECT_TRUE(bytes_equal(ref, testing::run_form(form, x)))
             << threads << " threads";
-        EXPECT_TRUE(bytes_equal(ref, testing::run_form(form, x, &scratch)))
-            << threads << " threads (scratch)";
-        // A warm scratch (buffers already sized) must not change bytes.
-        EXPECT_TRUE(bytes_equal(ref, testing::run_form(form, x, &scratch)))
-            << threads << " threads (warm scratch)";
+        EXPECT_TRUE(bytes_equal(ref, testing::run_form(form, x)))
+            << threads << " threads (warm)";
+        testing::dirty_gemm_workspace();
+        EXPECT_TRUE(bytes_equal(ref, testing::run_form(form, x)))
+            << threads << " threads (stale)";
       }
     }
   }

@@ -126,8 +126,8 @@ TEST(Gemm, TransposedBAccumulate) {
     EXPECT_NEAR(c[i], expect[i], 1e-4);
 }
 
-// GemmScratch holds one transpose buffer, so an op may transpose at most
-// one operand.
+// gemm's workspace holds one transpose buffer, so an op may transpose at
+// most one operand.
 TEST(Gemm, RejectsBothOperandsTransposed) {
   const float a[] = {1, 2, 3, 4};
   const float b[] = {5, 6, 7, 8};

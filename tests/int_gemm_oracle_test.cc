@@ -843,6 +843,40 @@ TEST(IntInference, FakeQuantForwardTracksFrozenNative) {
     EXPECT_NEAR(float_path[i], int_path[i], step + 1e-9) << "elem " << i;
 }
 
+// freeze_inference computes the fallback reason once and keeps it: a
+// zoo net's float and pow2 configs say why they run fake-quant, a
+// fixed8 config runs native with an empty reason, and thawing clears it.
+TEST(IntInference, FreezeKeepsTheFallbackReason) {
+  struct Case {
+    PrecisionConfig config;
+    std::string reason;
+  };
+  const Case cases[] = {
+      {float_config(), "float config: no integer realization"},
+      {pow2_config(),
+       "power-of-two weights: no native tier (used exponent span exceeds "
+       "the int16 word)"},
+      {fixed_config(8, 8), ""},
+  };
+  std::vector<std::int64_t> dims = nn::input_shape_for("lenet").dims();
+  dims[0] = 4;
+  Tensor calib{Shape{dims}};
+  Rng rng(5);
+  calib.fill_uniform(rng, 0.0f, 1.0f);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.config.id());
+    auto net = nn::make_network("lenet", {0.5, 3});
+    QuantizedNetwork qnet(*net, c.config);
+    qnet.calibrate(calib);
+    EXPECT_EQ(qnet.fallback_reason(), "");
+    qnet.freeze_inference();
+    EXPECT_EQ(qnet.fallback_reason(), c.reason);
+    EXPECT_EQ(qnet.native_int_active(), c.reason.empty());
+    qnet.thaw_inference();
+    EXPECT_EQ(qnet.fallback_reason(), "");
+  }
+}
+
 TEST(IntInference, IneligibleConfigsFallBackToFloatPath) {
   const Tensor calib = cnn_input(4, 5);
   {

@@ -5,6 +5,7 @@
 #include "nn/activation.h"
 #include "nn/conv.h"
 #include "nn/inner_product.h"
+#include "nn/network.h"
 #include "nn/pool.h"
 #include "util/check.h"
 
@@ -101,12 +102,15 @@ TEST(Conv2d, WrongChannelCountThrows) {
   EXPECT_THROW(conv.forward(in), CheckError);
 }
 
+// The forward's input a backward needs is on the network's tape, so the
+// network is where a backward without a forward is caught.
 TEST(Conv2d, BackwardBeforeForwardThrows) {
   ConvSpec spec;
   spec.out_channels = 1;
   spec.kernel = 1;
-  Conv2d conv(1, spec);
-  EXPECT_THROW(conv.backward(Tensor(Shape{1, 1, 1, 1})), CheckError);
+  Network net;
+  net.add<Conv2d>(1, spec);
+  EXPECT_THROW(net.backward(Tensor(Shape{1, 1, 1, 1})), CheckError);
 }
 
 TEST(Conv2d, DescribeCountsMacsAndParams) {
@@ -192,7 +196,8 @@ TEST(Pool2d, KernelBelowStrideDropsEmptyWindow) {
   EXPECT_FLOAT_EQ(out[2], 9);
   EXPECT_FLOAT_EQ(out[3], 11);
   // The argmax of each output is its one cell: 0, 2, 8, 10.
-  const Tensor gin = max_pool.backward(Tensor(Shape{1, 1, 2, 2}, {1, 2, 3, 4}));
+  const Tensor gin =
+      max_pool.backward(in, Tensor(Shape{1, 1, 2, 2}, {1, 2, 3, 4}));
   for (std::int64_t i = 0; i < gin.count(); ++i) {
     const float want = i == 0 ? 1 : i == 2 ? 2 : i == 8 ? 3 : i == 10 ? 4 : 0;
     EXPECT_FLOAT_EQ(gin[i], want) << i;
@@ -211,7 +216,7 @@ TEST(Pool2d, MaxBackwardRoutesToArgmax) {
   Tensor in(Shape{1, 1, 2, 2}, {1, 9, 3, 4});
   (void)pool.forward(in);
   Tensor g(Shape{1, 1, 1, 1}, {5.0f});
-  const Tensor gin = pool.backward(g);
+  const Tensor gin = pool.backward(in, g);
   EXPECT_FLOAT_EQ(gin[0], 0);
   EXPECT_FLOAT_EQ(gin[1], 5);
   EXPECT_FLOAT_EQ(gin[2], 0);
@@ -223,7 +228,7 @@ TEST(Pool2d, AvgBackwardDistributesEvenly) {
   Tensor in(Shape{1, 1, 2, 2}, {1, 2, 3, 4});
   (void)pool.forward(in);
   Tensor g(Shape{1, 1, 1, 1}, {8.0f});
-  const Tensor gin = pool.backward(g);
+  const Tensor gin = pool.backward(in, g);
   for (int i = 0; i < 4; ++i) EXPECT_FLOAT_EQ(gin[i], 2.0f);
 }
 
@@ -272,7 +277,7 @@ TEST(InnerProduct, BackwardReturnsInputShapedGradient) {
   (void)ip.forward(in);
   Tensor g(Shape{3, 2});
   g.fill(1.0f);
-  const Tensor gin = ip.backward(g);
+  const Tensor gin = ip.backward(in, g);
   EXPECT_EQ(gin.shape(), Shape({3, 2, 2, 2}));
 }
 
@@ -303,7 +308,7 @@ TEST(Relu, BackwardMasksByActivation) {
   Tensor in(Shape{1, 3}, {-1, 1, 2});
   (void)relu.forward(in);
   Tensor g(Shape{1, 3}, {10, 10, 10});
-  const Tensor gin = relu.backward(g);
+  const Tensor gin = relu.backward(in, g);
   EXPECT_FLOAT_EQ(gin[0], 0);
   EXPECT_FLOAT_EQ(gin[1], 10);
   EXPECT_FLOAT_EQ(gin[2], 10);

@@ -85,7 +85,7 @@ TEST(NfuSimPlan, DropoutIsInferenceIdentity) {
   Rng rng(6);
   net->init_weights(rng);
   // Evaluation mode for the float reference.
-  dynamic_cast<nn::Dropout&>(net->layer(1)).set_training(false);
+  net->set_training_mode(false);
   Tensor batch(Shape{3, 4});
   batch.fill_uniform(rng, 0, 1);
   quant::QuantizedNetwork qnet(*net, quant::fixed_config(8, 8));

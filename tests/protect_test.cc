@@ -19,6 +19,7 @@
 #include "protect/protected_network.h"
 #include "tensor/gemm.h"
 #include "test_env.h"
+#include "testing/gemm_forms.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 
@@ -141,23 +142,29 @@ TEST(Abft, TallKRecoveryReusesChunkPlanAndRestoresExactBytes) {
 TEST(Abft, TallKBtRecoveryRestoresExactBytes) {
   // Same plan-reuse guarantee through the trans_b form (the
   // inner-product forward shape, where K-parallelism engages: small M,
-  // K across multiple chunks).
+  // K across multiple chunks). The initial pass and the re-execution
+  // share the thread's gemm workspace, found cold, warm and stale
+  // (testing/gemm_forms.h).
   const GemmProblem p(8, 25, 600);
-  std::vector<float> plain(p.m * p.n), checked(p.m * p.n);
+  std::vector<float> plain(p.m * p.n);
   gemm(p.bt_op(plain.data()));
-  GemmScratch scratch;  // shared by initial pass and re-execution
-  const AbftCounters c = abft_gemm(
-      p.bt_op(checked.data()), AbftOptions{},
-      [](std::int64_t i0, std::int64_t, std::int64_t, float* c_rows,
-         int attempt) {
-        if (i0 == 0 && attempt == 0) c_rows[1] -= 500.0f;
-      },
-      &scratch);
-  EXPECT_EQ(c.mismatches, 1);
-  EXPECT_EQ(c.unrecovered, 0);
-  EXPECT_EQ(std::memcmp(plain.data(), checked.data(),
-                        plain.size() * sizeof(float)),
-            0);
+  const auto recovered = [&] {
+    std::vector<float> checked(p.m * p.n);
+    const AbftCounters c = abft_gemm(
+        p.bt_op(checked.data()), AbftOptions{},
+        [](std::int64_t i0, std::int64_t, std::int64_t, float* c_rows,
+           int attempt) {
+          if (i0 == 0 && attempt == 0) c_rows[1] -= 500.0f;
+        });
+    EXPECT_EQ(c.mismatches, 1);
+    EXPECT_EQ(c.unrecovered, 0);
+    return std::memcmp(plain.data(), checked.data(),
+                       plain.size() * sizeof(float)) == 0;
+  };
+  EXPECT_TRUE(testing::on_fresh_thread(recovered)) << "cold";
+  EXPECT_TRUE(recovered()) << "warm";
+  testing::dirty_gemm_workspace();
+  EXPECT_TRUE(recovered()) << "stale";
 }
 
 TEST(Abft, TallKCleanScopedGemmVerifiesOverShardedPartials) {

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "tensor/gemm.h"
@@ -72,11 +73,40 @@ inline GemmOp bind(const GemmForm& f, const GemmOperands& x, float* c) {
 
 // C starts as c_seed (the old C of accumulate forms, stale bytes an
 // overwriting form must ignore), then gemm runs the form into it.
-inline std::vector<float> run_form(const GemmForm& f, const GemmOperands& x,
-                                   GemmScratch* scratch = nullptr) {
+inline std::vector<float> run_form(const GemmForm& f, const GemmOperands& x) {
   std::vector<float> c(x.c_seed, x.c_seed + x.m * x.n);
-  gemm(bind(f, x, c.data()), scratch);
+  gemm(bind(f, x, c.data()));
   return c;
+}
+
+// gemm keeps its workspace per thread, so the three states a call can
+// find it in are reached through threads:
+//
+//   cold   fn on a new std::thread, whose workspace starts empty (a
+//          rebuilt pool's workers start empty too);
+//   warm   a repeat on the same thread, into the buffers the last call
+//          sized;
+//   stale  after dirty_gemm_workspace(), into oversized buffers that
+//          still hold another product's bytes.
+template <typename F>
+auto on_fresh_thread(F&& fn) {
+  decltype(fn()) result;
+  std::thread t([&] { result = fn(); });
+  t.join();
+  return result;
+}
+
+// Grows the calling thread's workspace (and its pool's) past any test
+// problem here and leaves another product's bytes in it: a trans_a op,
+// whose A^T fills the transpose buffer, over several M blocks and K
+// chunks, which fill the chunk partials.
+inline void dirty_gemm_workspace() {
+  const std::int64_t m = 256, n = 64, k = 2048;
+  std::vector<float> a(static_cast<std::size_t>(k * m), 0.5f);
+  std::vector<float> b(static_cast<std::size_t>(k * n), -0.25f);
+  std::vector<float> c(static_cast<std::size_t>(m * n));
+  gemm({.m = m, .n = n, .k = k, .a = a.data(), .trans_a = true,
+        .b = b.data(), .c = c.data()});
 }
 
 inline bool bytes_equal(const std::vector<float>& x,

@@ -36,7 +36,7 @@ inline void check_layer_gradients(nn::Layer& layer, const Shape& in_shape,
   // Analytic gradients.
   for (nn::Param* p : layer.params()) p->zero_grad();
   (void)layer.forward(input);
-  const Tensor grad_in = layer.backward(coeffs);
+  const Tensor grad_in = layer.backward(input, coeffs);
   ASSERT_EQ(grad_in.shape().to_string(), in_shape.to_string());
 
   // Numeric input gradient (subsampled for large tensors).
@@ -51,7 +51,7 @@ inline void check_layer_gradients(nn::Layer& layer, const Shape& in_shape,
   }
 
   // Numeric parameter gradients. The analytic ones were computed above;
-  // snapshot them first because extra forwards rerun caching only.
+  // snapshot each before the extra forwards.
   for (nn::Param* p : layer.params()) {
     const Tensor analytic = p->grad;
     const std::int64_t pstride =
